@@ -21,7 +21,6 @@ from .chsh import BETA_MAX, OMEGA_MAX
 from .quantum import BellDiagonalSpectrum, ValidationError
 
 _SQRT2 = math.sqrt(2)
-_GOLDEN = (1 + math.sqrt(5)) / 2
 
 
 def binary_entropy(x: float) -> float:
@@ -128,51 +127,6 @@ def _lambdas_from_pair(phi_m: float, psi_m: float, beta: float):
     return (max(phi_p, 0.0), phi_m, max(psi_p, 0.0), psi_m)
 
 
-_branch_check_done = False
-
-
-def _branch_spot_check(step: float = 0.02) -> None:
-    """Coarse sweep of the other two symmetry branches of the Bell-value constraint.
-
-    The reduced search region assumes the (phi+, psi+)/(phi-, psi-) pairing
-    carries the Bell value. By eigenvalue-relabeling symmetry a spectrum whose
-    Bell value is instead set by one of the other two pairings can be mapped
-    to the reduced region without changing its entropy, so its entropy must
-    not exceed the analytic maximum at its own Bell value. Verified here on a
-    coarse simplex grid rather than taken on faith. The sweep is independent
-    of the query beta, so it runs once per process.
-    """
-    global _branch_check_done
-    if _branch_check_done:
-        return
-    c = 2 * _SQRT2
-    ticks = [i * step for i in range(int(round(1 / step)) + 1)]
-    for a in ticks:
-        for b in ticks:
-            if a + b > 1 + 1e-12:
-                break
-            for cc in ticks:
-                d = 1 - a - b - cc
-                if d < -1e-12:
-                    break
-                d = max(d, 0.0)
-                v1 = c * math.hypot(a - cc, b - d)
-                # pairings (phi+,psi-)/(phi-,psi+) and (phi+,phi-)/(psi+,psi-)
-                v2 = c * math.hypot(a - d, b - cc)
-                v3 = c * math.hypot(a - b, cc - d)
-                vm = max(v1, v2, v3)
-                if vm <= 2 or vm <= v1 + 1e-12:
-                    continue  # branch 1 binding: already the searched region
-                vm = min(vm, BETA_MAX)
-                ent = _entropy4((a, b, cc, d))
-                if ent > max_total_entropy(vm) + 1e-9:
-                    raise ValidationError(
-                        "alternate constraint branch exceeds the analytic maximum: "
-                        f"entropy {ent} at Bell value {vm}"
-                    )
-    _branch_check_done = True
-
-
 def brute_force_max_entropy(
     beta: float, grid_step: float
 ) -> tuple[BellDiagonalSpectrum, float]:
@@ -232,7 +186,6 @@ def brute_force_max_entropy(
                     improved = True
         step /= 2
 
-    _branch_spot_check()
     lam = list(_lambdas_from_pair(x, y, beta))
     # The parametrization hands the plus square root to the first eigenvalue,
     # but exchanging the two sum-pair entries changes neither the entropy nor

@@ -110,12 +110,19 @@ def _certificate_record(cert: rates.RateCertificate) -> dict:
     }
 
 
+def _eps_budget(cfg: _Config) -> tuple[float, float, float]:
+    """(eps_dist, eps_snd, eps_cmp), defaulting to 1e-5, 1e-5 and 1e-2."""
+    return (
+        float(cfg.get("eps_dist", 1e-5)),
+        float(cfg.get("eps_snd", 1e-5)),
+        float(cfg.get("eps_cmp", 1e-2)),
+    )
+
+
 def cmd_rate(cfg: _Config) -> int:
     n = int(float(cfg.require("n")))
     omega_exp = float(cfg.require("omega_exp"))
-    eps_dist = float(cfg.get("eps_dist", 1e-5))
-    eps_snd = float(cfg.get("eps_snd", 1e-5))
-    eps_cmp = float(cfg.get("eps_cmp", 1e-2))
+    eps_dist, eps_snd, eps_cmp = _eps_budget(cfg)
     mode = cfg.get("mode", "printed")
     gamma = cfg.get("gamma")
     eps_smo = cfg.get("eps_smo")
@@ -160,9 +167,7 @@ def cmd_curve(cfg: _Config) -> int:
     omegas = _omega_grid(cfg, 0.78, 0.853, 0.00365)
     if not omegas and not cfg.get("asymptotic"):
         raise ValidationError("empty curve grid")
-    eps_dist = float(cfg.get("eps_dist", 1e-5))
-    eps_snd = float(cfg.get("eps_snd", 1e-5))
-    eps_cmp = float(cfg.get("eps_cmp", 1e-2))
+    eps_dist, eps_snd, eps_cmp = _eps_budget(cfg)
     mode = cfg.get("mode", "printed")
 
     lines = [_CURVE_HEADER]
@@ -333,6 +338,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--exact", action="store_true", help="also emit full-precision JSON")
 
 
+def _add_eps(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--eps-dist", dest="eps_dist", type=float, default=None)
+    p.add_argument("--eps-snd", dest="eps_snd", type=float, default=None)
+    p.add_argument("--eps-cmp", dest="eps_cmp", type=float, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diecert",
@@ -345,9 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--n", default=None)
     p.add_argument("--omega-exp", dest="omega_exp", type=float, default=None)
-    p.add_argument("--eps-dist", dest="eps_dist", type=float, default=None)
-    p.add_argument("--eps-snd", dest="eps_snd", type=float, default=None)
-    p.add_argument("--eps-cmp", dest="eps_cmp", type=float, default=None)
+    _add_eps(p)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--eps-smo", dest="eps_smo", type=float, default=None)
     p.add_argument("--delta-est", dest="delta_est", type=float, default=None)
@@ -362,9 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-values", dest="omega_values", default=None)
     p.add_argument("--asymptotic", action="store_true", default=None,
                    help="append the many-round limit curve")
-    p.add_argument("--eps-dist", dest="eps_dist", type=float, default=None)
-    p.add_argument("--eps-snd", dest="eps_snd", type=float, default=None)
-    p.add_argument("--eps-cmp", dest="eps_cmp", type=float, default=None)
+    _add_eps(p)
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("entropy-curve", help="conditional-entropy bound curve")

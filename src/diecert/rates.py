@@ -1,16 +1,22 @@
 """Certified distillation rates from accumulated CHSH statistics.
 
-Pipeline: piecewise tradeoff function f, its tangent-line completion f_max,
-the finite-size correction eta, the minimized eta_opt, and the certified
-log L / rate. A deterministic nested search over the free parameters (test
-probability gamma and smoothing epsilon) maximizes the rate.
+Pipeline: the piecewise tradeoff function f, its tangent-line completion
+f_max, the finite-size correction eta, the minimized eta_opt, and the
+certified log L = -n eta_opt - 4 log2(1/(sqrt(eps_dist) - eps_smo)) and rate.
+A deterministic nested search over the free parameters (test probability
+gamma and smoothing epsilon) maximizes the rate.
 
 The second-order gradient term has two conventions, selectable via `mode`:
 "printed" uses |dg/dp(1)| at the cutoff point, "ceiling" uses the integer
 ceiling of the tangent slope magnitude. The curves produced with "ceiling"
 match the published finite-n rate plots; "printed" is the literal formula.
-All searches use fixed scan grids plus golden-section refinement so repeated
-runs are bit-identical.
+
+Each formula has one home: `_f` is the only piecewise f (`tradeoff_f`,
+`tradeoff_fmax` and `eta` are views over it), `_kappa` the smoothing factor
+and `_budget_term` the log(1/eps) term. `_minimize` is the only search: a
+fixed scan grid plus golden-section refinement, used for the cutoff in
+eta_opt and, on the negated rate, for gamma and eps_smo, so repeated runs
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -111,13 +117,50 @@ class RateCertificate:
 
     def __post_init__(self):
         n = self.params.n
-        expected_log_l = -n * self.eta_opt_value - 4 * math.log2(
-            1 / (math.sqrt(self.errors.eps_dist) - self.errors.eps_smo)
+        expected_log_l = -n * self.eta_opt_value - _budget_term(
+            self.errors.eps_dist, self.errors.eps_smo
         )
         if abs(self.log_l - expected_log_l) > 1e-9 * max(1, abs(expected_log_l)):
             raise ValidationError("log_l inconsistent with eta_opt and the budget")
         if abs(self.rate_raw - self.log_l / n) > 1e-9:
             raise ValidationError("rate_raw must equal log_l / n")
+
+
+def _f(w: float, gamma: float) -> float:
+    """Piecewise tradeoff at score w: (1-gamma) g(w), capped at gamma-1."""
+    if w >= OMEGA_MAX:
+        return gamma - 1
+    return (1 - gamma) * g(max(w, 0.0))
+
+
+def _kappa(eps_smo: float, eps_snd: float) -> float:
+    """Smoothing factor sqrt(1 - 2 log2(eps_smo * eps_snd)) of the v/sqrt(n) term."""
+    return math.sqrt(1 - 2 * math.log2(eps_smo * eps_snd))
+
+
+def _budget_term(eps_dist: float, eps_smo: float) -> float:
+    """The 4 log2(1/(sqrt(eps_dist) - eps_smo)) that log L pays for the budget."""
+    return 4 * math.log2(1 / (math.sqrt(eps_dist) - eps_smo))
+
+
+def _minimize(obj, grid, tol):
+    """Scan `grid`, bracket the first best point, golden-section to width `tol`.
+
+    Returns the final bracket midpoint, the best grid index and its value.
+    Callers that maximize pass the negated objective.
+    """
+    vals = [obj(x) for x in grid]
+    best = min(range(len(grid)), key=vals.__getitem__)
+    a = grid[max(best - 1, 0)]
+    b = grid[min(best + 1, len(grid) - 1)]
+    while b - a > tol:
+        c = b - (b - a) / _GOLDEN
+        d = a + (b - a) / _GOLDEN
+        if obj(c) < obj(d):
+            b = d
+        else:
+            a = c
+    return (a + b) / 2, best, vals[best]
 
 
 def tradeoff_f(p: FrequencyDistribution, gamma: float) -> float:
@@ -128,10 +171,7 @@ def tradeoff_f(p: FrequencyDistribution, gamma: float) -> float:
         raise ValidationError(
             f"p0+p1={p.p0 + p.p1} does not match the test probability {gamma}"
         )
-    w = p.p1 / gamma
-    if w >= OMEGA_MAX:
-        return gamma - 1
-    return (1 - gamma) * g(w)
+    return _f(p.p1 / gamma, gamma)
 
 
 def _tangent_slope(wt: float, gamma: float) -> float:
@@ -150,8 +190,7 @@ def tradeoff_fmax(
         )
     if p.p1 <= p_t.p1:
         return tradeoff_f(p, gamma)
-    a = _tangent_slope(wt, gamma)
-    return a * (p.p1 - p_t.p1) + (1 - gamma) * g(wt)
+    return _tangent_slope(wt, gamma) * (p.p1 - p_t.p1) + _f(wt, gamma)
 
 
 def _grad_term(wt: float, gamma: float, mode: str) -> float:
@@ -170,14 +209,12 @@ def _eta_scalar(
     kappa: float,
     mode: str,
 ) -> float:
-    """eta at cutoff score wt; kappa = sqrt(1 - 2 log2(eps_smo * eps_snd))."""
+    """eta at cutoff score wt, with kappa from `_kappa`."""
     pt1 = wt * gamma
-    fpt = (1 - gamma) * g(wt)
     if p1_obs <= pt1:
-        w_obs = p1_obs / gamma
-        fval = (gamma - 1) if w_obs >= OMEGA_MAX else (1 - gamma) * g(max(w_obs, 0.0))
+        fval = _f(p1_obs / gamma, gamma)
     else:
-        fval = _tangent_slope(wt, gamma) * (p1_obs - pt1) + fpt
+        fval = _tangent_slope(wt, gamma) * (p1_obs - pt1) + _f(wt, gamma)
     v_half = _LOG2_5 + _grad_term(wt, gamma, mode)
     return fval + (2 / math.sqrt(n)) * v_half * kappa
 
@@ -195,7 +232,7 @@ def eta(
     wt = p_t.p1 / params.gamma
     if not (0.75 < wt < OMEGA_MAX):
         raise ValidationError(f"p_t(1)/gamma={wt} outside (3/4, (2+sqrt(2))/4)")
-    kappa = math.sqrt(1 - 2 * math.log2(budget.eps_smo * budget.eps_snd))
+    kappa = _kappa(budget.eps_smo, budget.eps_snd)
     return _eta_scalar(wt, p1_observed, params.gamma, params.n, kappa, mode)
 
 
@@ -208,17 +245,7 @@ def _eta_opt_scalar(n, gamma, omega_exp, delta_est, kappa, mode):
 
     npts = 200
     step = (hi - lo) / (npts - 1)
-    best_i = min(range(npts), key=lambda i: obj(lo + i * step))
-    a = lo + max(best_i - 1, 0) * step
-    b = lo + min(best_i + 1, npts - 1) * step
-    while b - a > 1e-9:
-        c = b - (b - a) / _GOLDEN
-        d = a + (b - a) / _GOLDEN
-        if obj(c) < obj(d):
-            b = d
-        else:
-            a = c
-    wt = (a + b) / 2
+    wt = _minimize(obj, [lo + i * step for i in range(npts)], 1e-9)[0]
     return obj(wt), wt
 
 
@@ -233,7 +260,7 @@ def eta_opt(
         raise ValidationError("eps_smo * eps_snd must be positive")
     if params.gamma <= 0:
         raise ValidationError("gamma must be positive")
-    kappa = math.sqrt(1 - 2 * math.log2(budget.eps_smo * budget.eps_snd))
+    kappa = _kappa(budget.eps_smo, budget.eps_snd)
     value, wt = _eta_opt_scalar(
         params.n, params.gamma, params.omega_exp, params.delta_est, kappa, mode
     )
@@ -259,9 +286,7 @@ def certified_log_l(
     value, minimizer = eta_opt(params, budget, mode)
     wt = minimizer.p1 / params.gamma
     v = 2 * (_LOG2_5 + _grad_term(wt, params.gamma, mode))
-    log_l = -params.n * value - 4 * math.log2(
-        1 / (math.sqrt(budget.eps_dist) - budget.eps_smo)
-    )
+    log_l = -params.n * value - _budget_term(budget.eps_dist, budget.eps_smo)
     rate_raw = log_l / params.n
     return RateCertificate(
         eta_opt_value=value,
@@ -277,9 +302,9 @@ def certified_log_l(
 
 
 def _rate_raw(n, gamma, omega_exp, delta_est, eps_dist, eps_snd, eps_smo, mode):
-    kappa = math.sqrt(1 - 2 * math.log2(eps_smo * eps_snd))
+    kappa = _kappa(eps_smo, eps_snd)
     value, _ = _eta_opt_scalar(n, gamma, omega_exp, delta_est, kappa, mode)
-    return -value - 4 * math.log2(1 / (math.sqrt(eps_dist) - eps_smo)) / n
+    return -value - _budget_term(eps_dist, eps_smo) / n
 
 
 def optimize_parameters(
@@ -316,36 +341,15 @@ def optimize_parameters(
 
         top = math.log10(sqrt_dist * 0.9999)
         lgs = [top - 3 + 3 * i / 19 for i in range(20)]
-        vals = [r(10**lg) for lg in lgs]
-        bi = max(range(20), key=lambda i: vals[i])
-        a = lgs[max(bi - 1, 0)]
-        b = lgs[min(bi + 1, 19)]
-        while b - a > 1e-4:
-            c = b - (b - a) / _GOLDEN
-            d = a + (b - a) / _GOLDEN
-            if r(10**c) > r(10**d):
-                b = d
-            else:
-                a = c
-        smo = 10 ** ((a + b) / 2)
+        smo = 10 ** _minimize(lambda lg: -r(10**lg), lgs, 1e-4)[0]
         memo[gamma] = (r(smo), smo)
         return memo[gamma]
 
     lgs = [-6 + 6 * i / 59 for i in range(60)]
-    vals = [best_over_smo(10**lg)[0] for lg in lgs]
-    bi = max(range(60), key=lambda i: vals[i])
-    a = lgs[max(bi - 1, 0)]
-    b = lgs[min(bi + 1, 59)]
-    while b - a > 1e-4:
-        c = b - (b - a) / _GOLDEN
-        d = a + (b - a) / _GOLDEN
-        if best_over_smo(10**c)[0] > best_over_smo(10**d)[0]:
-            b = d
-        else:
-            a = c
-    gamma = 10 ** ((a + b) / 2)
+    lg, bi, neg_best = _minimize(lambda lg: -best_over_smo(10**lg)[0], lgs, 1e-4)
+    gamma = 10**lg
     val, smo = best_over_smo(gamma)
-    if not math.isfinite(val) or val <= vals[bi]:
+    if not math.isfinite(val) or val <= -neg_best:
         gamma = 10 ** lgs[bi]
         val, smo = best_over_smo(gamma)
 

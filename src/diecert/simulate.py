@@ -36,9 +36,7 @@ from .rates import ProtocolParams
 _STREAM_TEST = 0
 _STREAM_INPUT = 1
 _STREAM_OUTCOME = 2
-_STREAM_TWIRL = 3
 _STREAM_BLOCK = 4
-_STREAM_MODEL = 5
 _STREAM_TRIAL = 6
 _STREAM_ABORT = 7
 
@@ -56,7 +54,6 @@ class DeviceModel:
     """
 
     iid = False
-    needs_randomness = False
 
     def prepare_round(self, i, history, rng):
         raise NotImplementedError
@@ -246,8 +243,9 @@ class _RoundGeometry:
 
     def kept_state(self, c, d) -> TwoQubitState:
         """Two-qubit kept state: project onto (c, d), reduce to the block
-        bases, and twirl. The twirl unitary is drawn but never recorded, so
-        the state given the transcript is the Bell-diagonal average."""
+        bases, and twirl. The twirl unitary is never recorded, so the state
+        given the transcript is the Bell-diagonal average and no unitary is
+        sampled."""
         key = (c, d)
         if key not in self._kept:
             ba, bb, qa, qb, joint = self.blocks()
@@ -292,17 +290,15 @@ def run_protocol(
     input_draws = _stream(seed, _STREAM_INPUT).integers(0, 2, size=(n, 2)).tolist()
     outcome_draws = _stream(seed, _STREAM_OUTCOME).random(n).tolist()
     block_draws = _stream(seed, _STREAM_BLOCK).random(n).tolist()
-    twirl_draws = _stream(seed, _STREAM_TWIRL).integers(0, 4, size=n).tolist()
 
     cached_geom = None
     rounds = []
     win_count = 0
     for i in range(n):
-        rng = _stream_model(seed, i) if model.needs_randomness else None
         if model.iid and cached_geom is not None:
             geom = cached_geom
         else:
-            state, aobs, bobs = model.prepare_round(i, rounds, rng)
+            state, aobs, bobs = model.prepare_round(i, rounds, None)
             geom = _RoundGeometry(state, aobs, bobs)
             if model.iid:
                 cached_geom = geom
@@ -322,7 +318,6 @@ def run_protocol(
         else:
             if mode == "modified":
                 c, d = _sample_block(geom, block_draws[i])
-                _ = twirl_draws[i]  # drawn per protocol; the average is kept
                 kept = geom.kept_state(c, d) if record_kept_states else None
                 rounds.append(RoundRecord(t=0, c=c, d=d, kept_state=kept))
             else:
@@ -338,10 +333,6 @@ def run_protocol(
         seed=seed,
         mode=mode,
     )
-
-
-def _stream_model(seed: int, i: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), _STREAM_MODEL, i]))
 
 
 def _sample_block(geom: _RoundGeometry, u: float) -> tuple[int, int]:

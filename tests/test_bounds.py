@@ -161,6 +161,40 @@ class TestBruteForce:
         _, value = brute_force_max_entropy(beta, grid_step=0.02)
         assert value == pytest.approx(max_total_entropy(beta), abs=1e-5)
 
+    def test_other_constraint_branches_stay_below_analytic(self):
+        """The oracle searches only the region where the (phi+, psi+)/(phi-, psi-)
+        pairing carries the Bell value. By eigenvalue-relabeling symmetry a
+        spectrum whose Bell value is set by one of the other two pairings maps
+        to that region without changing its entropy, so its entropy must not
+        exceed the analytic maximum at its own Bell value. Checked on a coarse
+        simplex grid rather than taken on faith.
+        """
+        step = 0.02
+        c = 2 * math.sqrt(2)
+        ticks = [i * step for i in range(int(round(1 / step)) + 1)]
+        for a in ticks:
+            for b in ticks:
+                if a + b > 1 + 1e-12:
+                    break
+                for cc in ticks:
+                    d = 1 - a - b - cc
+                    if d < -1e-12:
+                        break
+                    d = max(d, 0.0)
+                    v1 = c * math.hypot(a - cc, b - d)
+                    # pairings (phi+,psi-)/(phi-,psi+) and (phi+,phi-)/(psi+,psi-)
+                    v2 = c * math.hypot(a - d, b - cc)
+                    v3 = c * math.hypot(a - b, cc - d)
+                    vm = max(v1, v2, v3)
+                    if vm <= 2 or vm <= v1 + 1e-12:
+                        continue  # branch 1 binding: already the searched region
+                    vm = min(vm, BETA_MAX)
+                    ent = -sum(p * math.log2(p) for p in (a, b, cc, d) if p > 1e-12)
+                    assert ent <= max_total_entropy(vm) + 1e-9, (
+                        "alternate constraint branch exceeds the analytic maximum: "
+                        f"entropy {ent} at Bell value {vm}"
+                    )
+
 
 class TestConvexMixture:
     def test_single_component(self):

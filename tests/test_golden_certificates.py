@@ -1,0 +1,81 @@
+"""Full-precision certificate golden.
+
+The CLI goldens print six digits, so a last-bit drift in the rate pipeline
+slips past them. This golden stores the ``repr`` of every float a
+certificate carries and asserts exact equality, so any change to the order
+of floating-point operations in ``diecert.rates`` shows up here.
+
+The inputs cover both modes, n from 1e4 to 1e12 and gamma from 1e-3 to 1,
+with observed score omega_exp - delta_est/gamma >= 3/4.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from diecert.rates import (
+    ErrorBudget,
+    ProtocolParams,
+    certified_log_l,
+    optimize_parameters,
+)
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "certificates_exact.json").read_text()
+)
+
+
+def certificate_fields(cert):
+    """Every float a certificate carries, as its repr."""
+    fields = {
+        "eta_opt_value": cert.eta_opt_value,
+        "pt_p0": cert.minimizer_pt.p0,
+        "pt_p1": cert.minimizer_pt.p1,
+        "pt_p_bot": cert.minimizer_pt.p_bot,
+        "second_order_v": cert.second_order_v,
+        "log_l": cert.log_l,
+        "rate_raw": cert.rate_raw,
+        "rate": cert.rate,
+        "gamma": cert.params.gamma,
+        "delta_est": cert.params.delta_est,
+        "eps_smo": cert.errors.eps_smo,
+    }
+    return {k: repr(v) for k, v in fields.items()}
+
+
+def run_certified(case):
+    params = ProtocolParams(
+        n=case["n"],
+        gamma=float(case["gamma"]),
+        omega_exp=float(case["omega_exp"]),
+        delta_est=float(case["delta_est"]),
+    )
+    budget = ErrorBudget(
+        eps_dist=float(case["eps_dist"]),
+        eps_snd=float(case["eps_snd"]),
+        eps_cmp=float(case["eps_cmp"]),
+        eps_smo=float(case["eps_smo"]),
+    )
+    return certified_log_l(params, budget, case["mode"])
+
+
+def run_optimized(case):
+    return optimize_parameters(
+        case["n"],
+        float(case["omega_exp"]),
+        float(case["eps_dist"]),
+        float(case["eps_snd"]),
+        float(case["eps_cmp"]),
+        case["mode"],
+    )
+
+
+@pytest.mark.parametrize("case", GOLDEN["certified_log_l"], ids=lambda c: c["id"])
+def test_certified_log_l_bit_identical(case):
+    assert certificate_fields(run_certified(case["inputs"])) == case["outputs"]
+
+
+@pytest.mark.parametrize("case", GOLDEN["optimize_parameters"], ids=lambda c: c["id"])
+def test_optimize_parameters_bit_identical(case):
+    assert certificate_fields(run_optimized(case["inputs"])) == case["outputs"]
