@@ -1,7 +1,8 @@
 """CHSH game semantics: strategies, winning probability, Bell value.
 
-Winning probabilities here are exact Born-rule traces, never sampled;
-Monte Carlo sampling of game rounds lives in :mod:`diecert.simulate`.
+`born_probabilities` is the one home of the Born rule, exact and never
+sampled; :mod:`diecert.simulate` samples game rounds from it. `chsh_value`
+works from the four correlators instead and so checks it independently.
 Inputs (x, y) are always uniform.
 """
 
@@ -79,16 +80,24 @@ def beta_from_omega(omega: float) -> float:
     return 8 * omega - 4
 
 
+def born_probabilities(state, alice_obs, bob_obs, x: int, y: int) -> np.ndarray:
+    """Joint Born probabilities p(a, b | x, y) in the order (0,0), (0,1),
+    (1,0), (1,1), with rounding negatives clipped and the table renormalised:
+    the package's one map from a state and observables to outcome statistics."""
+    pa = [alice_obs[x].projector(a) for a in (0, 1)]
+    pb = [bob_obs[y].projector(b) for b in (0, 1)]
+    probs = np.empty(4)
+    for a, b in product((0, 1), repeat=2):
+        probs[2 * a + b] = np.trace(np.kron(pa[a], pb[b]) @ state).real
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum()
+
+
 def outcome_probabilities(strategy: Strategy, x: int, y: int) -> np.ndarray:
     """Joint Born probabilities p(a, b | x, y) as a 2x2 array."""
-    obs_a = strategy.alice_observables[x]
-    obs_b = strategy.bob_observables[y]
-    probs = np.empty((2, 2))
-    for a, b in product((0, 1), repeat=2):
-        op = np.kron(obs_a.projector(a), obs_b.projector(b))
-        probs[a, b] = np.trace(op @ strategy.state).real
-    probs = np.clip(probs, 0.0, 1.0)
-    return probs / probs.sum()
+    return born_probabilities(
+        strategy.state, strategy.alice_observables, strategy.bob_observables, x, y
+    ).reshape(2, 2)
 
 
 def winning_probability(strategy: Strategy) -> GameScore:
@@ -142,10 +151,11 @@ def optimal_measurement_strategy(state: TwoQubitState) -> Strategy:
 def deterministic_strategy(a0: int, a1: int, b0: int, b1: int) -> Strategy:
     """Local deterministic strategy outputting a = a_x, b = b_y regardless of the state.
 
-    Encoded with identity reflections (+I outputs 0, -I outputs 1) on one
-    qubit per side.
+    Encoded on |00> with sigma_z for output 0 and -sigma_z for output 1, so
+    the Born tables are exact point masses and every observable pair still
+    has a 2x2 Jordan block for the modified protocol to resolve.
     """
-    sign = {0: np.eye(2, dtype=complex), 1: -np.eye(2, dtype=complex)}
+    sign = {0: SIGMA_Z, 1: -SIGMA_Z}
     state = np.zeros((4, 4), dtype=complex)
     state[0, 0] = 1.0
     return Strategy(

@@ -296,6 +296,12 @@ def _split_eigenspace(a0, a1, space, angle, tol):
     vals, v = np.linalg.eigh(a0_r)
     plus = space @ v[:, vals > 0]
     minus = space @ v[:, vals < 0]
+    if plus.shape[1] != minus.shape[1]:
+        # e.g. a pair of +/-identities: no 2x2 block pairs a +1 with a -1 vector
+        raise ValidationError(
+            f"Jordan eigenspace at angle {angle:.6g} has {plus.shape[1]} +1 and "
+            f"{minus.shape[1]} -1 vectors; the pair has no 2x2 block decomposition"
+        )
 
     blocks = []
     if abs(s) > tol:

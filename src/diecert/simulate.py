@@ -7,6 +7,11 @@ the kept states are Bell-diagonal two-qubit states). Also provides empirical
 abort-probability estimates and the statistical checks used to validate the
 modified protocol's equivalences.
 
+`run_protocol` is one loop over a lazily filled `_Source` per (state,
+observables): Born tables from `chsh.born_probabilities`, the Jordan
+block-pair distribution and the kept states. Only whether a round draws a
+block pair depends on the mode.
+
 Randomness: every draw comes from a stream derived from the master seed and a
 purpose tag via numpy's SeedSequence, with the round index as the position in
 the stream. Identical (model, params, mode, seed) always give identical
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chsh import Strategy, winning_probability
+from .chsh import Strategy, born_probabilities, winning_probability
 from .quantum import (
     TwoQubitState,
     ValidationError,
@@ -51,6 +56,9 @@ class DeviceModel:
     content of the history: measured states are gone and unmeasured states are
     out of the devices' reach. `iid` marks models whose behavior ignores the
     round and history entirely, which unlocks caching and bulk sampling.
+
+    `run_protocol` calls `prepare_round` once per round, in order, from round
+    0 (an iid model only at round 0), so a model may count incrementally.
     """
 
     iid = False
@@ -90,10 +98,12 @@ class MemorySwitcherDevice(DeviceModel):
     def __init__(self, even_strategy: Strategy, odd_strategy: Strategy):
         self.even_strategy = even_strategy
         self.odd_strategy = odd_strategy
+        self._tests_so_far = 0
 
     def prepare_round(self, i, history, rng):
-        tests_so_far = sum(1 for r in history if r.t == 1)
-        s = self.even_strategy if tests_so_far % 2 == 0 else self.odd_strategy
+        # relies on the in-order calls promised in DeviceModel's docstring
+        self._tests_so_far = 0 if i == 0 else self._tests_so_far + history[-1].t
+        s = self.even_strategy if self._tests_so_far % 2 == 0 else self.odd_strategy
         return s.state, s.alice_observables, s.bob_observables
 
 
@@ -163,18 +173,6 @@ def _stream(seed: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), purpose]))
 
 
-def _born_probs(state, alice_obs, bob_obs, x, y):
-    """Joint outcome distribution, flattened in order (0,0),(0,1),(1,0),(1,1)."""
-    pa = [alice_obs[x].projector(0), alice_obs[x].projector(1)]
-    pb = [bob_obs[y].projector(0), bob_obs[y].projector(1)]
-    probs = np.empty(4)
-    for a in (0, 1):
-        for b in (0, 1):
-            probs[2 * a + b] = np.trace(np.kron(pa[a], pb[b]) @ state).real
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
-
-
 def _sample_discrete(probs, u):
     acc = 0.0
     for k, p in enumerate(probs):
@@ -184,86 +182,70 @@ def _sample_discrete(probs, u):
     return len(probs) - 1
 
 
-class _RoundGeometry:
-    """Jordan-block data for one (state, observables) tuple, computed lazily."""
+class _Source:
+    """One round's state and observables. What a round reads from them (Born
+    tables, block-pair distribution, kept states) is computed on first use
+    and cached; IID models reuse one source for the whole run."""
 
     def __init__(self, state, alice_obs, bob_obs):
         self.state = np.asarray(state, dtype=complex)
-        self.alice_obs = alice_obs
-        self.bob_obs = bob_obs
-        self.da = alice_obs[0].dim
-        self.db = bob_obs[0].dim
-        self._blocks = None
-        self._probs = {}
-        self._proj_probs = {}
-        self._proj_born = {}
-        self._kept = {}
+        self.obs = (alice_obs, bob_obs)
+        self._probs, self._kept, self._blocks = {}, {}, None
 
-    def born(self, x, y):
-        key = (x, y)
-        if key not in self._probs:
-            self._probs[key] = _born_probs(
-                self.state, self.alice_obs, self.bob_obs, x, y
-            ).tolist()
-        return self._probs[key]
-
-    def blocks(self):
+    def _block_data(self):
+        """Jordan blocks and block projectors per party, and the block-pair
+        distribution flattened row-major over (c, d)."""
         if self._blocks is None:
-            ba = jordan_blocks(*self.alice_obs)
-            bb = jordan_blocks(*self.bob_obs)
-            qa = block_projectors(ba)
-            qb = block_projectors(bb)
-            joint = np.empty((len(qa), len(qb)))
-            for ci, pc in enumerate(qa):
-                for di, qd in enumerate(qb):
-                    joint[ci, di] = np.trace(np.kron(pc, qd) @ self.state).real
-            joint = np.clip(joint, 0.0, None)
-            joint = joint / joint.sum()
-            self._blocks = (ba, bb, qa, qb, joint)
+            blocks = [jordan_blocks(*obs) for obs in self.obs]
+            qa, qb = (block_projectors(b) for b in blocks)
+            joint = np.clip(
+                [np.trace(np.kron(pc, qd) @ self.state).real for pc in qa for qd in qb],
+                0.0,
+                None,
+            )
+            self._blocks = (blocks, (qa, qb), (joint / joint.sum()).tolist())
         return self._blocks
 
-    def projected_state(self, c, d):
-        """Full-space state conditioned on block pair (c, d)."""
-        ba, bb, qa, qb, joint = self.blocks()
-        key = (c, d)
-        if key not in self._proj_probs:
-            op = np.kron(qa[c], qb[d])
-            rho = op @ self.state @ op
-            tr = np.trace(rho).real
-            self._proj_probs[key] = rho / tr if tr > 1e-15 else rho
-        return self._proj_probs[key]
+    def sample_pair(self, u: float) -> tuple[int, int]:
+        """Block pair (c, d) drawn with the uniform variate u."""
+        (_, bb), _, joint = self._block_data()
+        return divmod(_sample_discrete(joint, u), len(bb))
 
-    def born_projected(self, c, d, x, y):
-        key = (c, d, x, y)
-        if key not in self._proj_born:
-            self._proj_born[key] = _born_probs(
-                self.projected_state(c, d), self.alice_obs, self.bob_obs, x, y
-            ).tolist()
-        return self._proj_born[key]
+    def probs(self, x: int, y: int, pair=None) -> list[float]:
+        """Born table for inputs (x, y), projected onto the block pair first
+        when one is given."""
+        key = (x, y, pair)
+        if key not in self._probs:
+            state = self.state
+            if pair is not None:
+                _, (qa, qb), _ = self._block_data()
+                op = np.kron(qa[pair[0]], qb[pair[1]])
+                rho = op @ state @ op
+                tr = np.trace(rho).real
+                state = rho / tr if tr > 1e-15 else rho
+            self._probs[key] = born_probabilities(state, *self.obs, x, y).tolist()
+        return self._probs[key]
 
-    def kept_state(self, c, d) -> TwoQubitState:
-        """Two-qubit kept state: project onto (c, d), reduce to the block
-        bases, and twirl. The twirl unitary is never recorded, so the state
-        given the transcript is the Bell-diagonal average and no unitary is
-        sampled."""
-        key = (c, d)
-        if key not in self._kept:
-            ba, bb, qa, qb, joint = self.blocks()
-            rho = self.projected_state(c, d)
-            u = ba[c].block_basis.T  # da x 2, columns are the block vectors
-            v = bb[d].block_basis.T  # db x 2
-            iso = np.kron(u, v)  # (da*db) x 4
-            m = iso.conj().T @ rho @ iso
-            tr = np.trace(m).real
-            if tr <= 1e-15:
-                raise ValidationError(f"block pair {key} has vanishing probability")
-            self._kept[key] = twirl(TwoQubitState(m / tr))
-        return self._kept[key]
-
-    def raw_two_qubit(self) -> TwoQubitState | None:
-        if self.da == 2 and self.db == 2:
-            return TwoQubitState(self.state)
-        return None
+    def kept(self, pair=None) -> TwoQubitState | None:
+        """State kept by an untested round. With no pair: the raw source, or
+        None unless it is a two-qubit state. With a block pair (c, d): the
+        source reduced to the two block bases and twirled. The twirl unitary
+        is never recorded, so the state given the transcript is the
+        Bell-diagonal average and no unitary is sampled."""
+        if pair not in self._kept:
+            if pair is None:
+                two_qubit = self.state.shape == (4, 4)
+                self._kept[None] = TwoQubitState(self.state) if two_qubit else None
+            else:
+                (ba, bb), _, _ = self._block_data()
+                # columns of each factor are the two block vectors
+                iso = np.kron(ba[pair[0]].block_basis.T, bb[pair[1]].block_basis.T)
+                m = iso.conj().T @ self.state @ iso
+                tr = np.trace(m).real
+                if tr <= 1e-15:
+                    raise ValidationError(f"block pair {pair} has vanishing probability")
+                self._kept[pair] = twirl(TwoQubitState(m / tr))
+        return self._kept[pair]
 
 
 def run_protocol(
@@ -284,61 +266,43 @@ def run_protocol(
     if mode not in ("standard", "modified"):
         raise ValidationError(f"unknown protocol mode {mode!r}")
     n = params.n
-    gamma = params.gamma
+    modified = mode == "modified"
 
-    test_draws = (_stream(seed, _STREAM_TEST).random(n) < gamma).tolist()
+    test_draws = (_stream(seed, _STREAM_TEST).random(n) < params.gamma).tolist()
     input_draws = _stream(seed, _STREAM_INPUT).integers(0, 2, size=(n, 2)).tolist()
     outcome_draws = _stream(seed, _STREAM_OUTCOME).random(n).tolist()
     block_draws = _stream(seed, _STREAM_BLOCK).random(n).tolist()
 
-    cached_geom = None
+    source = None
     rounds = []
     win_count = 0
     for i in range(n):
-        if model.iid and cached_geom is not None:
-            geom = cached_geom
-        else:
-            state, aobs, bobs = model.prepare_round(i, rounds, None)
-            geom = _RoundGeometry(state, aobs, bobs)
-            if model.iid:
-                cached_geom = geom
+        if source is None or not model.iid:
+            source = _Source(*model.prepare_round(i, rounds, None))
         t = 1 if test_draws[i] else 0
+        pair = None
+        if modified and (project_test_rounds or not t):
+            pair = source.sample_pair(block_draws[i])
         if t:
             x, y = input_draws[i]
-            if mode == "modified" and project_test_rounds:
-                c, d = _sample_block(geom, block_draws[i])
-                probs = geom.born_projected(c, d, x, y)
-            else:
-                probs = geom.born(x, y)
-            k = _sample_discrete(probs, outcome_draws[i])
+            k = _sample_discrete(source.probs(x, y, pair), outcome_draws[i])
             a, b = k >> 1, k & 1
             w = 1 if (a ^ b) == (x & y) else 0
             win_count += w
             rounds.append(RoundRecord(t=1, x=x, y=y, a=a, b=b, w=w))
         else:
-            if mode == "modified":
-                c, d = _sample_block(geom, block_draws[i])
-                kept = geom.kept_state(c, d) if record_kept_states else None
-                rounds.append(RoundRecord(t=0, c=c, d=d, kept_state=kept))
-            else:
-                kept = geom.raw_two_qubit() if record_kept_states else None
-                rounds.append(RoundRecord(t=0, kept_state=kept))
+            kept = source.kept(pair) if record_kept_states else None
+            c, d = pair if pair else (None, None)
+            rounds.append(RoundRecord(t=0, c=c, d=d, kept_state=kept))
 
-    aborted = win_count < params.threshold
     return Transcript(
         rounds=rounds,
         params=params,
-        aborted=aborted,
+        aborted=win_count < params.threshold,
         win_count=win_count,
         seed=seed,
         mode=mode,
     )
-
-
-def _sample_block(geom: _RoundGeometry, u: float) -> tuple[int, int]:
-    _, _, _, _, joint = geom.blocks()
-    k = _sample_discrete(joint.ravel().tolist(), u)
-    return k // joint.shape[1], k % joint.shape[1]
 
 
 def _trial_seed(seed: int, trial: int) -> int:

@@ -3,7 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from diecert.chsh import (
@@ -24,6 +24,7 @@ from diecert.chsh import (
 )
 from diecert.quantum import (
     SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     Observable,
     ValidationError,
@@ -108,6 +109,63 @@ class TestWinningProbability:
         strat = optimal_measurement_strategy(werner_state(xi))
         expected = 0.5 + (1 - xi) * BETA_MAX / 8
         assert winning_probability(strat).omega == pytest.approx(expected, abs=1e-9)
+
+
+def _reflection(v):
+    """The qubit reflection n.sigma along the direction of v."""
+    n = np.asarray(v) / np.linalg.norm(v)
+    return Observable(n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)
+
+
+_unit = st.floats(min_value=-1, max_value=1, allow_nan=False)
+_direction = st.tuples(_unit, _unit, _unit).filter(lambda v: np.linalg.norm(v) > 1e-3)
+
+
+class TestBornRuleAgainstCorrelators:
+    """The Born tables against the independent correlator oracle chsh_value."""
+
+    @staticmethod
+    def _state(entries):
+        re, im = np.array(entries).reshape(2, 4, 4)
+        g = re + 1j * im
+        rho = g @ g.conj().T
+        assume(np.trace(rho).real > 1e-3)
+        rho = rho / np.trace(rho).real
+        return (rho + rho.conj().T) / 2
+
+    @staticmethod
+    def _check(strategy):
+        for x, y in product((0, 1), repeat=2):
+            probs = outcome_probabilities(strategy, x, y)
+            assert np.all(probs >= 0)
+            assert probs.sum() == pytest.approx(1, abs=1e-12)
+        beta = 8 * winning_probability(strategy).omega - 4
+        assert abs(beta - chsh_value(strategy)) <= 1e-12
+
+    @given(st.lists(_unit, min_size=32, max_size=32))
+    def test_optimal_observables(self, entries):
+        opt = optimal_strategy()
+        self._check(
+            Strategy(
+                state=self._state(entries),
+                alice_observables=opt.alice_observables,
+                bob_observables=opt.bob_observables,
+            )
+        )
+
+    @given(
+        st.lists(_unit, min_size=32, max_size=32),
+        st.lists(_direction, min_size=4, max_size=4),
+    )
+    def test_random_reflections(self, entries, directions):
+        a0, a1, b0, b1 = (_reflection(v) for v in directions)
+        self._check(
+            Strategy(
+                state=self._state(entries),
+                alice_observables=(a0, a1),
+                bob_observables=(b0, b1),
+            )
+        )
 
 
 class TestStrategyValidation:

@@ -202,6 +202,17 @@ class TestSimulate:
         assert code == 0
         assert "mode=modified" in out
 
+    def test_classical_model_modified_protocol(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--model", "classical", "--table", "1,0,1,1",
+            "--protocol", "modified", "--n", "500", "--gamma", "0.5",
+            "--omega-exp", "0.85", "--delta-est", "0.01", "--trials", "5",
+            "--seed", "1",
+        )
+        assert code == 0, err
+        assert "mode=modified" in out
+        assert json.loads(out.strip().splitlines()[-1])["abort_estimate"] == 1.0
+
     def test_unknown_model(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--model", "psychic", "--n", "100",

@@ -279,3 +279,14 @@ class TestJordanBlocks:
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValidationError):
             jordan_blocks(Observable(np.eye(3)), Observable(np.eye(3)))
+
+    @pytest.mark.parametrize("s0, s1", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_signed_identities_rejected(self, s0, s1):
+        # a +/-I pair has one +1 or -1 eigenspace and no 2x2 block to pair it in
+        with pytest.raises(ValidationError, match="no 2x2 block"):
+            jordan_blocks(Observable(s0 * np.eye(2)), Observable(s1 * np.eye(2)))
+
+    def test_unequal_multiplicities_rejected(self):
+        m = np.diag([1.0, 1.0, 1.0, -1.0])
+        with pytest.raises(ValidationError, match="no 2x2 block"):
+            jordan_blocks(Observable(m), Observable(m))

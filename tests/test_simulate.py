@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -126,6 +127,22 @@ class TestRunProtocol:
         tr = run_protocol(best, p, seed=5, record_kept_states=False)
         assert tr.win_count / p.n == pytest.approx(OMEGA_CLASSICAL, abs=0.01)
 
+    @pytest.mark.parametrize("table", list(product((0, 1), repeat=4)))
+    def test_classical_tables_run_in_modified_mode(self, table):
+        a_out, b_out = table[:2], table[2:]
+        dev = ClassicalDeterministicDevice(*table)
+        for project in (False, True):
+            tr = run_protocol(
+                dev, make_params(n=200), "modified", seed=6, project_test_rounds=project
+            )
+            for r in tr.rounds:
+                if r.t:
+                    assert (r.a, r.b) == (a_out[r.x], b_out[r.y])
+                    assert r.w == (1 if (r.a ^ r.b) == (r.x & r.y) else 0)
+                else:
+                    assert (r.c, r.d) == (0, 0)
+                    bell_spectrum(r.kept_state)  # raises if off-diagonal
+
     def test_memory_switcher_mixes_strategies(self):
         p = make_params(n=20000, gamma=0.5)
         dev = MemorySwitcherDevice(
@@ -138,6 +155,17 @@ class TestRunProtocol:
         assert tr.win_count / tested == pytest.approx(
             (OMEGA_MAX + 0.5) / 2, abs=0.02
         )
+
+    def test_memory_switcher_follows_test_parity(self):
+        even = optimal_strategy()
+        odd = optimal_measurement_strategy(werner_state(1.0))
+        tr = run_protocol(MemorySwitcherDevice(even, odd), make_params(n=300), seed=5)
+        dev = MemorySwitcherDevice(even, odd)
+        for _ in range(2):  # round 0 starts the count afresh
+            for i in range(len(tr.rounds)):
+                state, _, _ = dev.prepare_round(i, tr.rounds[:i], None)
+                tests = sum(r.t for r in tr.rounds[:i])
+                assert state is (even if tests % 2 == 0 else odd).state
 
     def test_drift_device_degrades(self):
         p = ProtocolParams(n=4000, gamma=1.0, omega_exp=0.75, delta_est=0.0)
