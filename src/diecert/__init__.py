@@ -17,7 +17,6 @@ from .quantum import (
     TwoQubitState,
     ValidationError,
     conditional_entropy,
-    fidelity,
     jordan_blocks,
     partial_trace,
     twirl,
@@ -40,7 +39,6 @@ from .bounds import (
     bell_diag_entropy_bound,
     binary_entropy,
     brute_force_max_entropy,
-    convex_mixture_bound,
     g,
     g_prime,
 )
@@ -68,7 +66,6 @@ from .simulate import (
     NoisyDriftDevice,
     RoundRecord,
     Transcript,
-    check_kept_state_structure,
     check_statistics_equivalence,
     estimate_abort_probability,
     run_protocol,

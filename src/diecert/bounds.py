@@ -141,8 +141,8 @@ def brute_force_max_entropy(
     if not (2 < beta <= BETA_MAX + 1e-12):
         raise ValidationError(f"beta={beta} outside (2, 2*sqrt(2)]")
     beta = min(beta, BETA_MAX)
-    if not (0 < grid_step <= 0.05):
-        raise ValidationError(f"grid_step={grid_step} outside (0, 0.05]")
+    if not (5e-4 <= grid_step <= 0.05):  # a finer grid holds over 10^6 cells
+        raise ValidationError(f"grid_step={grid_step} outside [5e-4, 0.05]")
 
     # vectorized grid sweep over the feasible region
     ticks = np.arange(0.0, 0.5 + grid_step / 2, grid_step)
@@ -200,26 +200,3 @@ def brute_force_max_entropy(
         lambda_psi_minus=lam[3] / total,
     )
     return spectrum, best
-
-
-def convex_mixture_bound(components: list[tuple[float, float]]) -> float:
-    """Entropy bound for a convex mixture of Bell-diagonal blocks.
-
-    `components` is a list of (weight, beta_k). Returns S(sum_k w_k beta_k) - 1
-    and checks that it dominates the weighted average of the per-component
-    bounds, which is the concavity step the mixture bound rests on.
-    """
-    if not components:
-        raise ValidationError("empty component list")
-    weights = [w for w, _ in components]
-    if any(w < -1e-12 for w in weights) or abs(sum(weights) - 1) > 1e-9:
-        raise ValidationError(f"weights {weights} do not form a probability vector")
-    for _, bk in components:
-        if bk < 2 - 1e-12 or bk > BETA_MAX + 1e-12:
-            raise ValidationError(f"component beta={bk} outside [2, 2*sqrt(2)]")
-    mean_beta = sum(w * bk for w, bk in components)
-    bound = max_total_entropy(mean_beta) - 1
-    avg = sum(w * (max_total_entropy(bk) - 1) for w, bk in components)
-    if avg > bound + 1e-12:
-        raise ValidationError("concavity violated: averaged bound exceeds mixture bound")
-    return bound

@@ -39,6 +39,36 @@ def _round6(v: float) -> float:
     return float(f"{v:.6g}")
 
 
+_MAX_COUNT = 10**7  # largest simulate --n and --trials: bounds the allocations
+_MAX_GRID = 10**5  # most points in one score grid
+
+
+def _count(v) -> int:
+    """A positive integer, also accepted in float notation such as 1e6."""
+    k = int(float(v))
+    if k < 1:
+        raise ValueError(f"{v!r} is not a positive integer")
+    return k
+
+
+def _seed(v) -> int:
+    """A non-negative integer, as numpy's seeding requires."""
+    k = int(v)
+    if k < 0:
+        raise ValueError(f"{v!r} is negative")
+    return k
+
+
+def _list(kind):
+    """Parser of a comma-separated string or a JSON list of `kind` values."""
+
+    def parse(v):
+        items = [x for x in v.split(",") if x.strip()] if isinstance(v, str) else v
+        return [kind(x) for x in items]
+
+    return parse
+
+
 class _Config:
     """Flag values with JSON-file fallback: explicit flags override the file."""
 
@@ -52,16 +82,20 @@ class _Config:
             if not isinstance(self.file, dict):
                 raise ValidationError("config file must contain a JSON object")
 
-    def get(self, name, default=None):
+    def get(self, name, default=None, kind=None):
+        """The option's value, converted by `kind` unless it is None."""
         v = self.args.get(name)
-        if v is not None:
+        if v is None:
+            v = self.file.get(name, default)
+        if v is None or kind is None:
             return v
-        if name in self.file:
-            return self.file[name]
-        return default
+        try:
+            return kind(v)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"--{name.replace('_', '-')}: {exc}") from None
 
-    def require(self, name):
-        v = self.get(name)
+    def require(self, name, kind=None):
+        v = self.get(name, kind=kind)
         if v is None:
             raise ValidationError(f"missing required option --{name.replace('_', '-')}")
         return v
@@ -76,18 +110,18 @@ def _write_text(out_path, text):
 
 
 def _omega_grid(cfg, default_min, default_max, default_step):
-    values = cfg.get("omega_values")
+    values = cfg.get("omega_values", kind=_list(float))
     if values:
-        if isinstance(values, str):
-            values = [float(v) for v in values.split(",") if v.strip()]
-        return [float(v) for v in values]
-    lo = float(cfg.get("omega_min", default_min))
-    hi = float(cfg.get("omega_max", default_max))
-    step = float(cfg.get("omega_step", default_step))
-    if step <= 0 or hi < lo:
+        return values
+    lo = cfg.get("omega_min", default_min, float)
+    hi = cfg.get("omega_max", default_max, float)
+    step = cfg.get("omega_step", default_step, float)
+    if not (step > 0 and hi >= lo):
         raise ValidationError("empty score grid")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + i * step for i in range(count)]
+    span = (hi - lo) / step + 1e-9
+    if not span < _MAX_GRID:
+        raise ValidationError(f"score grid of more than {_MAX_GRID} points")
+    return [lo + i * step for i in range(int(math.floor(span)) + 1)]
 
 
 def _certificate_record(cert: rates.RateCertificate) -> dict:
@@ -113,28 +147,28 @@ def _certificate_record(cert: rates.RateCertificate) -> dict:
 def _eps_budget(cfg: _Config) -> tuple[float, float, float]:
     """(eps_dist, eps_snd, eps_cmp), defaulting to 1e-5, 1e-5 and 1e-2."""
     return (
-        float(cfg.get("eps_dist", 1e-5)),
-        float(cfg.get("eps_snd", 1e-5)),
-        float(cfg.get("eps_cmp", 1e-2)),
+        cfg.get("eps_dist", 1e-5, float),
+        cfg.get("eps_snd", 1e-5, float),
+        cfg.get("eps_cmp", 1e-2, float),
     )
 
 
 def cmd_rate(cfg: _Config) -> int:
-    n = int(float(cfg.require("n")))
-    omega_exp = float(cfg.require("omega_exp"))
+    n = cfg.require("n", _count)
+    omega_exp = cfg.require("omega_exp", float)
     eps_dist, eps_snd, eps_cmp = _eps_budget(cfg)
     mode = cfg.get("mode", "printed")
-    gamma = cfg.get("gamma")
-    eps_smo = cfg.get("eps_smo")
-    delta_est = cfg.get("delta_est")
+    gamma = cfg.get("gamma", kind=float)
+    eps_smo = cfg.get("eps_smo", kind=float)
+    delta_est = cfg.get("delta_est", kind=float)
 
     if gamma is not None and eps_smo is not None:
-        de = float(delta_est) if delta_est is not None else rates.delta_est_for(n, eps_cmp)
+        de = delta_est if delta_est is not None else rates.delta_est_for(n, eps_cmp)
         params = rates.ProtocolParams(
-            n=n, gamma=float(gamma), omega_exp=omega_exp, delta_est=de
+            n=n, gamma=gamma, omega_exp=omega_exp, delta_est=de
         )
         budget = rates.ErrorBudget(
-            eps_dist=eps_dist, eps_snd=eps_snd, eps_cmp=eps_cmp, eps_smo=float(eps_smo)
+            eps_dist=eps_dist, eps_snd=eps_snd, eps_cmp=eps_cmp, eps_smo=eps_smo
         )
         cert = rates.certified_log_l(params, budget, mode)
     else:
@@ -159,11 +193,7 @@ _CURVE_HEADER = "n,omega_exp,rate_raw,rate,gamma,eps_smo,delta_est,eta_opt"
 
 
 def cmd_curve(cfg: _Config) -> int:
-    n_values = cfg.get("n_values", "1e6,1e7,1e8,1e10,1e12")
-    if isinstance(n_values, str):
-        n_list = [int(float(v)) for v in n_values.split(",") if v.strip()]
-    else:
-        n_list = [int(float(v)) for v in n_values]
+    n_list = cfg.get("n_values", "1e6,1e7,1e8,1e10,1e12", _list(_count))
     omegas = _omega_grid(cfg, 0.78, 0.853, 0.00365)
     if not omegas and not cfg.get("asymptotic"):
         raise ValidationError("empty curve grid")
@@ -191,7 +221,7 @@ def cmd_entropy_curve(cfg: _Config) -> int:
     omegas = _omega_grid(cfg, 0.75, OMEGA_MAX, 0.0025)
     lines = ["omega,beta,conditional_bound"]
     for w in omegas:
-        if w < 0.75 - 1e-12 or w > OMEGA_MAX + 1e-12:
+        if not 0.75 - 1e-12 <= w <= OMEGA_MAX + 1e-12:
             raise ValidationError(f"omega={w} outside [0.75, (2+sqrt(2))/4]")
         beta = 8 * min(w, OMEGA_MAX) - 4
         result = bounds.bell_diag_entropy_bound(beta)
@@ -205,7 +235,7 @@ _MODELS = ("honest", "classical", "memory", "drift")
 
 def _build_model(cfg: _Config) -> simulate.DeviceModel:
     name = cfg.get("model", "honest")
-    xi = float(cfg.get("xi", 0.0))
+    xi = cfg.get("xi", 0.0, float)
     opt = optimal_strategy()
     if name == "honest":
         strat = Strategy(
@@ -215,9 +245,9 @@ def _build_model(cfg: _Config) -> simulate.DeviceModel:
         )
         return simulate.HonestIIDDevice(strat)
     if name == "classical":
-        table = cfg.get("table", "0,0,0,0")
-        if isinstance(table, str):
-            table = [int(v) for v in table.split(",")]
+        table = cfg.get("table", "0,0,0,0", _list(int))
+        if len(table) != 4 or not set(table) <= {0, 1}:
+            raise ValidationError(f"--table needs four bits a0,a1,b0,b1, got {table}")
         return simulate.ClassicalDeterministicDevice(*table)
     if name == "memory":
         noisy = Strategy(
@@ -227,23 +257,25 @@ def _build_model(cfg: _Config) -> simulate.DeviceModel:
         )
         return simulate.MemorySwitcherDevice(opt, noisy)
     if name == "drift":
-        return simulate.NoisyDriftDevice(xi, float(cfg.get("xi_slope", 1e-3)))
+        return simulate.NoisyDriftDevice(xi, cfg.get("xi_slope", 1e-3, float))
     raise ValidationError(f"unknown model {name!r}; available: {', '.join(_MODELS)}")
 
 
 def cmd_simulate(cfg: _Config) -> int:
-    n = int(float(cfg.require("n")))
-    gamma = float(cfg.get("gamma", 1.0))
-    omega_exp = float(cfg.require("omega_exp"))
-    delta_est = cfg.get("delta_est")
+    n = cfg.require("n", _count)
+    trials = cfg.get("trials", 100, _count)
+    if max(n, trials) > _MAX_COUNT:
+        raise ValidationError(f"--n and --trials may not exceed {_MAX_COUNT}")
+    gamma = cfg.get("gamma", 1.0, float)
+    omega_exp = cfg.require("omega_exp", float)
+    delta_est = cfg.get("delta_est", kind=float)
     if delta_est is None:
-        delta_est = rates.delta_est_for(n, float(cfg.get("eps_cmp", 1e-2)))
+        delta_est = rates.delta_est_for(n, cfg.get("eps_cmp", 1e-2, float))
     params = rates.ProtocolParams(
-        n=n, gamma=gamma, omega_exp=omega_exp, delta_est=float(delta_est)
+        n=n, gamma=gamma, omega_exp=omega_exp, delta_est=delta_est
     )
     model = _build_model(cfg)
-    seed = int(cfg.get("seed", 0))
-    trials = int(cfg.get("trials", 100))
+    seed = cfg.get("seed", 0, _seed)
     protocol_mode = cfg.get("protocol", "standard")
 
     first = simulate.run_protocol(
@@ -267,13 +299,10 @@ def cmd_simulate(cfg: _Config) -> int:
 
 
 def cmd_verify_bound(cfg: _Config) -> int:
-    betas = cfg.get("beta_values")
-    if betas:
-        if isinstance(betas, str):
-            betas = [float(v) for v in betas.split(",") if v.strip()]
-    else:
-        betas = list(np.linspace(2.05, BETA_MAX, 20))
-    grid_step = float(cfg.get("grid_step", 1e-3))
+    betas = cfg.get("beta_values", kind=_list(float)) or list(
+        np.linspace(2.05, BETA_MAX, 20)
+    )
+    grid_step = cfg.get("grid_step", 1e-3, float)
     worst = 0.0
     for beta in betas:
         analytic = bounds.max_total_entropy(beta)
@@ -293,8 +322,7 @@ def cmd_verify_bound(cfg: _Config) -> int:
 
 
 def cmd_verify_twirl(cfg: _Config) -> int:
-    seed = int(cfg.get("seed", 0))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.get("seed", 0, _seed))
     failures = []
     for k in range(100):
         raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

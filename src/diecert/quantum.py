@@ -1,7 +1,7 @@
 """Exact finite-dimensional quantum math for two-qubit certification.
 
 Density matrices, binary (+/-1) observables, the Bell basis, twirling,
-Jordan-block decomposition of observable pairs, entropies and fidelity.
+Jordan-block decomposition of observable pairs and entropies.
 Everything here is deterministic linear algebra; all randomness lives in
 the simulation layer.
 """
@@ -189,22 +189,6 @@ def von_neumann_entropy(density: np.ndarray | TwoQubitState) -> float:
 def conditional_entropy(state: TwoQubitState) -> float:
     """Conditional entropy H(A|B) = H(AB) - H(B) of a two-qubit state, in bits."""
     return von_neumann_entropy(state) - von_neumann_entropy(partial_trace(state, "B"))
-
-
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1^2."""
-    r = np.asarray(rho, dtype=complex)
-    s = np.asarray(sigma, dtype=complex)
-    if r.shape != s.shape:
-        raise ValidationError(f"dimension mismatch: {r.shape} vs {s.shape}")
-    _check_density(r)
-    _check_density(s)
-    vals, vecs = np.linalg.eigh(r)
-    vals = clean_eigenvalues(vals)
-    sqrt_r = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    inner = sqrt_r @ s @ sqrt_r
-    ev = clean_eigenvalues(np.linalg.eigvalsh(inner))
-    return float(np.sqrt(ev).sum() ** 2)
 
 
 def twirl(state: TwoQubitState) -> TwoQubitState:

@@ -127,10 +127,14 @@ class RateCertificate:
 
 
 def _f(w: float, gamma: float) -> float:
-    """Piecewise tradeoff at score w: (1-gamma) g(w), capped at gamma-1."""
+    """Piecewise tradeoff at score w: (1-gamma) g(w), capped at gamma-1.
+
+    g bounds the entropy only from the classical score 3/4 up, so f is held
+    at its 3/4 value below it: a lower score never certifies more.
+    """
     if w >= OMEGA_MAX:
         return gamma - 1
-    return (1 - gamma) * g(max(w, 0.0))
+    return (1 - gamma) * g(max(w, 0.75))
 
 
 def _kappa(eps_smo: float, eps_snd: float) -> float:

@@ -4,8 +4,8 @@ Runs the n-round CHSH test against pluggable device models, in the standard
 mode (test rounds are measured, the rest pass through) or the modified mode
 (untested states are projected onto a pair of Jordan blocks and twirled, so
 the kept states are Bell-diagonal two-qubit states). Also provides empirical
-abort-probability estimates and the statistical checks used to validate the
-modified protocol's equivalences.
+abort-probability estimates and the statistical check that the modified
+protocol leaves the classical statistics unchanged.
 
 `run_protocol` is one loop over a lazily filled `_Source` per (state,
 observables): Born tables from `chsh.born_probabilities`, the Jordan
@@ -29,7 +29,6 @@ from .chsh import Strategy, born_probabilities, winning_probability
 from .quantum import (
     TwoQubitState,
     ValidationError,
-    bell_spectrum,
     block_projectors,
     jordan_blocks,
     twirl,
@@ -59,6 +58,8 @@ class DeviceModel:
 
     `run_protocol` calls `prepare_round` once per round, in order, from round
     0 (an iid model only at round 0), so a model may count incrementally.
+    When a round returns the same objects as the round before, the cached
+    source is reused, so a model must not mutate what it has returned.
     """
 
     iid = False
@@ -185,7 +186,8 @@ def _sample_discrete(probs, u):
 class _Source:
     """One round's state and observables. What a round reads from them (Born
     tables, block-pair distribution, kept states) is computed on first use
-    and cached; IID models reuse one source for the whole run."""
+    and cached; IID models reuse one source for the whole run, other models
+    for as long as they return the same objects."""
 
     def __init__(self, state, alice_obs, bob_obs):
         self.state = np.asarray(state, dtype=complex)
@@ -273,12 +275,15 @@ def run_protocol(
     outcome_draws = _stream(seed, _STREAM_OUTCOME).random(n).tolist()
     block_draws = _stream(seed, _STREAM_BLOCK).random(n).tolist()
 
-    source = None
+    source = built_from = None
     rounds = []
     win_count = 0
     for i in range(n):
         if source is None or not model.iid:
-            source = _Source(*model.prepare_round(i, rounds, None))
+            prepared = model.prepare_round(i, rounds, None)
+            # same objects, same source; by identity, as arrays lack a usable ==
+            if built_from is None or any(p is not q for p, q in zip(prepared, built_from)):
+                source, built_from = _Source(*prepared), prepared
         t = 1 if test_draws[i] else 0
         pair = None
         if modified and (project_test_rounds or not t):
@@ -428,45 +433,3 @@ def check_statistics_equivalence(
         "registers": registers,
         "abort": {"standard": i1, "modified": i2, "passed": abort_ok},
     }
-
-
-def _chi_square_critical(dof: int, z: float = 1.6448536269514722) -> float:
-    """Approximate 95% chi-square quantile (Wilson-Hilferty)."""
-    if dof <= 0:
-        return 0.0
-    t = 2 / (9 * dof)
-    return dof * (1 - t + z * math.sqrt(t)) ** 3
-
-
-def check_kept_state_structure(transcript: Transcript) -> dict:
-    """Verify the kept states of a modified-mode transcript.
-
-    Every kept state must be Bell-diagonal, and within each block pair (c, d)
-    the spectra must be homogeneous across rounds (chi-square on the spectra),
-    i.e. indistinguishable from a round-independent source.
-    """
-    if transcript.mode != "modified":
-        raise ValidationError("kept-state check requires a modified-mode transcript")
-    groups: dict[tuple[int, int], list[np.ndarray]] = {}
-    for r in transcript.rounds:
-        if r.kept_state is None:
-            continue
-        spec = bell_spectrum(r.kept_state).as_array()
-        groups.setdefault((r.c, r.d), []).append(spec)
-    report = {"passed": True, "groups": {}}
-    for key, specs in groups.items():
-        arr = np.array(specs)
-        mean = arr.mean(axis=0)
-        stat = float(np.sum((arr - mean) ** 2 / (mean + 1e-12)))
-        dof = 3 * (len(specs) - 1)
-        crit = _chi_square_critical(dof)
-        ok = stat <= crit + 1e-12
-        report["groups"][key] = {
-            "rounds": len(specs),
-            "mean_spectrum": mean.tolist(),
-            "chi_square": stat,
-            "critical": crit,
-            "passed": ok,
-        }
-        report["passed"] = report["passed"] and ok
-    return report

@@ -9,7 +9,6 @@ from diecert.bounds import (
     bell_diag_entropy_bound,
     binary_entropy,
     brute_force_max_entropy,
-    convex_mixture_bound,
     g,
     g_prime,
     max_total_entropy,
@@ -194,24 +193,3 @@ class TestBruteForce:
                         "alternate constraint branch exceeds the analytic maximum: "
                         f"entropy {ent} at Bell value {vm}"
                     )
-
-
-class TestConvexMixture:
-    def test_single_component(self):
-        assert convex_mixture_bound([(1.0, 2.5)]) == pytest.approx(
-            ORACLE_CONDITIONAL, abs=1e-12
-        )
-
-    def test_mixture_dominates_average(self):
-        comps = [(0.3, 2.2), (0.7, 2.7)]
-        mixed = convex_mixture_bound(comps)
-        avg = sum(w * (max_total_entropy(b) - 1) for w, b in comps)
-        assert mixed >= avg
-
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValidationError):
-            convex_mixture_bound([(0.5, 2.5), (0.6, 2.5)])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValidationError):
-            convex_mixture_bound([])

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from diecert.cli import main
 
@@ -128,6 +132,16 @@ class TestRate:
         )
         assert float(values["rate"]) == pytest.approx(0.081133, abs=0.01)
 
+    def test_low_score_certifies_nothing(self, capsys):
+        # the observed score 0.76 - 0.3/0.5 = 0.16 is far below 3/4
+        code, out, _ = run_cli(
+            capsys, "rate", "--n", "1e8", "--omega-exp", "0.76", "--gamma", "0.5",
+            "--eps-smo", "1e-4", "--eps-dist", "1e-6", "--eps-snd", "1e-6",
+            "--eps-cmp", "1e-6", "--delta-est", "0.3", "--mode", "ceiling",
+        )
+        assert code == 0
+        assert "rate = 0\n" in out
+
     def test_missing_required_option(self, capsys):
         code, _, err = run_cli(capsys, "rate", "--n", "1e6")
         assert code == 1
@@ -239,6 +253,88 @@ class TestVerifyTwirl:
         code, out, _ = run_cli(capsys, "verify-twirl", "--seed", "0")
         assert code == 0
         assert "failures: 0" in out
+
+
+def _run_quietly(argv):
+    """Exit code and stderr of cli.main, counting argparse's exit as a code."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def _number(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+_MALFORMED = st.one_of(
+    st.text(alphabet="0123456789.,-+eEinfa _", max_size=12),
+    st.sampled_from(["inf", "-inf", "nan", "0", "-1", "1e-300", "1e30", "1e400", ","]),
+)
+_SIMULATE = ["--omega-exp", "0.8", "--gamma", "0.5", "--trials", "2"]
+
+
+class TestMalformedInput:
+    """Every input either runs or ends in exit 1 with an error line; argparse
+    rejections exit 2. None ends in a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--n", "inf", "--omega-exp", "0.84"],
+        ["rate", "--n", "abc", "--omega-exp", "0.84"],
+        ["simulate", "--model", "classical", "--table", "0,1", "--n", "100",
+         "--omega-exp", "0.8"],
+        ["simulate", "--n", "1e30", "--omega-exp", "0.8"],
+        ["simulate", "--n", "100", "--omega-exp", "0.8", "--trials", "1000000000"],
+        ["simulate", "--n", "100", "--omega-exp", "0.8", "--seed", "-1"],
+        # about 10^11 points if it were built
+        ["entropy-curve", "--omega-step", "1e-12"],
+        ["entropy-curve", "--omega-values", "nan"],
+        ["verify-bound", "--grid-step", "1e-9"],
+    ], ids=["rate-n-inf", "rate-n-abc", "table-two-bits", "simulate-n-1e30",
+            "simulate-trials-1e9", "simulate-seed-negative", "entropy-curve-step-1e-12",
+            "entropy-curve-nan", "verify-bound-step-1e-9"])
+    def test_rejected_with_error_line(self, argv):
+        code, err = _run_quietly(argv)
+        assert code == 1
+        assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore:omega_exp")  # tiny n: vacuous threshold
+    @given(_MALFORMED)
+    def test_fuzz_n(self, text):
+        value = _number(text)
+        # a valid simulate --n runs: keep it small
+        assume(value is None or not 1e4 < value <= 1e7)
+        for argv in (
+            ["rate", f"--n={text}", "--omega-exp", "0.84", "--gamma", "0.1",
+             "--eps-smo", "1e-4"],
+            ["simulate", f"--n={text}", *_SIMULATE],
+        ):
+            code, err = _run_quietly(argv)
+            assert code in (0, 1, 2) and "Traceback" not in err
+
+    @given(_MALFORMED)
+    def test_fuzz_table(self, text):
+        code, err = _run_quietly(
+            ["simulate", "--model", "classical", f"--table={text}", "--n", "50", *_SIMULATE]
+        )
+        assert code in (0, 1, 2) and "Traceback" not in err
+
+    @given(_MALFORMED)
+    def test_fuzz_omega_step(self, text):
+        value = _number(text)
+        # a valid step runs: at most 100 points on this 0.001-wide range
+        assume(value is None or not 0 < value < 1e-5)
+        code, err = _run_quietly(
+            ["entropy-curve", "--omega-min", "0.8", "--omega-max", "0.801",
+             f"--omega-step={text}"]
+        )
+        assert code in (0, 1, 2) and "Traceback" not in err
 
 
 class TestEntryPoint:

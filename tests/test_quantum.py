@@ -17,7 +17,6 @@ from diecert.quantum import (
     bell_spectrum,
     block_projectors,
     conditional_entropy,
-    fidelity,
     jordan_blocks,
     observables_from_blocks,
     partial_trace,
@@ -110,28 +109,6 @@ class TestEntropies:
         for k in range(4):
             assert conditional_entropy(bell_state(k)) == pytest.approx(-1, abs=1e-10)
         assert conditional_entropy(werner_state(0.1)) > -1 + 1e-3
-
-
-class TestFidelity:
-    def test_self_fidelity(self):
-        rng = np.random.default_rng(3)
-        rho = random_density(rng)
-        assert fidelity(rho, rho) == pytest.approx(1, abs=1e-9)
-
-    def test_orthogonal_pure_states(self):
-        a = bell_state(0).matrix
-        b = bell_state(3).matrix
-        assert fidelity(a, b) == pytest.approx(0, abs=1e-10)
-
-    def test_pure_vs_maximally_mixed(self):
-        assert fidelity(bell_state(0).matrix, np.eye(4) / 4) == pytest.approx(
-            0.25, abs=1e-10
-        )
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(4)
-        rho, sigma = random_density(rng), random_density(rng)
-        assert fidelity(rho, sigma) == pytest.approx(fidelity(sigma, rho), abs=1e-10)
 
 
 class TestTwirl:

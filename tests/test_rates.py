@@ -1,11 +1,14 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diecert.bounds import g
 from diecert.chsh import OMEGA_MAX
 from diecert.quantum import ValidationError
 from diecert.rates import (
+    MODES,
     ErrorBudget,
     FrequencyDistribution,
     ProtocolParams,
@@ -292,6 +295,56 @@ class TestCertificates:
             for w in (0.80, 0.82, 0.84)
         ]
         assert rates[0] < rates[1] < rates[2]
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10**e)
+
+
+_unit = st.floats(0, 1)
+_score = st.floats(0.8, OMEGA_MAX)  # from 0.8 up a rate can be positive
+
+
+@pytest.mark.filterwarnings("ignore:omega_exp")  # vacuous thresholds are fine here
+class TestMonotoneCertificates:
+    """Certified rates against the order of their inputs, in both modes: more
+    confidence width never helps, a higher score never hurts, and a score
+    that does not beat 3/4 certifies nothing."""
+
+    @staticmethod
+    def _rate(n, gamma, omega, delta, mode):
+        p = ProtocolParams(n=n, gamma=gamma, omega_exp=omega, delta_est=delta)
+        return certified_log_l(p, budget(), mode).rate
+
+    @given(
+        _log_uniform(1e6, 1e12), _log_uniform(1e-2, 1), _score, _unit, _unit,
+        st.sampled_from(MODES),
+    )
+    def test_non_increasing_in_delta_est(self, n, gamma, omega, u, v, mode):
+        # observed scores omega - delta_est/gamma from omega down to 0
+        scale = min(gamma * omega, 0.999)
+        lo, hi = sorted((scale * u, scale * v))
+        args = int(n), gamma, omega
+        assert self._rate(*args, hi, mode) <= self._rate(*args, lo, mode)
+
+    @given(
+        _log_uniform(1e6, 1e12), _log_uniform(1e-2, 1), _score, _score, _unit,
+        st.sampled_from(MODES),
+    )
+    def test_non_decreasing_in_omega_exp(self, n, gamma, w1, w2, u, mode):
+        lo, hi = sorted((w1, w2))
+        delta = min(gamma * lo, 0.999) * u
+        args = int(n), gamma
+        assert self._rate(*args, lo, delta, mode) <= self._rate(*args, hi, delta, mode)
+
+    @given(
+        _log_uniform(1e6, 1e12), _log_uniform(1e-2, 1), st.floats(0.75, OMEGA_MAX),
+        _unit, st.sampled_from(MODES),
+    )
+    def test_zero_without_a_quantum_score(self, n, gamma, omega, u, mode):
+        # delta_est from gamma (omega - 3/4) up to 0.999: observed score <= 3/4
+        delta = min(gamma * (omega - 0.75) + u, 0.999)
+        assert self._rate(int(n), gamma, omega, delta, mode) == 0.0
 
 
 class TestOptimizeParameters:

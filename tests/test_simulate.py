@@ -29,7 +29,6 @@ from diecert.simulate import (
     HonestIIDDevice,
     MemorySwitcherDevice,
     NoisyDriftDevice,
-    check_kept_state_structure,
     check_statistics_equivalence,
     estimate_abort_probability,
     run_protocol,
@@ -235,19 +234,6 @@ class TestKeptStates:
                 assert np.allclose(spec, expected, atol=1e-10)
         kept_total = sum(seen.values())
         assert seen[(0, 0)] / kept_total == pytest.approx(dev.weights[0], abs=0.05)
-
-    def test_structure_check_passes(self):
-        tr = run_protocol(
-            BlockPairDevice(), make_params(n=1000, gamma=0.2), "modified", seed=14
-        )
-        report = check_kept_state_structure(tr)
-        assert report["passed"]
-        assert set(report["groups"]) == {(0, 0), (1, 1)}
-
-    def test_structure_check_rejects_standard_mode(self):
-        tr = run_protocol(honest(), make_params(n=50), "standard", seed=1)
-        with pytest.raises(ValidationError):
-            check_kept_state_structure(tr)
 
     def test_record_kept_states_flag(self):
         tr = run_protocol(
