@@ -5,7 +5,8 @@ All outputs are deterministic for a fixed configuration and seed. Numbers are
 printed with 6 significant digits; --exact adds a full-precision JSON dump.
 Options may also come from a JSON config file (--config); explicit flags win.
 
-Exit codes: 0 success, 1 validation error, 2 verification failure.
+Exit codes: 0 success, 1 validation error (a malformed or missing option), 2
+verification failure or an unknown flag, a flag without a value or no command.
 """
 
 from __future__ import annotations
@@ -45,18 +46,29 @@ _MAX_GRID = 10**5  # most points in one score grid
 
 def _count(v) -> int:
     """A positive integer, also accepted in float notation such as 1e6."""
-    k = int(float(v))
-    if k < 1:
+    x = float(v)
+    if not (x >= 1 and x.is_integer()):
         raise ValueError(f"{v!r} is not a positive integer")
-    return k
+    return int(x)
 
 
-def _seed(v) -> int:
-    """A non-negative integer, as numpy's seeding requires."""
+def _natural(v) -> int:
+    """A non-negative integer: a seed, as numpy requires, or a bit of --table."""
     k = int(v)
-    if k < 0:
-        raise ValueError(f"{v!r} is negative")
+    if k < 0 or isinstance(v, float) and k != v:
+        raise ValueError(f"{v!r} is not a non-negative integer")
     return k
+
+
+def _choice(options):
+    """Parser that accepts only one of `options`."""
+
+    def parse(v):
+        if v not in options:
+            raise ValueError(f"{v!r} is not one of {', '.join(options)}")
+        return v
+
+    return parse
 
 
 def _list(kind):
@@ -70,7 +82,8 @@ def _list(kind):
 
 
 class _Config:
-    """Flag values with JSON-file fallback: explicit flags override the file."""
+    """Flag values with JSON-file fallback: explicit flags override the file.
+    `get` converts and checks a value the same way whichever route it took."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = vars(args)
@@ -157,7 +170,7 @@ def cmd_rate(cfg: _Config) -> int:
     n = cfg.require("n", _count)
     omega_exp = cfg.require("omega_exp", float)
     eps_dist, eps_snd, eps_cmp = _eps_budget(cfg)
-    mode = cfg.get("mode", "printed")
+    mode = cfg.get("mode", "printed", _choice(rates.MODES))
     gamma = cfg.get("gamma", kind=float)
     eps_smo = cfg.get("eps_smo", kind=float)
     delta_est = cfg.get("delta_est", kind=float)
@@ -177,7 +190,7 @@ def cmd_rate(cfg: _Config) -> int:
     record = _certificate_record(cert)
     for key, value in record.items():
         print(f"{key} = {_fmt(value)}")
-    out = cfg.get("out")
+    out = cfg.get("out", kind=str)
     if out or cfg.get("exact"):
         dump = {k: (_round6(v) if isinstance(v, float) else v) for k, v in record.items()}
         if cfg.get("exact"):
@@ -198,7 +211,7 @@ def cmd_curve(cfg: _Config) -> int:
     if not omegas and not cfg.get("asymptotic"):
         raise ValidationError("empty curve grid")
     eps_dist, eps_snd, eps_cmp = _eps_budget(cfg)
-    mode = cfg.get("mode", "printed")
+    mode = cfg.get("mode", "printed", _choice(rates.MODES))
 
     lines = [_CURVE_HEADER]
     for n in sorted(n_list):
@@ -213,7 +226,7 @@ def cmd_curve(cfg: _Config) -> int:
         for w in sorted(omegas):
             raw = rates.asymptotic_rate(w)
             lines.append(f"asymptotic,{_fmt(w)},{_fmt(raw)},{_fmt(max(raw, 0.0))},,,,")
-    _write_text(cfg.get("out"), "\n".join(lines) + "\n")
+    _write_text(cfg.get("out", kind=str), "\n".join(lines) + "\n")
     return 0
 
 
@@ -226,11 +239,12 @@ def cmd_entropy_curve(cfg: _Config) -> int:
         beta = 8 * min(w, OMEGA_MAX) - 4
         result = bounds.bell_diag_entropy_bound(beta)
         lines.append(f"{_fmt(w)},{_fmt(beta)},{_fmt(result.conditional_bound)}")
-    _write_text(cfg.get("out"), "\n".join(lines) + "\n")
+    _write_text(cfg.get("out", kind=str), "\n".join(lines) + "\n")
     return 0
 
 
 _MODELS = ("honest", "classical", "memory", "drift")
+_PROTOCOLS = ("standard", "modified")
 
 
 def _build_model(cfg: _Config) -> simulate.DeviceModel:
@@ -245,7 +259,7 @@ def _build_model(cfg: _Config) -> simulate.DeviceModel:
         )
         return simulate.HonestIIDDevice(strat)
     if name == "classical":
-        table = cfg.get("table", "0,0,0,0", _list(int))
+        table = cfg.get("table", "0,0,0,0", _list(_natural))
         if len(table) != 4 or not set(table) <= {0, 1}:
             raise ValidationError(f"--table needs four bits a0,a1,b0,b1, got {table}")
         return simulate.ClassicalDeterministicDevice(*table)
@@ -275,18 +289,11 @@ def cmd_simulate(cfg: _Config) -> int:
         n=n, gamma=gamma, omega_exp=omega_exp, delta_est=delta_est
     )
     model = _build_model(cfg)
-    seed = cfg.get("seed", 0, _seed)
-    protocol_mode = cfg.get("protocol", "standard")
+    seed = cfg.get("seed", 0, _natural)
+    protocol_mode = cfg.get("protocol", "standard", _choice(_PROTOCOLS))
 
-    first = simulate.run_protocol(
-        model,
-        params,
-        protocol_mode,
-        seed=simulate._trial_seed(seed, 0),
-        record_kept_states=False,
-    )
-    _write_text(cfg.get("out"), first.serialize())
-    estimate, interval = simulate.estimate_abort_probability(model, params, trials, seed)
+    first, estimate, interval = simulate.run_trials(model, params, trials, seed, protocol_mode)
+    _write_text(cfg.get("out", kind=str), first.serialize())
     tests = sum(1 for r in first.rounds if r.t == 1)
     summary = {
         "abort_estimate": _round6(estimate),
@@ -306,10 +313,7 @@ def cmd_verify_bound(cfg: _Config) -> int:
     worst = 0.0
     for beta in betas:
         analytic = bounds.max_total_entropy(beta)
-        if beta >= BETA_MAX:
-            _, found = bounds.brute_force_max_entropy(BETA_MAX, grid_step)
-        else:
-            _, found = bounds.brute_force_max_entropy(beta, grid_step)
+        _, found = bounds.brute_force_max_entropy(min(beta, BETA_MAX), grid_step)
         dev = abs(found - analytic)
         worst = max(worst, dev)
         print(f"beta={_fmt(float(beta))} analytic={_fmt(analytic)} "
@@ -322,7 +326,7 @@ def cmd_verify_bound(cfg: _Config) -> int:
 
 
 def cmd_verify_twirl(cfg: _Config) -> int:
-    rng = np.random.default_rng(cfg.get("seed", 0, _seed))
+    rng = np.random.default_rng(cfg.get("seed", 0, _natural))
     failures = []
     for k in range(100):
         raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -353,88 +357,53 @@ def cmd_verify_twirl(cfg: _Config) -> int:
     return 2 if failures else 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="master random seed")
-    p.add_argument("--out", default=None, help="output file path")
-    p.add_argument("--config", default=None, help="JSON config file; flags override it")
-    p.add_argument(
-        "--mode",
-        choices=rates.MODES,
-        default=None,
-        help="second-order gradient-term convention",
-    )
-    p.add_argument("--exact", action="store_true", help="also emit full-precision JSON")
-
-
-def _add_eps(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps-dist", dest="eps_dist", type=float, default=None)
-    p.add_argument("--eps-snd", dest="eps_snd", type=float, default=None)
-    p.add_argument("--eps-cmp", dest="eps_cmp", type=float, default=None)
+# subcommand: (handler, help, the flags besides --config that it reads)
+_COMMANDS = {
+    "rate": (cmd_rate, "certified rate for one parameter point",
+             "n omega-exp eps-dist eps-snd eps-cmp gamma eps-smo delta-est mode out exact"),
+    "curve": (cmd_curve, "rate curves over a score grid",
+              "n-values omega-min omega-max omega-step omega-values asymptotic "
+              "eps-dist eps-snd eps-cmp mode out"),
+    "entropy-curve": (cmd_entropy_curve, "conditional-entropy bound curve",
+                      "omega-min omega-max omega-step omega-values out"),
+    "simulate": (cmd_simulate, "run the protocol against a device model",
+                 "model n gamma omega-exp delta-est eps-cmp trials protocol xi xi-slope "
+                 "table seed out"),
+    "verify-bound": (cmd_verify_bound, "brute-force oracle vs analytic bound",
+                     "beta-values grid-step"),
+    "verify-twirl": (cmd_verify_twirl, "twirl structure property suite", "seed"),
+}
+_SWITCHES = ("exact", "asymptotic")
+_HELP = {
+    "config": "JSON config file; flags override it",
+    "seed": "master random seed",
+    "out": "output file path",
+    "mode": f"second-order gradient-term convention: {', '.join(rates.MODES)}",
+    "exact": "also emit full-precision JSON",
+    "asymptotic": "append the many-round limit curve",
+    "model": f"one of: {', '.join(_MODELS)}",
+    "protocol": f"one of: {', '.join(_PROTOCOLS)}",
+    "xi": "Werner noise parameter",
+    "table": "a0,a1,b0,b1 for the classical model",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Declares each subcommand's flags; every value stays a string (or True
+    for a switch) for `_Config.get` to convert. Flags must be spelled in
+    full, so no abbreviation resolves to another command's flag."""
     parser = argparse.ArgumentParser(
         prog="diecert",
         description="Device-independent certification of one-shot distillable "
         "entanglement from CHSH statistics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rate", help="certified rate for one parameter point")
-    _add_common(p)
-    p.add_argument("--n", default=None)
-    p.add_argument("--omega-exp", dest="omega_exp", type=float, default=None)
-    _add_eps(p)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--eps-smo", dest="eps_smo", type=float, default=None)
-    p.add_argument("--delta-est", dest="delta_est", type=float, default=None)
-    p.set_defaults(func=cmd_rate)
-
-    p = sub.add_parser("curve", help="rate curves over a score grid")
-    _add_common(p)
-    p.add_argument("--n-values", dest="n_values", default=None)
-    p.add_argument("--omega-min", dest="omega_min", type=float, default=None)
-    p.add_argument("--omega-max", dest="omega_max", type=float, default=None)
-    p.add_argument("--omega-step", dest="omega_step", type=float, default=None)
-    p.add_argument("--omega-values", dest="omega_values", default=None)
-    p.add_argument("--asymptotic", action="store_true", default=None,
-                   help="append the many-round limit curve")
-    _add_eps(p)
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("entropy-curve", help="conditional-entropy bound curve")
-    _add_common(p)
-    p.add_argument("--omega-min", dest="omega_min", type=float, default=None)
-    p.add_argument("--omega-max", dest="omega_max", type=float, default=None)
-    p.add_argument("--omega-step", dest="omega_step", type=float, default=None)
-    p.add_argument("--omega-values", dest="omega_values", default=None)
-    p.set_defaults(func=cmd_entropy_curve)
-
-    p = sub.add_parser("simulate", help="run the protocol against a device model")
-    _add_common(p)
-    p.add_argument("--model", default=None, help=f"one of: {', '.join(_MODELS)}")
-    p.add_argument("--n", default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--omega-exp", dest="omega_exp", type=float, default=None)
-    p.add_argument("--delta-est", dest="delta_est", type=float, default=None)
-    p.add_argument("--eps-cmp", dest="eps_cmp", type=float, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--protocol", choices=("standard", "modified"), default=None)
-    p.add_argument("--xi", type=float, default=None, help="Werner noise parameter")
-    p.add_argument("--xi-slope", dest="xi_slope", type=float, default=None)
-    p.add_argument("--table", default=None, help="a0,a1,b0,b1 for the classical model")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify-bound", help="brute-force oracle vs analytic bound")
-    _add_common(p)
-    p.add_argument("--beta-values", dest="beta_values", default=None)
-    p.add_argument("--grid-step", dest="grid_step", type=float, default=None)
-    p.set_defaults(func=cmd_verify_bound)
-
-    p = sub.add_parser("verify-twirl", help="twirl structure property suite")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_twirl)
-
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in ["config", *flags.split()]:
+            action = "store_true" if flag in _SWITCHES else "store"
+            p.add_argument(f"--{flag}", action=action, default=None, help=_HELP.get(flag))
+        p.set_defaults(func=func)
     return parser
 
 

@@ -187,26 +187,32 @@ class _Source:
     """One round's state and observables. What a round reads from them (Born
     tables, block-pair distribution, kept states) is computed on first use
     and cached; IID models reuse one source for the whole run, other models
-    for as long as they return the same objects."""
+    for as long as they return the same objects. The Jordan geometry depends
+    on the observables only, so it is taken over from `previous` when that
+    source has the same observable objects."""
 
-    def __init__(self, state, alice_obs, bob_obs):
+    def __init__(self, state, alice_obs, bob_obs, previous=None):
         self.state = np.asarray(state, dtype=complex)
         self.obs = (alice_obs, bob_obs)
-        self._probs, self._kept, self._blocks = {}, {}, None
+        self._probs, self._kept, self._joint = {}, {}, None
+        same_obs = previous is not None and all(p is q for p, q in zip(previous.obs, self.obs))
+        self._geometry = previous._geometry if same_obs else None
 
     def _block_data(self):
         """Jordan blocks and block projectors per party, and the block-pair
         distribution flattened row-major over (c, d)."""
-        if self._blocks is None:
+        if self._geometry is None:
             blocks = [jordan_blocks(*obs) for obs in self.obs]
-            qa, qb = (block_projectors(b) for b in blocks)
+            self._geometry = (blocks, tuple(block_projectors(b) for b in blocks))
+        blocks, (qa, qb) = self._geometry
+        if self._joint is None:
             joint = np.clip(
                 [np.trace(np.kron(pc, qd) @ self.state).real for pc in qa for qd in qb],
                 0.0,
                 None,
             )
-            self._blocks = (blocks, (qa, qb), (joint / joint.sum()).tolist())
-        return self._blocks
+            self._joint = (joint / joint.sum()).tolist()
+        return blocks, (qa, qb), self._joint
 
     def sample_pair(self, u: float) -> tuple[int, int]:
         """Block pair (c, d) drawn with the uniform variate u."""
@@ -283,7 +289,7 @@ def run_protocol(
             prepared = model.prepare_round(i, rounds, None)
             # same objects, same source; by identity, as arrays lack a usable ==
             if built_from is None or any(p is not q for p, q in zip(prepared, built_from)):
-                source, built_from = _Source(*prepared), prepared
+                source, built_from = _Source(*prepared, previous=source), prepared
         t = 1 if test_draws[i] else 0
         pair = None
         if modified and (project_test_rounds or not t):
@@ -339,6 +345,29 @@ def estimate_abort_probability(
     model's exact score), which matches a full sequential run in distribution
     at a fraction of the cost. Other models are run round by round.
     """
+    return _abort_estimate(model, params, trials, seed)
+
+
+def run_trials(
+    model: DeviceModel,
+    params: ProtocolParams,
+    trials: int,
+    seed: int = 0,
+    mode: str = "standard",
+) -> tuple[Transcript, float, tuple[float, float]]:
+    """Trial 0 of the schedule that `estimate_abort_probability` runs, in
+    `mode` and without kept states, followed by that function's estimate and
+    interval. A standard-mode trial 0 is also the estimate's first trial and
+    is run once."""
+    first = run_protocol(model, params, mode, _trial_seed(seed, 0), record_kept_states=False)
+    return first, *_abort_estimate(
+        model, params, trials, seed, first if mode == "standard" else None
+    )
+
+
+def _abort_estimate(model, params, trials, seed, first=None):
+    """Body of `estimate_abort_probability`; a given `first` stands in for
+    the sequential run of trial 0."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     threshold = params.threshold
@@ -349,8 +378,8 @@ def estimate_abort_probability(
         wins = rng.binomial(m, omega)
         aborts = int(np.count_nonzero(wins < threshold))
     else:
-        aborts = 0
-        for trial in range(trials):
+        aborts = 0 if first is None else int(first.aborted)
+        for trial in range(0 if first is None else 1, trials):
             tr = run_protocol(
                 model, params, seed=_trial_seed(seed, trial), record_kept_states=False
             )

@@ -296,9 +296,14 @@ class TestMalformedInput:
         ["entropy-curve", "--omega-step", "1e-12"],
         ["entropy-curve", "--omega-values", "nan"],
         ["verify-bound", "--grid-step", "1e-9"],
+        ["rate", "--n", "1e6", "--omega-exp", "abc"],
+        ["simulate", "--n", "100", "--omega-exp", "0.8", "--gamma", "abc"],
+        ["simulate", "--n", "100", "--omega-exp", "0.8", "--trials", "1.5"],
+        ["rate", "--n", "1e6", "--omega-exp", "0.84", "--mode", "bogus"],
     ], ids=["rate-n-inf", "rate-n-abc", "table-two-bits", "simulate-n-1e30",
             "simulate-trials-1e9", "simulate-seed-negative", "entropy-curve-step-1e-12",
-            "entropy-curve-nan", "verify-bound-step-1e-9"])
+            "entropy-curve-nan", "verify-bound-step-1e-9", "rate-omega-exp-abc",
+            "simulate-gamma-abc", "simulate-trials-1.5", "rate-mode-bogus"])
     def test_rejected_with_error_line(self, argv):
         code, err = _run_quietly(argv)
         assert code == 1
@@ -335,6 +340,56 @@ class TestMalformedInput:
              f"--omega-step={text}"]
         )
         assert code in (0, 1, 2) and "Traceback" not in err
+
+
+_REMOVED_FLAGS = [
+    ("rate", "--seed", "1"),
+    ("curve", "--seed", "1"),
+    ("curve", "--exact"),
+    ("entropy-curve", "--seed", "1"),
+    ("entropy-curve", "--mode", "printed"),
+    ("entropy-curve", "--exact"),
+    ("simulate", "--mode", "printed"),
+    ("simulate", "--exact"),
+    ("verify-bound", "--seed", "1"),
+    ("verify-bound", "--out", "OUT"),
+    ("verify-bound", "--mode", "printed"),
+    ("verify-bound", "--exact"),
+    ("verify-twirl", "--out", "OUT"),
+    ("verify-twirl", "--mode", "printed"),
+    ("verify-twirl", "--exact"),
+]
+
+
+class TestFlagsPerCommand:
+    """Each subcommand accepts only the flags it reads."""
+
+    @pytest.mark.parametrize("argv", _REMOVED_FLAGS, ids=lambda a: " ".join(a[:2]))
+    def test_flag_it_ignores_is_unrecognized(self, argv, tmp_path):
+        target = tmp_path / "out"
+        code, err = _run_quietly([a.replace("OUT", str(target)) for a in argv])
+        assert code == 2
+        assert "unrecognized arguments" in err
+        assert not target.exists()
+
+    def test_count_in_float_notation_same_by_flag_and_config(self, capsys, tmp_path):
+        argv = ["simulate", "--n", "200", "--gamma", "0.5", "--omega-exp", "0.8",
+                "--seed", "4"]
+        by_flag = run_cli(capsys, *argv, "--trials", "1e3")
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"trials": "1e3"}))
+        by_config = run_cli(capsys, *argv, "--config", str(cfgfile))
+        assert by_flag[0] == 0
+        assert by_flag == by_config == run_cli(capsys, *argv, "--trials", "1000")
+
+    def test_switch_from_config_matches_flag(self, capsys, tmp_path):
+        argv = ["rate", "--n", "1e6", "--omega-exp", "0.84", "--gamma", "0.1",
+                "--eps-smo", "1e-4", "--delta-est", "1e-4"]
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"exact": True}))
+        by_config = run_cli(capsys, *argv, "--config", str(cfgfile))
+        assert by_config[0] == 0
+        assert by_config == run_cli(capsys, *argv, "--exact")
 
 
 class TestEntryPoint:

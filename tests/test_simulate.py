@@ -32,6 +32,7 @@ from diecert.simulate import (
     check_statistics_equivalence,
     estimate_abort_probability,
     run_protocol,
+    run_trials,
     wilson_interval,
 )
 
@@ -183,6 +184,21 @@ class TestRunProtocol:
         generous = make_params(n=1000, gamma=0.5, omega_exp=0.76, delta_est=0.05)
         assert not run_protocol(honest(), generous, seed=1).aborted
 
+    def test_drift_device_builds_jordan_geometry_once(self, monkeypatch):
+        # a new Werner state every round, the same observables throughout
+        import diecert.simulate as sim
+
+        calls = []
+        real = sim.jordan_blocks
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sim, "jordan_blocks", counted)
+        run_protocol(NoisyDriftDevice(0.0, 1e-3), make_params(n=200), "modified", seed=6)
+        assert len(calls) == 2  # one per party
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValidationError):
             run_protocol(honest(), make_params(n=10), mode="hybrid")
@@ -290,6 +306,26 @@ class TestAbortEstimation:
         a = estimate_abort_probability(honest(), p, trials=100, seed=5)
         b = estimate_abort_probability(honest(), p, trials=100, seed=5)
         assert a == b
+
+    @pytest.mark.parametrize("mode, runs", [("standard", 3), ("modified", 4)])
+    def test_run_trials_runs_standard_trial_zero_once(self, mode, runs, monkeypatch):
+        import diecert.simulate as sim
+
+        calls = []
+        real = sim.run_protocol
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        model, p = NoisyDriftDevice(0.0, 1e-3), make_params(n=200)
+        expected = estimate_abort_probability(model, p, trials=3, seed=9)
+        monkeypatch.setattr(sim, "run_protocol", counted)
+        first, *estimate = run_trials(model, p, trials=3, seed=9, mode=mode)
+        assert len(calls) == runs
+        assert tuple(estimate) == expected
+        assert first.mode == mode
+        assert all(r.kept_state is None for r in first.rounds)
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValidationError):
