@@ -60,6 +60,13 @@ def _natural(v) -> int:
     return k
 
 
+def _switch(v) -> bool:
+    """A switch: set by its flag, or JSON true or false in a config file."""
+    if not isinstance(v, bool):
+        raise ValueError(f"{v!r} is not true or false")
+    return v
+
+
 def _choice(options):
     """Parser that accepts only one of `options`."""
 
@@ -174,6 +181,7 @@ def cmd_rate(cfg: _Config) -> int:
     gamma = cfg.get("gamma", kind=float)
     eps_smo = cfg.get("eps_smo", kind=float)
     delta_est = cfg.get("delta_est", kind=float)
+    exact = cfg.get("exact", False, _switch)
 
     if gamma is not None and eps_smo is not None:
         de = delta_est if delta_est is not None else rates.delta_est_for(n, eps_cmp)
@@ -191,9 +199,9 @@ def cmd_rate(cfg: _Config) -> int:
     for key, value in record.items():
         print(f"{key} = {_fmt(value)}")
     out = cfg.get("out", kind=str)
-    if out or cfg.get("exact"):
+    if out or exact:
         dump = {k: (_round6(v) if isinstance(v, float) else v) for k, v in record.items()}
-        if cfg.get("exact"):
+        if exact:
             dump["exact"] = {k: v for k, v in record.items() if isinstance(v, float)}
             if not out:
                 print(json.dumps(dump["exact"], sort_keys=True))
@@ -208,7 +216,8 @@ _CURVE_HEADER = "n,omega_exp,rate_raw,rate,gamma,eps_smo,delta_est,eta_opt"
 def cmd_curve(cfg: _Config) -> int:
     n_list = cfg.get("n_values", "1e6,1e7,1e8,1e10,1e12", _list(_count))
     omegas = _omega_grid(cfg, 0.78, 0.853, 0.00365)
-    if not omegas and not cfg.get("asymptotic"):
+    asymptotic = cfg.get("asymptotic", False, _switch)
+    if not omegas and not asymptotic:
         raise ValidationError("empty curve grid")
     eps_dist, eps_snd, eps_cmp = _eps_budget(cfg)
     mode = cfg.get("mode", "printed", _choice(rates.MODES))
@@ -222,7 +231,7 @@ def cmd_curve(cfg: _Config) -> int:
                 f"{_fmt(cert.params.gamma)},{_fmt(cert.errors.eps_smo)},"
                 f"{_fmt(cert.params.delta_est)},{_fmt(cert.eta_opt_value)}"
             )
-    if cfg.get("asymptotic"):
+    if asymptotic:
         for w in sorted(omegas):
             raw = rates.asymptotic_rate(w)
             lines.append(f"asymptotic,{_fmt(w)},{_fmt(raw)},{_fmt(max(raw, 0.0))},,,,")

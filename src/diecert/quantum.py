@@ -38,7 +38,6 @@ BELL_BASIS = np.array(
     ],
     dtype=complex,
 )
-BELL_LABELS = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
 
 
 class ValidationError(ValueError):

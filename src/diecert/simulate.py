@@ -8,9 +8,9 @@ abort-probability estimates and the statistical check that the modified
 protocol leaves the classical statistics unchanged.
 
 `run_protocol` is one loop over a lazily filled `_Source` per (state,
-observables): Born tables from `chsh.born_probabilities`, the Jordan
-block-pair distribution and the kept states. Only whether a round draws a
-block pair depends on the mode.
+observables): cumulative Born tables from `chsh.born_probabilities`, the
+cumulative block-pair distribution and the kept states. Only whether a round
+draws a block pair depends on the mode. All trials run on one seed schedule.
 
 Randomness: every draw comes from a stream derived from the master seed and a
 purpose tag via numpy's SeedSequence, with the round index as the position in
@@ -21,7 +21,12 @@ transcripts.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate, count, islice
+from operator import attrgetter
 
 import numpy as np
 
@@ -116,10 +121,8 @@ class NoisyDriftDevice(DeviceModel):
 
         self.xi_start = xi_start
         self.xi_slope = xi_slope
-        self._observables = (
-            optimal_strategy().alice_observables,
-            optimal_strategy().bob_observables,
-        )
+        opt = optimal_strategy()
+        self._observables = (opt.alice_observables, opt.bob_observables)
 
     def prepare_round(self, i, history, rng):
         xi = min(max(self.xi_start + self.xi_slope * i, 0.0), 1.0)
@@ -174,65 +177,64 @@ def _stream(seed: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), purpose]))
 
 
-def _sample_discrete(probs, u):
-    acc = 0.0
-    for k, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return k
-    return len(probs) - 1
+def _cumulative(probs) -> list[float]:
+    """Left-to-right running sums of `probs`, the last raised to infinity, so
+    that `bisect_right(table, u)` draws as a left-to-right scan does: the
+    first k whose sum exceeds u, or the last index when u reaches the total."""
+    table = list(accumulate(probs))
+    table[-1] = math.inf
+    return table
 
 
 class _Source:
-    """One round's state and observables. What a round reads from them (Born
-    tables, block-pair distribution, kept states) is computed on first use
-    and cached; IID models reuse one source for the whole run, other models
-    for as long as they return the same objects. The Jordan geometry depends
-    on the observables only, so it is taken over from `previous` when that
-    source has the same observable objects."""
+    """One round's state and observables. What a round reads from them
+    (cumulative Born tables, block-pair distribution, kept states) is computed
+    on first use and cached; IID models reuse one source for the whole run,
+    other models for as long as they return the same objects. The Jordan
+    geometry depends on the observables only, so it is taken over from
+    `previous` when that source has built it for the same observable objects."""
 
     def __init__(self, state, alice_obs, bob_obs, previous=None):
         self.state = np.asarray(state, dtype=complex)
         self.obs = (alice_obs, bob_obs)
-        self._probs, self._kept, self._joint = {}, {}, None
+        self._cdfs, self._kept = {}, {}
         same_obs = previous is not None and all(p is q for p, q in zip(previous.obs, self.obs))
-        self._geometry = previous._geometry if same_obs else None
+        if same_obs and "geometry" in vars(previous):
+            self.geometry = previous.geometry
 
-    def _block_data(self):
-        """Jordan blocks and block projectors per party, and the block-pair
-        distribution flattened row-major over (c, d)."""
-        if self._geometry is None:
-            blocks = [jordan_blocks(*obs) for obs in self.obs]
-            self._geometry = (blocks, tuple(block_projectors(b) for b in blocks))
-        blocks, (qa, qb) = self._geometry
-        if self._joint is None:
-            joint = np.clip(
-                [np.trace(np.kron(pc, qd) @ self.state).real for pc in qa for qd in qb],
-                0.0,
-                None,
-            )
-            self._joint = (joint / joint.sum()).tolist()
-        return blocks, (qa, qb), self._joint
+    @cached_property
+    def geometry(self):
+        """Jordan blocks and block projectors per party."""
+        blocks = [jordan_blocks(*obs) for obs in self.obs]
+        return blocks, tuple(block_projectors(b) for b in blocks)
+
+    @cached_property
+    def pair_cdf(self) -> list[float]:
+        """`_cumulative` block-pair distribution, row-major over (c, d)."""
+        _, (qa, qb) = self.geometry
+        joint = [np.trace(np.kron(pc, qd) @ self.state).real for pc in qa for qd in qb]
+        joint = np.clip(joint, 0.0, None)
+        return _cumulative((joint / joint.sum()).tolist())
 
     def sample_pair(self, u: float) -> tuple[int, int]:
         """Block pair (c, d) drawn with the uniform variate u."""
-        (_, bb), _, joint = self._block_data()
-        return divmod(_sample_discrete(joint, u), len(bb))
+        (_, bb), _ = self.geometry
+        return divmod(bisect_right(self.pair_cdf, u), len(bb))
 
-    def probs(self, x: int, y: int, pair=None) -> list[float]:
-        """Born table for inputs (x, y), projected onto the block pair first
-        when one is given."""
+    def outcome_cdf(self, x: int, y: int, pair=None) -> list[float]:
+        """`_cumulative` Born table over (a, b) for inputs (x, y), projected
+        onto the block pair first when one is given."""
         key = (x, y, pair)
-        if key not in self._probs:
+        if key not in self._cdfs:
             state = self.state
             if pair is not None:
-                _, (qa, qb), _ = self._block_data()
+                _, (qa, qb) = self.geometry
                 op = np.kron(qa[pair[0]], qb[pair[1]])
                 rho = op @ state @ op
                 tr = np.trace(rho).real
                 state = rho / tr if tr > 1e-15 else rho
-            self._probs[key] = born_probabilities(state, *self.obs, x, y).tolist()
-        return self._probs[key]
+            self._cdfs[key] = _cumulative(born_probabilities(state, *self.obs, x, y).tolist())
+        return self._cdfs[key]
 
     def kept(self, pair=None) -> TwoQubitState | None:
         """State kept by an untested round. With no pair: the raw source, or
@@ -245,7 +247,7 @@ class _Source:
                 two_qubit = self.state.shape == (4, 4)
                 self._kept[None] = TwoQubitState(self.state) if two_qubit else None
             else:
-                (ba, bb), _, _ = self._block_data()
+                (ba, bb), _ = self.geometry
                 # columns of each factor are the two block vectors
                 iso = np.kron(ba[pair[0]].block_basis.T, bb[pair[1]].block_basis.T)
                 m = iso.conj().T @ self.state @ iso
@@ -296,7 +298,7 @@ def run_protocol(
             pair = source.sample_pair(block_draws[i])
         if t:
             x, y = input_draws[i]
-            k = _sample_discrete(source.probs(x, y, pair), outcome_draws[i])
+            k = bisect_right(source.outcome_cdf(x, y, pair), outcome_draws[i])
             a, b = k >> 1, k & 1
             w = 1 if (a ^ b) == (x & y) else 0
             win_count += w
@@ -319,6 +321,21 @@ def run_protocol(
 def _trial_seed(seed: int, trial: int) -> int:
     ss = np.random.SeedSequence([int(seed), _STREAM_TRIAL, trial])
     return int(ss.generate_state(1)[0])
+
+
+def _transcripts(model, params, seed, mode="standard", **options):
+    """The trial schedule, run on demand: trial k = 0, 1, ... is `run_protocol`
+    in `mode` with seed `_trial_seed(seed, k)` and no kept states, looked up
+    at each trial so that a wrapper on the module attribute sees every run."""
+    for trial in count():
+        yield run_protocol(
+            model, params, mode, _trial_seed(seed, trial), record_kept_states=False, **options
+        )
+
+
+def _bulk_sampled(model) -> bool:
+    """Whether abort estimates draw the model's win counts in bulk."""
+    return model.iid and hasattr(model, "exact_score")
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
@@ -345,7 +362,16 @@ def estimate_abort_probability(
     model's exact score), which matches a full sequential run in distribution
     at a fraction of the cost. Other models are run round by round.
     """
-    return _abort_estimate(model, params, trials, seed)
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
+    if _bulk_sampled(model):
+        omega = model.exact_score()
+        rng = _stream(seed, _STREAM_ABORT)
+        wins = rng.binomial(rng.binomial(params.n, params.gamma, size=trials), omega)
+        aborts = int(np.count_nonzero(wins < params.threshold))
+    else:
+        aborts = sum(tr.aborted for tr in islice(_transcripts(model, params, seed), trials))
+    return aborts / trials, wilson_interval(aborts, trials)
 
 
 def run_trials(
@@ -359,46 +385,26 @@ def run_trials(
     `mode` and without kept states, followed by that function's estimate and
     interval. A standard-mode trial 0 is also the estimate's first trial and
     is run once."""
-    first = run_protocol(model, params, mode, _trial_seed(seed, 0), record_kept_states=False)
-    return first, *_abort_estimate(
-        model, params, trials, seed, first if mode == "standard" else None
-    )
+    runs = _transcripts(model, params, seed, mode)
+    first = next(runs)
+    if mode != "standard" or trials < 1 or _bulk_sampled(model):
+        return first, *estimate_abort_probability(model, params, trials, seed)
+    aborts = sum((tr.aborted for tr in islice(runs, trials - 1)), first.aborted)
+    return first, aborts / trials, wilson_interval(aborts, trials)
 
 
-def _abort_estimate(model, params, trials, seed, first=None):
-    """Body of `estimate_abort_probability`; a given `first` stands in for
-    the sequential run of trial 0."""
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    threshold = params.threshold
-    if model.iid and hasattr(model, "exact_score"):
-        omega = model.exact_score()
-        rng = _stream(seed, _STREAM_ABORT)
-        m = rng.binomial(params.n, params.gamma, size=trials)
-        wins = rng.binomial(m, omega)
-        aborts = int(np.count_nonzero(wins < threshold))
-    else:
-        aborts = 0 if first is None else int(first.aborted)
-        for trial in range(0 if first is None else 1, trials):
-            tr = run_protocol(
-                model, params, seed=_trial_seed(seed, trial), record_kept_states=False
-            )
-            aborts += int(tr.aborted)
-    return aborts / trials, wilson_interval(aborts, trials)
+_REGISTERS = ("t", "x", "y", "a", "b", "w")
 
 
-def _register_counts(transcripts: list[Transcript]):
-    """Counts of each value of the classical registers t, x, y, a, b, w."""
-    counts = {name: {} for name in ("t", "x", "y", "a", "b", "w")}
-    total = 0
+def _register_counts(transcripts):
+    """Counts of each register's values, None for the unset symbol, and of
+    aborted runs, reading the transcripts one at a time."""
+    counts, aborts = {name: Counter() for name in _REGISTERS}, 0
     for tr in transcripts:
-        total += len(tr.rounds)
-        for r in tr.rounds:
-            for name in counts:
-                v = getattr(r, name)
-                key = "bot" if v is None else v
-                counts[name][key] = counts[name].get(key, 0) + 1
-    return counts, total
+        for name, c in counts.items():
+            c.update(map(attrgetter(name), tr.rounds))
+        aborts += tr.aborted
+    return counts, aborts
 
 
 def check_statistics_equivalence(
@@ -417,43 +423,24 @@ def check_statistics_equivalence(
     """
     if trials == 0:
         return {"trials": 0, "passed": True, "registers": {}}
-    std, mod = [], []
-    for trial in range(trials):
-        s = _trial_seed(seed, trial)
-        std.append(run_protocol(model, params, "standard", s, record_kept_states=False))
-        mod.append(
-            run_protocol(
-                model,
-                params,
-                "modified",
-                s,
-                record_kept_states=False,
-                project_test_rounds=True,
-            )
-        )
-    c1, n1 = _register_counts(std)
-    c2, n2 = _register_counts(mod)
+    c1, ab1 = _register_counts(islice(_transcripts(model, params, seed), trials))
+    c2, ab2 = _register_counts(
+        islice(_transcripts(model, params, seed, "modified", project_test_rounds=True), trials)
+    )
+    n1 = n2 = trials * params.n
     registers = {}
     passed = True
-    for name in c1:
-        values = sorted(set(c1[name]) | set(c2[name]), key=str)
-        for v in values:
-            f1 = c1[name].get(v, 0) / n1
-            f2 = c2[name].get(v, 0) / n2
-            pooled = (c1[name].get(v, 0) + c2[name].get(v, 0)) / (n1 + n2)
+    for name in _REGISTERS:
+        for v in sorted(c1[name].keys() | c2[name].keys(), key=str):
+            k1, k2 = c1[name][v], c2[name][v]
+            f1, f2 = k1 / n1, k2 / n2
+            pooled = (k1 + k2) / (n1 + n2)
             sigma = math.sqrt(max(pooled * (1 - pooled), 0.0) * (1 / n1 + 1 / n2))
             ok = abs(f1 - f2) <= 3 * sigma + 1e-12
-            registers[f"{name}={v}"] = {
-                "standard": f1,
-                "modified": f2,
-                "sigma": sigma,
-                "passed": ok,
-            }
+            label = f"{name}={'bot' if v is None else v}"
+            registers[label] = {"standard": f1, "modified": f2, "sigma": sigma, "passed": ok}
             passed = passed and ok
-    ab1 = sum(t.aborted for t in std)
-    ab2 = sum(t.aborted for t in mod)
-    i1 = wilson_interval(ab1, trials)
-    i2 = wilson_interval(ab2, trials)
+    i1, i2 = wilson_interval(ab1, trials), wilson_interval(ab2, trials)
     abort_ok = i1[0] <= i2[1] and i2[0] <= i1[1]
     passed = passed and abort_ok
     return {

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from diecert.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+CONFIGS = Path(__file__).parent / "configs"
 
 
 def run_cli(capsys, *argv):
@@ -300,10 +301,15 @@ class TestMalformedInput:
         ["simulate", "--n", "100", "--omega-exp", "0.8", "--gamma", "abc"],
         ["simulate", "--n", "100", "--omega-exp", "0.8", "--trials", "1.5"],
         ["rate", "--n", "1e6", "--omega-exp", "0.84", "--mode", "bogus"],
+        ["rate", "--n", "1e6", "--omega-exp", "0.84", "--gamma", "0.1", "--eps-smo", "1e-4",
+         "--config", str(CONFIGS / "exact_string.json")],
+        ["curve", "--n-values", "1e6", "--omega-values", "0.84",
+         "--config", str(CONFIGS / "asymptotic_string.json")],
     ], ids=["rate-n-inf", "rate-n-abc", "table-two-bits", "simulate-n-1e30",
             "simulate-trials-1e9", "simulate-seed-negative", "entropy-curve-step-1e-12",
             "entropy-curve-nan", "verify-bound-step-1e-9", "rate-omega-exp-abc",
-            "simulate-gamma-abc", "simulate-trials-1.5", "rate-mode-bogus"])
+            "simulate-gamma-abc", "simulate-trials-1.5", "rate-mode-bogus",
+            "config-exact-string", "config-asymptotic-string"])
     def test_rejected_with_error_line(self, argv):
         code, err = _run_quietly(argv)
         assert code == 1
@@ -390,6 +396,15 @@ class TestFlagsPerCommand:
         by_config = run_cli(capsys, *argv, "--config", str(cfgfile))
         assert by_config[0] == 0
         assert by_config == run_cli(capsys, *argv, "--exact")
+
+    def test_switch_false_in_config_matches_no_switch(self, capsys, tmp_path):
+        argv = ["rate", "--n", "1e6", "--omega-exp", "0.84", "--gamma", "0.1",
+                "--eps-smo", "1e-4", "--delta-est", "1e-4"]
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"exact": False}))
+        by_config = run_cli(capsys, *argv, "--config", str(cfgfile))
+        assert by_config[0] == 0
+        assert by_config == run_cli(capsys, *argv)
 
 
 class TestEntryPoint:

@@ -1,8 +1,11 @@
 import math
-from itertools import product
+from bisect import bisect_right
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from diecert.chsh import (
     BETA_MAX,
@@ -35,6 +38,7 @@ from diecert.simulate import (
     run_trials,
     wilson_interval,
 )
+from diecert.simulate import _cumulative
 
 
 def make_params(n=5000, gamma=0.5, omega_exp=0.8, delta_est=0.05):
@@ -378,3 +382,38 @@ class TestTranscriptSerialization:
             assert cells[1] == str(r.t)
             if r.t == 0:
                 assert cells[7] == str(r.c) and cells[8] == str(r.d)
+
+
+def _scan(probs, u):
+    """Reference draw: the first k whose left-to-right running sum exceeds u."""
+    acc = 0.0
+    for k, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            return k
+    return len(probs) - 1
+
+
+@st.composite
+def _table_and_variate(draw):
+    weights = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(1e-9, 1.0),
+                            min_size=1, max_size=16))
+    assume(sum(weights) > 0)
+    # totals of one and just under it
+    scale = draw(st.sampled_from([1.0, 1 - 2**-53, 1 - 1e-12, 1 - 1e-6])) / sum(weights)
+    probs = [w * scale for w in weights]
+    sums = list(accumulate(probs))
+    u = draw(
+        st.floats(0.0, 1.0, exclude_max=True)
+        | st.sampled_from(sums)  # exactly on a running sum
+        | st.sampled_from([math.nextafter(c, 0.0) for c in sums])
+        | st.floats(sums[-1], max(sums[-1], 1.0))  # at or above the total
+    )
+    return probs, u
+
+
+class TestDraw:
+    @given(_table_and_variate())
+    def test_cumulative_draw_breaks_ties_as_left_to_right_scan(self, case):
+        probs, u = case
+        assert bisect_right(_cumulative(probs), u) == _scan(probs, u)
