@@ -47,7 +47,7 @@ _MAX_GRID = 10**5  # most points in one score grid
 def _count(v) -> int:
     """A positive integer, also accepted in float notation such as 1e6."""
     x = float(v)
-    if not (x >= 1 and x.is_integer()):
+    if isinstance(v, bool) or not (x >= 1 and x.is_integer()):
         raise ValueError(f"{v!r} is not a positive integer")
     return int(x)
 
@@ -55,7 +55,7 @@ def _count(v) -> int:
 def _natural(v) -> int:
     """A non-negative integer: a seed, as numpy requires, or a bit of --table."""
     k = int(v)
-    if k < 0 or isinstance(v, float) and k != v:
+    if isinstance(v, bool) or k < 0 or isinstance(v, float) and k != v:
         raise ValueError(f"{v!r} is not a non-negative integer")
     return k
 
@@ -97,7 +97,7 @@ class _Config:
         self.file = {}
         path = self.args.get("config")
         if path:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 self.file = json.load(fh)
             if not isinstance(self.file, dict):
                 raise ValidationError("config file must contain a JSON object")
@@ -182,8 +182,10 @@ def cmd_rate(cfg: _Config) -> int:
     eps_smo = cfg.get("eps_smo", kind=float)
     delta_est = cfg.get("delta_est", kind=float)
     exact = cfg.get("exact", False, _switch)
+    if (gamma is None) != (eps_smo is None) or gamma is None and delta_est is not None:
+        raise ValidationError("--gamma and --eps-smo go together; --delta-est needs both")
 
-    if gamma is not None and eps_smo is not None:
+    if gamma is not None:
         de = delta_est if delta_est is not None else rates.delta_est_for(n, eps_cmp)
         params = rates.ProtocolParams(
             n=n, gamma=gamma, omega_exp=omega_exp, delta_est=de
@@ -422,7 +424,7 @@ def main(argv=None) -> int:
     try:
         cfg = _Config(args)
         return args.func(cfg)
-    except (ValidationError, OSError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,7 @@ PSD_TOL = 1e-10
 EIG_CLIP_TOL = 1e-10
 BELL_DIAG_TOL = 1e-10
 ENTROPY_EIG_CUTOFF = 1e-12
+_JORDAN_TOL = 1e-8  # cos(angle) degeneracy and sin(angle) zero in jordan_blocks
 
 # Pauli matrices
 I2 = np.eye(2, dtype=complex)
@@ -44,11 +45,11 @@ class ValidationError(ValueError):
     """Raised when a matrix fails a physicality check."""
 
 
-def _check_density(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def _check_density(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"density matrix must be square, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > tol:
+    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
         raise ValidationError("density matrix is not Hermitian within tolerance")
     if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
         raise ValidationError(f"density matrix trace is {np.trace(m)}, expected 1")
@@ -234,7 +235,7 @@ def werner_spectrum(xi: float) -> BellDiagonalSpectrum:
     return BellDiagonalSpectrum(1 - 3 * xi / 4, xi / 4, xi / 4, xi / 4)
 
 
-def jordan_blocks(obs0: Observable, obs1: Observable, tol: float = 1e-8) -> list[JordanBlock]:
+def jordan_blocks(obs0: Observable, obs1: Observable) -> list[JordanBlock]:
     """Decompose a pair of reflections into common 2x2 blocks.
 
     Uses the spectral decomposition of the symmetrised product
@@ -257,18 +258,18 @@ def jordan_blocks(obs0: Observable, obs1: Observable, tol: float = 1e-8) -> list
     while i < d:
         # group the degenerate eigenspace of this cos(angle)
         j = i + 1
-        while j < d and cos_vals[j] - cos_vals[i] < tol:
+        while j < d and cos_vals[j] - cos_vals[i] < _JORDAN_TOL:
             j += 1
         c = float(np.clip(np.mean(cos_vals[i:j]), -1.0, 1.0))
         angle = math.acos(c)
         space = vecs[:, i:j]  # columns span the eigenspace, dimension 2m
-        blocks.extend(_split_eigenspace(a0, a1, space, angle, tol))
+        blocks.extend(_split_eigenspace(a0, a1, space, angle))
         i = j
     blocks.sort(key=lambda b: b.angle)
     return blocks
 
 
-def _split_eigenspace(a0, a1, space, angle, tol):
+def _split_eigenspace(a0, a1, space, angle):
     """Split one cos-eigenspace of the symmetrised product into 2x2 blocks."""
     dim = space.shape[1]
     if dim % 2 != 0:
@@ -287,7 +288,7 @@ def _split_eigenspace(a0, a1, space, angle, tol):
         )
 
     blocks = []
-    if abs(s) > tol:
+    if abs(s) > _JORDAN_TOL:
         # pair each +1 vector u with w = (a1 u - c u)/s, automatically orthonormal
         for k in range(plus.shape[1]):
             u = plus[:, k]

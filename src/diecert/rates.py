@@ -11,12 +11,13 @@ The second-order gradient term has two conventions, selectable via `mode`:
 ceiling of the tangent slope magnitude. The curves produced with "ceiling"
 match the published finite-n rate plots; "printed" is the literal formula.
 
-Each formula has one home: `_f` is the only piecewise f (`tradeoff_f`,
-`tradeoff_fmax` and `eta` are views over it), `_kappa` the smoothing factor
-and `_budget_term` the log(1/eps) term. `_minimize` is the only search: a
-fixed scan grid plus golden-section refinement, used for the cutoff in
-eta_opt and, on the negated rate, for gamma and eps_smo, so repeated runs
-are bit-identical.
+Each rule has one home: `_f` is the only piecewise f and `_fmax` its tangent
+completion (`tradeoff_f`, `tradeoff_fmax` and `eta` are views over them);
+`_v_half` is v/2, `_kappa` the smoothing factor and its domain,
+`_cutoff_score` the cutoff's domain, `_budget_term` the log(1/eps) term and
+`ErrorBudget` the budget's ranges, checked before any search. `_minimize` is
+the only search: a fixed scan grid plus golden section, used for the cutoff
+in eta_opt and, on the negated rate, for gamma and eps_smo; runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class ErrorBudget:
                 raise ValidationError(f"{name}={v} outside [0, 1]")
         if not (0 <= self.eps_smo < math.sqrt(self.eps_dist)):
             raise ValidationError(
-                f"eps_smo={self.eps_smo} must lie in [0, sqrt(eps_dist))"
+                f"eps_smo={self.eps_smo} must lie in [0, sqrt(eps_dist={self.eps_dist}))"
             )
 
 
@@ -139,6 +140,8 @@ def _f(w: float, gamma: float) -> float:
 
 def _kappa(eps_smo: float, eps_snd: float) -> float:
     """Smoothing factor sqrt(1 - 2 log2(eps_smo * eps_snd)) of the v/sqrt(n) term."""
+    if not eps_smo * eps_snd > 0:  # NaN fails too
+        raise ValidationError(f"eps_smo * eps_snd = {eps_smo * eps_snd} must be positive")
     return math.sqrt(1 - 2 * math.log2(eps_smo * eps_snd))
 
 
@@ -178,48 +181,51 @@ def tradeoff_f(p: FrequencyDistribution, gamma: float) -> float:
     return _f(p.p1 / gamma, gamma)
 
 
+def _cutoff_score(pt1: float, gamma: float) -> float:
+    """The cutoff score p_t(1)/gamma, which must lie in (3/4, (2+sqrt(2))/4)."""
+    wt = pt1 / gamma if gamma > 0 else 0.0
+    if not (0.75 < wt < OMEGA_MAX):
+        raise ValidationError(f"cutoff score p_t(1)/gamma={wt} outside (3/4, (2+sqrt(2))/4)")
+    return wt
+
+
 def _tangent_slope(wt: float, gamma: float) -> float:
     """d f / d p(1) at the cutoff point: ((1-gamma)/gamma) g'(p_t(1)/gamma)."""
     return (1 - gamma) / gamma * g_prime(wt)
+
+
+def _fmax(p1: float, wt: float, gamma: float) -> float:
+    """f_max at p(1) = p1: f up to the cutoff p_t(1) = wt gamma, its tangent past it."""
+    pt1 = wt * gamma
+    if p1 <= pt1:
+        return _f(p1 / gamma, gamma)
+    return _tangent_slope(wt, gamma) * (p1 - pt1) + _f(wt, gamma)
 
 
 def tradeoff_fmax(
     p: FrequencyDistribution, p_t: FrequencyDistribution, gamma: float
 ) -> float:
     """f completed past p_t by its tangent line, making it a concave upper bound."""
-    wt = p_t.p1 / gamma if gamma > 0 else 0.0
-    if not (0.75 < wt < OMEGA_MAX):
-        raise ValidationError(
-            f"cutoff score p_t(1)/gamma={wt} outside (3/4, (2+sqrt(2))/4)"
-        )
-    if p.p1 <= p_t.p1:
-        return tradeoff_f(p, gamma)
-    return _tangent_slope(wt, gamma) * (p.p1 - p_t.p1) + _f(wt, gamma)
+    wt = _cutoff_score(p_t.p1, gamma)
+    tradeoff_f(p, gamma)  # rejects a p that does not match gamma
+    return _fmax(p.p1, wt, gamma)
 
 
-def _grad_term(wt: float, gamma: float, mode: str) -> float:
+def _v_half(wt: float, gamma: float, mode: str) -> float:
+    """v/2 = log2 5 + the gradient term of `mode`, at cutoff score wt."""
     if mode == "printed":
-        return abs(g_prime(wt)) / gamma
+        return _LOG2_5 + abs(g_prime(wt)) / gamma
     if mode == "ceiling":
-        return math.ceil(abs(_tangent_slope(wt, gamma)))
+        return _LOG2_5 + math.ceil(abs(_tangent_slope(wt, gamma)))
     raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
 def _eta_scalar(
-    wt: float,
-    p1_obs: float,
-    gamma: float,
-    n: int,
-    kappa: float,
-    mode: str,
+    wt: float, p1_obs: float, gamma: float, n: int, kappa: float, mode: str
 ) -> float:
     """eta at cutoff score wt, with kappa from `_kappa`."""
-    pt1 = wt * gamma
-    if p1_obs <= pt1:
-        fval = _f(p1_obs / gamma, gamma)
-    else:
-        fval = _tangent_slope(wt, gamma) * (p1_obs - pt1) + _f(wt, gamma)
-    v_half = _LOG2_5 + _grad_term(wt, gamma, mode)
+    fval = _fmax(p1_obs, wt, gamma)
+    v_half = _v_half(wt, gamma, mode)
     return fval + (2 / math.sqrt(n)) * v_half * kappa
 
 
@@ -231,11 +237,7 @@ def eta(
     mode: str = "printed",
 ) -> float:
     """Finite-size entropy rate at one cutoff distribution p_t."""
-    if budget.eps_smo * budget.eps_snd <= 0:
-        raise ValidationError("eps_smo * eps_snd must be positive")
-    wt = p_t.p1 / params.gamma
-    if not (0.75 < wt < OMEGA_MAX):
-        raise ValidationError(f"p_t(1)/gamma={wt} outside (3/4, (2+sqrt(2))/4)")
+    wt = _cutoff_score(p_t.p1, params.gamma)
     kappa = _kappa(budget.eps_smo, budget.eps_snd)
     return _eta_scalar(wt, p1_observed, params.gamma, params.n, kappa, mode)
 
@@ -260,8 +262,6 @@ def eta_opt(
 
     Returns the achieved minimum and the minimizing cutoff distribution.
     """
-    if budget.eps_smo * budget.eps_snd <= 0:
-        raise ValidationError("eps_smo * eps_snd must be positive")
     if params.gamma <= 0:
         raise ValidationError("gamma must be positive")
     kappa = _kappa(budget.eps_smo, budget.eps_snd)
@@ -288,8 +288,7 @@ def certified_log_l(
 ) -> RateCertificate:
     """Certified log L and rate for fixed parameters and budget."""
     value, minimizer = eta_opt(params, budget, mode)
-    wt = minimizer.p1 / params.gamma
-    v = 2 * (_LOG2_5 + _grad_term(wt, params.gamma, mode))
+    v = 2 * _v_half(minimizer.p1 / params.gamma, params.gamma, mode)
     log_l = -params.n * value - _budget_term(budget.eps_dist, budget.eps_smo)
     rate_raw = log_l / params.n
     return RateCertificate(
@@ -326,9 +325,9 @@ def optimize_parameters(
     search is deterministic and converges well past 1e-4 in the rate.
     """
     delta_est = delta_est_for(n, eps_cmp)
+    # check the budget before building any grid (eps_smo = 0 needs eps_dist > 0)
+    ErrorBudget(eps_dist, eps_snd, eps_cmp, eps_smo=0.0)
     sqrt_dist = math.sqrt(eps_dist)
-    if sqrt_dist <= 0:
-        raise ValidationError("eps_dist must be positive")
 
     memo = {}
 

@@ -338,8 +338,9 @@ def _bulk_sampled(model) -> bool:
     return model.iid and hasattr(model, "exact_score")
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% score interval for a binomial proportion."""
+    z = _Z95
     if trials == 0:
         return (0.0, 1.0)
     phat = successes / trials

@@ -305,11 +305,26 @@ class TestMalformedInput:
          "--config", str(CONFIGS / "exact_string.json")],
         ["curve", "--n-values", "1e6", "--omega-values", "0.84",
          "--config", str(CONFIGS / "asymptotic_string.json")],
+        # a fixed parameter given alone would be dropped for a search
+        ["rate", "--n", "1e6", "--omega-exp", "0.84", "--gamma", "0.1"],
+        ["rate", "--n", "1e6", "--omega-exp", "0.84", "--eps-smo", "1e-4"],
+        ["rate", "--n", "1e6", "--omega-exp", "0.84", "--delta-est", "0.001"],
+        ["rate", "--n", "1e6", "--omega-exp", "0.84", "--eps-snd", "0"],
+        ["curve", "--n-values", "1e6", "--omega-values", "0.84", "--eps-snd", "0"],
+        ["rate", "--n", "1e6", "--omega-exp", "0.84",
+         "--config", str(CONFIGS / "not_utf8.json")],
+        ["simulate", "--n", "100", "--omega-exp", "0.8",
+         "--config", str(CONFIGS / "trials_bool.json")],
+        ["simulate", "--model", "classical", "--n", "100", "--omega-exp", "0.8",
+         "--config", str(CONFIGS / "table_bool.json")],
     ], ids=["rate-n-inf", "rate-n-abc", "table-two-bits", "simulate-n-1e30",
             "simulate-trials-1e9", "simulate-seed-negative", "entropy-curve-step-1e-12",
             "entropy-curve-nan", "verify-bound-step-1e-9", "rate-omega-exp-abc",
             "simulate-gamma-abc", "simulate-trials-1.5", "rate-mode-bogus",
-            "config-exact-string", "config-asymptotic-string"])
+            "config-exact-string", "config-asymptotic-string", "rate-gamma-alone",
+            "rate-eps-smo-alone", "rate-delta-est-alone", "rate-eps-snd-0",
+            "curve-eps-snd-0", "config-not-utf8", "config-trials-bool",
+            "config-table-bool"])
     def test_rejected_with_error_line(self, argv):
         code, err = _run_quietly(argv)
         assert code == 1

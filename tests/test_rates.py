@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from diecert import rates
 from diecert.bounds import g
 from diecert.chsh import OMEGA_MAX
 from diecert.quantum import ValidationError
@@ -221,6 +222,24 @@ class TestEta:
         with pytest.raises(ValidationError):
             eta(0.008, pt, budget(), params(), mode="exact")
 
+    @pytest.mark.filterwarnings("ignore:omega_exp")  # gamma = 0: vacuous threshold
+    def test_zero_gamma_rejected(self):
+        pt = FrequencyDistribution.from_score(0.8 * 0.01, 0.01)
+        with pytest.raises(ValidationError):
+            eta(0.008, pt, budget(), params(gamma=0.0, delta_est=0.0))
+
+    def test_cutoff_must_be_interior(self):
+        pt = FrequencyDistribution.from_score(0.74 * 0.01, 0.01)
+        with pytest.raises(ValidationError):
+            eta(0.008, pt, budget(), params())
+
+    @pytest.mark.parametrize("zero", ["eps_snd", "eps_smo"])
+    def test_kappa_domain(self, zero):
+        # ErrorBudget admits a zero eps_snd or eps_smo; the kappa factor does not
+        pt = FrequencyDistribution.from_score(0.8 * 0.01, 0.01)
+        with pytest.raises(ValidationError):
+            eta(0.008, pt, budget(**{zero: 0.0}), params())
+
 
 class TestEtaOpt:
     def test_minimum_dominates_samples(self):
@@ -240,6 +259,15 @@ class TestEtaOpt:
     def test_deterministic(self):
         p, b = params(), budget()
         assert eta_opt(p, b)[0] == eta_opt(p, b)[0]
+
+    def test_kappa_domain(self):
+        with pytest.raises(ValidationError):
+            eta_opt(params(), budget(eps_snd=0.0))
+
+    @pytest.mark.filterwarnings("ignore:omega_exp")  # gamma = 0: vacuous threshold
+    def test_zero_gamma_rejected(self):
+        with pytest.raises(ValidationError):
+            eta_opt(params(gamma=0.0, delta_est=0.0), budget())
 
 
 class TestCompleteness:
@@ -373,6 +401,43 @@ class TestOptimizeParameters:
         assert cert.params.delta_est == pytest.approx(
             delta_est_for(10**6, EPS_CMP), abs=1e-15
         )
+
+
+_BAD_BUDGETS = [
+    (EPS_DIST, 0.0),
+    (EPS_DIST, 2.0),
+    (EPS_DIST, math.nan),
+    (0.0, EPS_SND),
+    (2.0, EPS_SND),
+]
+
+
+class TestBudgetCheckedFirst:
+    """A bad (eps_dist, eps_snd) fails before the search evaluates eta_opt once."""
+
+    @pytest.fixture
+    def eta_opt_calls(self, monkeypatch):
+        calls = []
+        inner = rates._eta_opt_scalar
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(rates, "_eta_opt_scalar", counted)
+        return calls
+
+    @pytest.mark.parametrize("eps_dist,eps_snd", _BAD_BUDGETS)
+    def test_optimize_parameters(self, eta_opt_calls, eps_dist, eps_snd):
+        with pytest.raises(ValidationError):
+            optimize_parameters(10**6, 0.84, eps_dist, eps_snd, EPS_CMP)
+        assert eta_opt_calls == []
+
+    @pytest.mark.parametrize("eps_dist,eps_snd", _BAD_BUDGETS)
+    def test_rate_curve(self, eta_opt_calls, eps_dist, eps_snd):
+        with pytest.raises(ValidationError):
+            rate_curve(10**6, [0.82, 0.84], eps_dist, eps_snd, EPS_CMP)
+        assert eta_opt_calls == []
 
 
 class TestRateCurve:
