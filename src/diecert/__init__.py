@@ -65,6 +65,7 @@ from .simulate import (
     MemorySwitcherDevice,
     NoisyDriftDevice,
     RoundRecord,
+    Source,
     Transcript,
     check_statistics_equivalence,
     estimate_abort_probability,

@@ -47,7 +47,7 @@ _MAX_GRID = 10**5  # most points in one score grid
 def _count(v) -> int:
     """A positive integer, also accepted in float notation such as 1e6."""
     x = float(v)
-    if isinstance(v, bool) or not (x >= 1 and x.is_integer()):
+    if not (x >= 1 and x.is_integer()):
         raise ValueError(f"{v!r} is not a positive integer")
     return int(x)
 
@@ -55,16 +55,9 @@ def _count(v) -> int:
 def _natural(v) -> int:
     """A non-negative integer: a seed, as numpy requires, or a bit of --table."""
     k = int(v)
-    if isinstance(v, bool) or k < 0 or isinstance(v, float) and k != v:
+    if k < 0 or isinstance(v, float) and k != v:
         raise ValueError(f"{v!r} is not a non-negative integer")
     return k
-
-
-def _switch(v) -> bool:
-    """A switch: set by its flag, or JSON true or false in a config file."""
-    if not isinstance(v, bool):
-        raise ValueError(f"{v!r} is not true or false")
-    return v
 
 
 def _choice(options):
@@ -78,12 +71,19 @@ def _choice(options):
     return parse
 
 
+def _convert(kind, v):
+    """`kind(v)`; JSON true and false are values for a switch (kind `bool`) alone."""
+    if (kind is bool) != isinstance(v, bool):
+        raise ValueError(f"{v!r} is not {'true or false' if kind is bool else 'a value here'}")
+    return kind(v)
+
+
 def _list(kind):
     """Parser of a comma-separated string or a JSON list of `kind` values."""
 
     def parse(v):
         items = [x for x in v.split(",") if x.strip()] if isinstance(v, str) else v
-        return [kind(x) for x in items]
+        return [_convert(kind, x) for x in items]
 
     return parse
 
@@ -110,7 +110,7 @@ class _Config:
         if v is None or kind is None:
             return v
         try:
-            return kind(v)
+            return _convert(kind, v)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"--{name.replace('_', '-')}: {exc}") from None
 
@@ -181,7 +181,7 @@ def cmd_rate(cfg: _Config) -> int:
     gamma = cfg.get("gamma", kind=float)
     eps_smo = cfg.get("eps_smo", kind=float)
     delta_est = cfg.get("delta_est", kind=float)
-    exact = cfg.get("exact", False, _switch)
+    exact = cfg.get("exact", False, bool)
     if (gamma is None) != (eps_smo is None) or gamma is None and delta_est is not None:
         raise ValidationError("--gamma and --eps-smo go together; --delta-est needs both")
 
@@ -218,7 +218,7 @@ _CURVE_HEADER = "n,omega_exp,rate_raw,rate,gamma,eps_smo,delta_est,eta_opt"
 def cmd_curve(cfg: _Config) -> int:
     n_list = cfg.get("n_values", "1e6,1e7,1e8,1e10,1e12", _list(_count))
     omegas = _omega_grid(cfg, 0.78, 0.853, 0.00365)
-    asymptotic = cfg.get("asymptotic", False, _switch)
+    asymptotic = cfg.get("asymptotic", False, bool)
     if not omegas and not asymptotic:
         raise ValidationError("empty curve grid")
     eps_dist, eps_snd, eps_cmp = _eps_budget(cfg)

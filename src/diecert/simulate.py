@@ -7,8 +7,8 @@ the kept states are Bell-diagonal two-qubit states). Also provides empirical
 abort-probability estimates and the statistical check that the modified
 protocol leaves the classical statistics unchanged.
 
-`run_protocol` is one loop over a lazily filled `_Source` per (state,
-observables): cumulative Born tables from `chsh.born_probabilities`, the
+`run_protocol` is one loop over the `Source` the model returns each round,
+which fills lazily: cumulative Born tables from `chsh.born_probabilities`, the
 cumulative block-pair distribution and the kept states. Only whether a round
 draws a block pair depends on the mode. All trials run on one seed schedule.
 
@@ -55,21 +55,21 @@ _Z95 = 1.959963984540054
 class DeviceModel:
     """Base class for sequential devices.
 
-    A model maps (round index, classical history) to this round's source state
-    and the two pairs of binary observables. It may consult only the classical
-    content of the history: measured states are gone and unmeasured states are
-    out of the devices' reach. `iid` marks models whose behavior ignores the
-    round and history entirely, which unlocks caching and bulk sampling.
+    A model maps (round index, classical history) to this round's `Source`:
+    the source state and the two pairs of binary observables. It may consult
+    only the classical content of the history: measured states are gone and
+    unmeasured states are out of the devices' reach. `iid` marks models whose
+    behavior ignores the round and history entirely, which unlocks caching and
+    bulk sampling.
 
     `run_protocol` calls `prepare_round` once per round, in order, from round
     0 (an iid model only at round 0), so a model may count incrementally.
-    When a round returns the same objects as the round before, the cached
-    source is reused, so a model must not mutate what it has returned.
+    A model that returns the same `Source` again reuses its cached tables.
     """
 
     iid = False
 
-    def prepare_round(self, i, history, rng):
+    def prepare_round(self, i, history) -> Source:
         raise NotImplementedError
 
 
@@ -80,10 +80,10 @@ class HonestIIDDevice(DeviceModel):
 
     def __init__(self, strategy: Strategy):
         self.strategy = strategy
+        self._source = Source.of(strategy)
 
-    def prepare_round(self, i, history, rng):
-        s = self.strategy
-        return s.state, s.alice_observables, s.bob_observables
+    def prepare_round(self, i, history):
+        return self._source
 
     def exact_score(self) -> float:
         return winning_probability(self.strategy).omega
@@ -102,15 +102,13 @@ class MemorySwitcherDevice(DeviceModel):
     """Alternates two strategies based on the parity of past test rounds."""
 
     def __init__(self, even_strategy: Strategy, odd_strategy: Strategy):
-        self.even_strategy = even_strategy
-        self.odd_strategy = odd_strategy
+        self._sources = (Source.of(even_strategy), Source.of(odd_strategy))
         self._tests_so_far = 0
 
-    def prepare_round(self, i, history, rng):
+    def prepare_round(self, i, history):
         # relies on the in-order calls promised in DeviceModel's docstring
         self._tests_so_far = 0 if i == 0 else self._tests_so_far + history[-1].t
-        s = self.even_strategy if self._tests_so_far % 2 == 0 else self.odd_strategy
-        return s.state, s.alice_observables, s.bob_observables
+        return self._sources[self._tests_so_far % 2]
 
 
 class NoisyDriftDevice(DeviceModel):
@@ -121,12 +119,12 @@ class NoisyDriftDevice(DeviceModel):
 
         self.xi_start = xi_start
         self.xi_slope = xi_slope
-        opt = optimal_strategy()
-        self._observables = (opt.alice_observables, opt.bob_observables)
+        self._source = Source.of(optimal_strategy())
 
-    def prepare_round(self, i, history, rng):
+    def prepare_round(self, i, history):
         xi = min(max(self.xi_start + self.xi_slope * i, 0.0), 1.0)
-        return werner_state(xi).matrix, self._observables[0], self._observables[1]
+        self._source = self._source.with_state(werner_state(xi).matrix)
+        return self._source
 
 
 @dataclass
@@ -186,21 +184,27 @@ def _cumulative(probs) -> list[float]:
     return table
 
 
-class _Source:
-    """One round's state and observables. What a round reads from them
-    (cumulative Born tables, block-pair distribution, kept states) is computed
-    on first use and cached; IID models reuse one source for the whole run,
-    other models for as long as they return the same objects. The Jordan
-    geometry depends on the observables only, so it is taken over from
-    `previous` when that source has built it for the same observable objects."""
+class Source:
+    """A state and the two parties' pairs of observables. What a round reads
+    from them (cumulative Born tables, block-pair distribution, kept states)
+    is computed on first use and cached for the life of the source."""
 
-    def __init__(self, state, alice_obs, bob_obs, previous=None):
+    def __init__(self, state, alice_obs, bob_obs):
         self.state = np.asarray(state, dtype=complex)
         self.obs = (alice_obs, bob_obs)
         self._cdfs, self._kept = {}, {}
-        same_obs = previous is not None and all(p is q for p, q in zip(previous.obs, self.obs))
-        if same_obs and "geometry" in vars(previous):
-            self.geometry = previous.geometry
+
+    @classmethod
+    def of(cls, strategy: Strategy) -> Source:
+        return cls(strategy.state, strategy.alice_observables, strategy.bob_observables)
+
+    def with_state(self, state) -> Source:
+        """A source of `state` with the same observables. The Jordan geometry
+        depends on the observables only, so it is shared once built."""
+        source = Source(state, *self.obs)
+        if "geometry" in vars(self):
+            source.geometry = self.geometry
+        return source
 
     @cached_property
     def geometry(self):
@@ -283,15 +287,12 @@ def run_protocol(
     outcome_draws = _stream(seed, _STREAM_OUTCOME).random(n).tolist()
     block_draws = _stream(seed, _STREAM_BLOCK).random(n).tolist()
 
-    source = built_from = None
+    source = None
     rounds = []
     win_count = 0
     for i in range(n):
         if source is None or not model.iid:
-            prepared = model.prepare_round(i, rounds, None)
-            # same objects, same source; by identity, as arrays lack a usable ==
-            if built_from is None or any(p is not q for p, q in zip(prepared, built_from)):
-                source, built_from = _Source(*prepared, previous=source), prepared
+            source = model.prepare_round(i, rounds)
         t = 1 if test_draws[i] else 0
         pair = None
         if modified and (project_test_rounds or not t):
@@ -422,8 +423,8 @@ def check_statistics_equivalence(
     must agree within 3 sigma (pooled binomial), and the abort frequencies
     must have overlapping Wilson intervals.
     """
-    if trials == 0:
-        return {"trials": 0, "passed": True, "registers": {}}
+    if trials < 0:
+        raise ValidationError("trials must be >= 0")
     c1, ab1 = _register_counts(islice(_transcripts(model, params, seed), trials))
     c2, ab2 = _register_counts(
         islice(_transcripts(model, params, seed, "modified", project_test_rounds=True), trials)

@@ -317,6 +317,12 @@ class TestMalformedInput:
          "--config", str(CONFIGS / "trials_bool.json")],
         ["simulate", "--model", "classical", "--n", "100", "--omega-exp", "0.8",
          "--config", str(CONFIGS / "table_bool.json")],
+        # JSON true and false are values for a switch and for nothing else
+        ["rate", "--n", "1e8", "--omega-exp", "0.84",
+         "--config", str(CONFIGS / "gamma_bool.json")],
+        ["simulate", "--n", "100", "--omega-exp", "0.8", "--trials", "2",
+         "--config", str(CONFIGS / "xi_bool.json")],
+        ["entropy-curve", "--config", str(CONFIGS / "omega_values_bool.json")],
     ], ids=["rate-n-inf", "rate-n-abc", "table-two-bits", "simulate-n-1e30",
             "simulate-trials-1e9", "simulate-seed-negative", "entropy-curve-step-1e-12",
             "entropy-curve-nan", "verify-bound-step-1e-9", "rate-omega-exp-abc",
@@ -324,11 +330,23 @@ class TestMalformedInput:
             "config-exact-string", "config-asymptotic-string", "rate-gamma-alone",
             "rate-eps-smo-alone", "rate-delta-est-alone", "rate-eps-snd-0",
             "curve-eps-snd-0", "config-not-utf8", "config-trials-bool",
-            "config-table-bool"])
+            "config-table-bool", "config-gamma-bool", "config-xi-bool",
+            "config-omega-values-bool"])
     def test_rejected_with_error_line(self, argv):
         code, err = _run_quietly(argv)
         assert code == 1
         assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("option, argv", [
+        ("gamma", ["rate", "--n", "1e8", "--omega-exp", "0.84"]),
+        ("xi", ["simulate", "--n", "100", "--omega-exp", "0.8", "--trials", "2"]),
+        ("omega_values", ["entropy-curve"]),
+    ])
+    def test_json_boolean_rejected_as_its_option(self, option, argv):
+        # not taken as 1.0 or 0.0, nor rejected later as a score out of range
+        code, err = _run_quietly([*argv, "--config", str(CONFIGS / f"{option}_bool.json")])
+        assert code == 1
+        assert f"error: --{option.replace('_', '-')}: True is not a value here" in err
 
     @pytest.mark.filterwarnings("ignore:omega_exp")  # tiny n: vacuous threshold
     @given(_MALFORMED)

@@ -32,6 +32,7 @@ from diecert.simulate import (
     HonestIIDDevice,
     MemorySwitcherDevice,
     NoisyDriftDevice,
+    Source,
     check_statistics_equivalence,
     estimate_abort_probability,
     run_protocol,
@@ -84,8 +85,8 @@ class BlockPairDevice(DeviceModel):
     def _lift(blocks2, embeds):
         return sum(e @ m @ e.conj().T for m, e in zip(blocks2, embeds))
 
-    def prepare_round(self, i, history, rng):
-        return self.state, self.alice_obs, self.bob_obs
+    def prepare_round(self, i, history):
+        return Source(self.state, self.alice_obs, self.bob_obs)
 
 
 class TestRunProtocol:
@@ -167,9 +168,9 @@ class TestRunProtocol:
         dev = MemorySwitcherDevice(even, odd)
         for _ in range(2):  # round 0 starts the count afresh
             for i in range(len(tr.rounds)):
-                state, _, _ = dev.prepare_round(i, tr.rounds[:i], None)
+                source = dev.prepare_round(i, tr.rounds[:i])
                 tests = sum(r.t for r in tr.rounds[:i])
-                assert state is (even if tests % 2 == 0 else odd).state
+                assert source.state is (even if tests % 2 == 0 else odd).state
 
     def test_drift_device_degrades(self):
         p = ProtocolParams(n=4000, gamma=1.0, omega_exp=0.75, delta_est=0.0)
@@ -202,6 +203,32 @@ class TestRunProtocol:
         monkeypatch.setattr(sim, "jordan_blocks", counted)
         run_protocol(NoisyDriftDevice(0.0, 1e-3), make_params(n=200), "modified", seed=6)
         assert len(calls) == 2  # one per party
+
+    def test_memory_switcher_builds_born_tables_once_per_strategy(self, monkeypatch):
+        import diecert.simulate as sim
+
+        calls = []
+        real = sim.born_probabilities
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sim, "born_probabilities", counted)
+        dev = MemorySwitcherDevice(
+            optimal_strategy(), optimal_measurement_strategy(werner_state(1.0))
+        )
+        run_protocol(dev, make_params(n=2000), seed=5, record_kept_states=False)
+        assert len(calls) <= 8  # one per (x, y) for each of the two strategies
+
+    def test_drift_device_in_standard_mode_builds_no_jordan_geometry(self, monkeypatch):
+        import diecert.simulate as sim
+
+        def forbidden(*args):
+            raise AssertionError("jordan_blocks called in standard mode")
+
+        monkeypatch.setattr(sim, "jordan_blocks", forbidden)
+        run_protocol(NoisyDriftDevice(0.0, 1e-3), make_params(n=200), seed=6)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValidationError):
@@ -352,6 +379,16 @@ class TestStatisticsEquivalence:
     def test_zero_trials_edge(self):
         report = check_statistics_equivalence(honest(), make_params(), trials=0)
         assert report["passed"] and report["trials"] == 0
+
+    def test_rejects_negative_trials_before_any_run(self, monkeypatch):
+        import diecert.simulate as sim
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("run_protocol called")
+
+        monkeypatch.setattr(sim, "run_protocol", forbidden)
+        with pytest.raises(ValidationError):
+            check_statistics_equivalence(honest(), make_params(), trials=-1)
 
 
 class TestTranscriptSerialization:
