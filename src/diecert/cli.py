@@ -79,10 +79,12 @@ def _convert(kind, v):
 
 
 def _list(kind):
-    """Parser of a comma-separated string or a JSON list of `kind` values."""
+    """Parser of a comma-separated string or a JSON list of at least one `kind` value."""
 
     def parse(v):
         items = [x for x in v.split(",") if x.strip()] if isinstance(v, str) else v
+        if not items:
+            raise ValueError("needs at least one value")
         return [_convert(kind, x) for x in items]
 
     return parse
@@ -132,6 +134,8 @@ def _write_text(out_path, text):
 def _omega_grid(cfg, default_min, default_max, default_step):
     values = cfg.get("omega_values", kind=_list(float))
     if values:
+        if any(cfg.get(f"omega_{end}") is not None for end in ("min", "max", "step")):
+            raise ValidationError("--omega-values excludes --omega-min, --omega-max, --omega-step")
         return values
     lo = cfg.get("omega_min", default_min, float)
     hi = cfg.get("omega_max", default_max, float)
@@ -219,8 +223,6 @@ def cmd_curve(cfg: _Config) -> int:
     n_list = cfg.get("n_values", "1e6,1e7,1e8,1e10,1e12", _list(_count))
     omegas = _omega_grid(cfg, 0.78, 0.853, 0.00365)
     asymptotic = cfg.get("asymptotic", False, bool)
-    if not omegas and not asymptotic:
-        raise ValidationError("empty curve grid")
     eps_dist, eps_snd, eps_cmp = _eps_budget(cfg)
     mode = cfg.get("mode", "printed", _choice(rates.MODES))
 
@@ -305,7 +307,7 @@ def cmd_simulate(cfg: _Config) -> int:
 
     first, estimate, interval = simulate.run_trials(model, params, trials, seed, protocol_mode)
     _write_text(cfg.get("out", kind=str), first.serialize())
-    tests = sum(1 for r in first.rounds if r.t == 1)
+    tests = sum(r.t for r in first.rounds)
     summary = {
         "abort_estimate": _round6(estimate),
         "interval": [_round6(interval[0]), _round6(interval[1])],

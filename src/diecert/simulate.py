@@ -23,10 +23,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, count, islice
-from operator import attrgetter
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,9 +128,9 @@ class NoisyDriftDevice(DeviceModel):
         return self._source
 
 
-@dataclass
-class RoundRecord:
-    """Classical registers of one round; None encodes the unset symbol."""
+class RoundRecord(NamedTuple):
+    """Classical registers of one round, in transcript column order, then the
+    kept state; None encodes the unset symbol."""
 
     t: int
     x: int | None = None
@@ -139,11 +140,13 @@ class RoundRecord:
     w: int | None = None
     c: int | None = None
     d: int | None = None
-    kept_state: TwoQubitState | None = field(default=None, compare=False, repr=False)
+    kept_state: TwoQubitState | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class Transcript:
+    """One run. Compared by identity: rows hold state arrays; compare `serialize()`."""
+
     rounds: list[RoundRecord]
     params: ProtocolParams
     aborted: bool
@@ -157,17 +160,14 @@ class Transcript:
             f"# n={p.n} gamma={p.gamma!r} omega_exp={p.omega_exp!r} "
             f"delta_est={p.delta_est!r} seed={self.seed} mode={self.mode} "
             f"aborted={self.aborted} win_count={self.win_count}",
-            "i,t,x,y,a,b,w,c,d",
+            ",".join(("i", *RoundRecord._fields[:-1])),
         ]
-
-        def cell(v):
-            return "" if v is None else str(v)
-
+        text = {}  # the cells of each distinct register tuple; a run has few
         for i, r in enumerate(self.rounds):
-            lines.append(
-                f"{i},{r.t},{cell(r.x)},{cell(r.y)},{cell(r.a)},{cell(r.b)},"
-                f"{cell(r.w)},{cell(r.c)},{cell(r.d)}"
-            )
+            cells = r[:-1]
+            if cells not in text:
+                text[cells] = ",".join("" if v is None else str(v) for v in cells)
+            lines.append(f"{i},{text[cells]}")
         return "\n".join(lines) + "\n"
 
 
@@ -285,7 +285,7 @@ def run_protocol(
     test_draws = (_stream(seed, _STREAM_TEST).random(n) < params.gamma).tolist()
     input_draws = _stream(seed, _STREAM_INPUT).integers(0, 2, size=(n, 2)).tolist()
     outcome_draws = _stream(seed, _STREAM_OUTCOME).random(n).tolist()
-    block_draws = _stream(seed, _STREAM_BLOCK).random(n).tolist()
+    block_draws = _stream(seed, _STREAM_BLOCK).random(n).tolist() if modified else None
 
     source = None
     rounds = []
@@ -303,11 +303,11 @@ def run_protocol(
             a, b = k >> 1, k & 1
             w = 1 if (a ^ b) == (x & y) else 0
             win_count += w
-            rounds.append(RoundRecord(t=1, x=x, y=y, a=a, b=b, w=w))
+            rounds.append(RoundRecord(1, x, y, a, b, w))
         else:
             kept = source.kept(pair) if record_kept_states else None
             c, d = pair if pair else (None, None)
-            rounds.append(RoundRecord(t=0, c=c, d=d, kept_state=kept))
+            rounds.append(RoundRecord(0, None, None, None, None, None, c, d, kept))
 
     return Transcript(
         rounds=rounds,
@@ -395,7 +395,7 @@ def run_trials(
     return first, aborts / trials, wilson_interval(aborts, trials)
 
 
-_REGISTERS = ("t", "x", "y", "a", "b", "w")
+_REGISTERS = RoundRecord._fields[:6]
 
 
 def _register_counts(transcripts):
@@ -403,8 +403,8 @@ def _register_counts(transcripts):
     aborted runs, reading the transcripts one at a time."""
     counts, aborts = {name: Counter() for name in _REGISTERS}, 0
     for tr in transcripts:
-        for name, c in counts.items():
-            c.update(map(attrgetter(name), tr.rounds))
+        for k, c in enumerate(counts.values()):
+            c.update(map(itemgetter(k), tr.rounds))
         aborts += tr.aborted
     return counts, aborts
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,6 +73,11 @@ class TestGCurve:
         with pytest.raises(ValidationError):
             g(0.99)
 
+    def test_derivative_rejects_superquantum(self):
+        # at OMEGA_MAX itself the h argument rounds to 5.6e-17 and g' is defined
+        with pytest.raises(ValidationError, match="g' undefined at omega=0.9"):
+            g_prime(0.9)
+
     def test_reference_curve(self):
         for omega, bound in ENTROPY_CURVE:
             assert g(omega) == pytest.approx(bound, abs=2e-4)
@@ -110,6 +116,11 @@ class TestAnalyticBound:
         lam = optimal_spectrum(beta).as_array()
         assert lam[0] == pytest.approx(lo * lo, abs=1e-12)
         assert lam[1] == pytest.approx(lam[3], abs=1e-15)
+
+    def test_result_checks_its_conditional_bound(self):
+        res = bell_diag_entropy_bound(ORACLE_BETA)
+        with pytest.raises(ValidationError, match="must equal total entropy minus 1"):
+            replace(res, conditional_bound=res.max_total_entropy)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):

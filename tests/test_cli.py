@@ -185,6 +185,13 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "rate", "--config", "/nonexistent.json")
         assert code == 1
 
+    def test_config_must_be_an_object(self, capsys, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text("[1]")
+        code, _, err = run_cli(capsys, "rate", "--config", str(cfgfile))
+        assert code == 1
+        assert "error: config file must contain a JSON object" in err
+
 
 class TestSimulate:
     def test_golden_summary_and_transcript(self, capsys, tmp_path):
@@ -323,6 +330,11 @@ class TestMalformedInput:
         ["simulate", "--n", "100", "--omega-exp", "0.8", "--trials", "2",
          "--config", str(CONFIGS / "xi_bool.json")],
         ["entropy-curve", "--config", str(CONFIGS / "omega_values_bool.json")],
+        # an explicitly given list has at least one element
+        ["entropy-curve", "--omega-values", ""],
+        ["entropy-curve", "--config", str(CONFIGS / "omega_values_empty.json")],
+        ["curve", "--n-values", ""],
+        ["verify-bound", "--beta-values", ""],
     ], ids=["rate-n-inf", "rate-n-abc", "table-two-bits", "simulate-n-1e30",
             "simulate-trials-1e9", "simulate-seed-negative", "entropy-curve-step-1e-12",
             "entropy-curve-nan", "verify-bound-step-1e-9", "rate-omega-exp-abc",
@@ -331,7 +343,9 @@ class TestMalformedInput:
             "rate-eps-smo-alone", "rate-delta-est-alone", "rate-eps-snd-0",
             "curve-eps-snd-0", "config-not-utf8", "config-trials-bool",
             "config-table-bool", "config-gamma-bool", "config-xi-bool",
-            "config-omega-values-bool"])
+            "config-omega-values-bool", "entropy-curve-omega-values-empty",
+            "config-omega-values-empty", "curve-n-values-empty",
+            "verify-bound-beta-values-empty"])
     def test_rejected_with_error_line(self, argv):
         code, err = _run_quietly(argv)
         assert code == 1
@@ -347,6 +361,20 @@ class TestMalformedInput:
         code, err = _run_quietly([*argv, "--config", str(CONFIGS / f"{option}_bool.json")])
         assert code == 1
         assert f"error: --{option.replace('_', '-')}: True is not a value here" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["entropy-curve", "--omega-values", "0.8", "--omega-min", "0.76", "--omega-max", "0.77",
+         "--omega-step", "0.005"],
+        ["curve", "--n-values", "1e6", "--omega-values", "0.8", "--omega-step", "0.005"],
+    ], ids=["entropy-curve", "curve"])
+    def test_omega_values_exclude_range_flags(self, argv, tmp_path):
+        # a range flag beside the list would be dropped without a word
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"omega_min": 0.76}))
+        for args in (argv, [*argv[:argv.index("--omega-values") + 2], "--config", str(cfgfile)]):
+            code, err = _run_quietly(args)
+            assert code == 1
+            assert "error: --omega-values excludes --omega-min" in err
 
     @pytest.mark.filterwarnings("ignore:omega_exp")  # tiny n: vacuous threshold
     @given(_MALFORMED)

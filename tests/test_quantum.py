@@ -16,6 +16,7 @@ from diecert.quantum import (
     bell_diagonal_entries,
     bell_spectrum,
     block_projectors,
+    clean_eigenvalues,
     conditional_entropy,
     jordan_blocks,
     observables_from_blocks,
@@ -61,6 +62,23 @@ class TestValidation:
         with pytest.raises(ValidationError):
             BellDiagonalSpectrum(0.5, 0.5, 0.5, 0.5)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: TwoQubitState(np.zeros((4, 3))), "density matrix must be square"),
+        (lambda: TwoQubitState(np.eye(2) / 2), "two-qubit state must be 4x4"),
+        (lambda: Observable(np.zeros((2, 3))), "observable must be square"),
+        (lambda: Observable(np.array([[0, 1], [0, 0]])), "observable is not Hermitian"),
+        (lambda: BellDiagonalSpectrum(1.5, -0.5, 0, 0), "spectrum has negative entry"),
+        (lambda: clean_eigenvalues(np.array([-0.1])), "eigenvalue -0.1 below"),
+        (lambda: clean_eigenvalues(np.array([1.1])), "eigenvalue 1.1 above"),
+        (lambda: jordan_blocks(Observable(SIGMA_Z), Observable(np.diag([1.0, 1.0, -1.0, -1.0]))),
+         "observable dimensions differ: 2 vs 4"),
+    ], ids=["state-not-square", "state-not-4x4", "observable-not-square",
+            "observable-not-hermitian", "spectrum-negative", "eigenvalue-below-0",
+            "eigenvalue-above-1", "jordan-dimensions-differ"])
+    def test_rejects_malformed(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
+
 
 class TestPartialTrace:
     def test_maximally_entangled_marginal(self):
@@ -77,6 +95,10 @@ class TestPartialTrace:
     def test_werner_marginal(self):
         reduced = partial_trace(werner_state(0.3), keep="B")
         assert np.allclose(reduced, np.eye(2) / 2, atol=1e-12)
+
+    def test_rejects_unknown_side(self):
+        with pytest.raises(ValueError, match="keep must be 'A' or 'B', got 'C'"):
+            partial_trace(werner_state(0.3), "C")
 
 
 class TestEntropies:

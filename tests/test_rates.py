@@ -121,6 +121,11 @@ class TestTradeoff:
         fd = FrequencyDistribution.from_score(OMEGA_MAX, 1.0)
         assert tradeoff_f(fd, 1.0) == 0
 
+    def test_gamma_must_be_positive(self):
+        fd = FrequencyDistribution.from_score(0.04, 0.05)
+        with pytest.raises(ValidationError, match="gamma must be positive"):
+            tradeoff_f(fd, 0)
+
     def test_frequency_must_match_gamma(self):
         fd = FrequencyDistribution.from_score(0.04, 0.05)
         with pytest.raises(ValidationError):
@@ -311,6 +316,13 @@ class TestCertificates:
 
         with pytest.raises(ValidationError):
             replace(cert, log_l=cert.log_l + 1)
+
+    def test_rate_raw_consistency_enforced(self):
+        cert = certified_log_l(params(), budget())
+        from dataclasses import replace
+
+        with pytest.raises(ValidationError, match="rate_raw must equal log_l / n"):
+            replace(cert, rate_raw=cert.rate_raw + 1)
 
     def test_rate_monotone_in_score(self):
         b = budget()

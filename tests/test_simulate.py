@@ -230,9 +230,29 @@ class TestRunProtocol:
         monkeypatch.setattr(sim, "jordan_blocks", forbidden)
         run_protocol(NoisyDriftDevice(0.0, 1e-3), make_params(n=200), seed=6)
 
+    def test_standard_mode_draws_no_block_pairs(self, monkeypatch):
+        import diecert.simulate as sim
+
+        purposes = []
+        real = sim._stream
+
+        def recorded(seed, purpose):
+            purposes.append(purpose)
+            return real(seed, purpose)
+
+        monkeypatch.setattr(sim, "_stream", recorded)
+        run_protocol(honest(), make_params(n=50), seed=3)
+        assert purposes and sim._STREAM_BLOCK not in purposes
+        run_protocol(honest(), make_params(n=50), mode="modified", seed=3)
+        assert sim._STREAM_BLOCK in purposes
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValidationError):
             run_protocol(honest(), make_params(n=10), mode="hybrid")
+
+    def test_base_model_plays_nothing(self):
+        with pytest.raises(NotImplementedError):
+            DeviceModel().prepare_round(0, [])
 
     def test_standard_mode_has_no_block_registers(self):
         tr = run_protocol(honest(), make_params(n=200), mode="standard", seed=4)
@@ -281,6 +301,11 @@ class TestKeptStates:
                 assert np.allclose(spec, expected, atol=1e-10)
         kept_total = sum(seen.values())
         assert seen[(0, 0)] / kept_total == pytest.approx(dev.weights[0], abs=0.05)
+
+    def test_block_pair_of_zero_weight_has_no_kept_state(self):
+        source = BlockPairDevice(weights=(1.0, 0.0)).prepare_round(0, [])
+        with pytest.raises(ValidationError, match=r"block pair \(1, 1\) has vanishing probability"):
+            source.kept((1, 1))
 
     def test_record_kept_states_flag(self):
         tr = run_protocol(
