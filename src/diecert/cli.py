@@ -1,12 +1,13 @@
 """Command-line interface.
 
-Subcommands: rate, curve, entropy-curve, simulate, verify-bound, verify-twirl.
+Subcommands: rate, curve, entropy-curve, simulate.
 All outputs are deterministic for a fixed configuration and seed. Numbers are
 printed with 6 significant digits; --exact adds a full-precision JSON dump.
 Options may also come from a JSON config file (--config); explicit flags win.
 
 Exit codes: 0 success, 1 validation error (a malformed or missing option), 2
-verification failure or an unknown flag, a flag without a value or no command.
+an argparse structure error: an unknown subcommand or flag, a flag without a
+value or no command.
 """
 
 from __future__ import annotations
@@ -16,18 +17,9 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import bounds, rates, simulate
-from .chsh import BETA_MAX, OMEGA_MAX, optimal_strategy, Strategy
-from .quantum import (
-    BELL_BASIS,
-    TwoQubitState,
-    ValidationError,
-    bell_diagonal_entries,
-    twirl,
-    werner_state,
-)
+from .chsh import OMEGA_MAX, optimal_strategy, Strategy
+from .quantum import ValidationError, werner_state
 
 
 def _fmt(v) -> str:
@@ -82,10 +74,13 @@ def _list(kind):
     """Parser of a comma-separated string or a JSON list of at least one `kind` value."""
 
     def parse(v):
-        items = [x for x in v.split(",") if x.strip()] if isinstance(v, str) else v
-        if not items:
+        if isinstance(v, str):
+            v = [x for x in v.split(",") if x.strip()]
+        if not isinstance(v, list):
+            raise ValueError(f"{v!r} is not a list")
+        if not v:
             raise ValueError("needs at least one value")
-        return [_convert(kind, x) for x in items]
+        return [_convert(kind, x) for x in v]
 
     return parse
 
@@ -318,58 +313,6 @@ def cmd_simulate(cfg: _Config) -> int:
     return 0
 
 
-def cmd_verify_bound(cfg: _Config) -> int:
-    betas = cfg.get("beta_values", kind=_list(float)) or list(
-        np.linspace(2.05, BETA_MAX, 20)
-    )
-    grid_step = cfg.get("grid_step", 1e-3, float)
-    worst = 0.0
-    for beta in betas:
-        analytic = bounds.max_total_entropy(beta)
-        _, found = bounds.brute_force_max_entropy(min(beta, BETA_MAX), grid_step)
-        dev = abs(found - analytic)
-        worst = max(worst, dev)
-        print(f"beta={_fmt(float(beta))} analytic={_fmt(analytic)} "
-              f"brute_force={_fmt(found)} deviation={_fmt(dev)}")
-    print(f"max_deviation = {_fmt(worst)}")
-    if worst > 1e-3:
-        print("verification FAILED", file=sys.stderr)
-        return 2
-    return 0
-
-
-def cmd_verify_twirl(cfg: _Config) -> int:
-    rng = np.random.default_rng(cfg.get("seed", 0, _natural))
-    failures = []
-    for k in range(100):
-        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        dens = raw @ raw.conj().T
-        state = TwoQubitState(dens / np.trace(dens).real)
-        out = twirl(state)
-        in_bell = bell_diagonal_entries(out)
-        off = in_bell - np.diag(np.diag(in_bell))
-        if np.max(np.abs(off)) >= 1e-12:
-            failures.append(f"state {k}: off-diagonal {np.max(np.abs(off)):.3g}")
-        again = twirl(out)
-        if np.max(np.abs(again.matrix - out.matrix)) > 1e-12:
-            failures.append(f"state {k}: twirl not idempotent")
-        din = np.diag(bell_diagonal_entries(state))
-        dout = np.diag(in_bell)
-        if np.max(np.abs(din - dout)) > 1e-12:
-            failures.append(f"state {k}: Bell diagonal not preserved")
-    for vec in BELL_BASIS.T:
-        pure = TwoQubitState(np.outer(vec, vec.conj()))
-        if np.max(np.abs(twirl(pure).matrix - pure.matrix)) > 1e-14:
-            failures.append("Bell state not a fixed point")
-    mixed = TwoQubitState(np.eye(4) / 4)
-    if np.max(np.abs(twirl(mixed).matrix - mixed.matrix)) > 1e-14:
-        failures.append("maximally mixed state not a fixed point")
-    print(f"checked 100 random states and 5 fixed points; failures: {len(failures)}")
-    for f in failures:
-        print(f"  {f}", file=sys.stderr)
-    return 2 if failures else 0
-
-
 # subcommand: (handler, help, the flags besides --config that it reads)
 _COMMANDS = {
     "rate": (cmd_rate, "certified rate for one parameter point",
@@ -382,9 +325,6 @@ _COMMANDS = {
     "simulate": (cmd_simulate, "run the protocol against a device model",
                  "model n gamma omega-exp delta-est eps-cmp trials protocol xi xi-slope "
                  "table seed out"),
-    "verify-bound": (cmd_verify_bound, "brute-force oracle vs analytic bound",
-                     "beta-values grid-step"),
-    "verify-twirl": (cmd_verify_twirl, "twirl structure property suite", "seed"),
 }
 _SWITCHES = ("exact", "asymptotic")
 _HELP = {

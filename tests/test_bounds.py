@@ -164,6 +164,8 @@ class TestBruteForce:
             brute_force_max_entropy(2.0, grid_step=0.01)
         with pytest.raises(ValidationError):
             brute_force_max_entropy(2.5, grid_step=0.2)
+        with pytest.raises(ValidationError):
+            brute_force_max_entropy(2.5, grid_step=1e-9)
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=2.05, max_value=BETA_MAX))

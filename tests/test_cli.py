@@ -244,25 +244,6 @@ class TestSimulate:
         assert "unknown model" in err
 
 
-class TestVerifyBound:
-    def test_passes_on_default_tolerance(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify-bound", "--beta-values", "2.2,2.5,2.8",
-            "--grid-step", "0.01",
-        )
-        assert code == 0
-        assert "max_deviation" in out
-        last = out.strip().splitlines()[-1]
-        assert float(last.split(" = ")[1]) <= 1e-3
-
-
-class TestVerifyTwirl:
-    def test_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "verify-twirl", "--seed", "0")
-        assert code == 0
-        assert "failures: 0" in out
-
-
 def _run_quietly(argv):
     """Exit code and stderr of cli.main, counting argparse's exit as a code."""
     err = io.StringIO()
@@ -303,7 +284,6 @@ class TestMalformedInput:
         # about 10^11 points if it were built
         ["entropy-curve", "--omega-step", "1e-12"],
         ["entropy-curve", "--omega-values", "nan"],
-        ["verify-bound", "--grid-step", "1e-9"],
         ["rate", "--n", "1e6", "--omega-exp", "abc"],
         ["simulate", "--n", "100", "--omega-exp", "0.8", "--gamma", "abc"],
         ["simulate", "--n", "100", "--omega-exp", "0.8", "--trials", "1.5"],
@@ -334,18 +314,16 @@ class TestMalformedInput:
         ["entropy-curve", "--omega-values", ""],
         ["entropy-curve", "--config", str(CONFIGS / "omega_values_empty.json")],
         ["curve", "--n-values", ""],
-        ["verify-bound", "--beta-values", ""],
     ], ids=["rate-n-inf", "rate-n-abc", "table-two-bits", "simulate-n-1e30",
             "simulate-trials-1e9", "simulate-seed-negative", "entropy-curve-step-1e-12",
-            "entropy-curve-nan", "verify-bound-step-1e-9", "rate-omega-exp-abc",
+            "entropy-curve-nan", "rate-omega-exp-abc",
             "simulate-gamma-abc", "simulate-trials-1.5", "rate-mode-bogus",
             "config-exact-string", "config-asymptotic-string", "rate-gamma-alone",
             "rate-eps-smo-alone", "rate-delta-est-alone", "rate-eps-snd-0",
             "curve-eps-snd-0", "config-not-utf8", "config-trials-bool",
             "config-table-bool", "config-gamma-bool", "config-xi-bool",
             "config-omega-values-bool", "entropy-curve-omega-values-empty",
-            "config-omega-values-empty", "curve-n-values-empty",
-            "verify-bound-beta-values-empty"])
+            "config-omega-values-empty", "curve-n-values-empty"])
     def test_rejected_with_error_line(self, argv):
         code, err = _run_quietly(argv)
         assert code == 1
@@ -361,6 +339,25 @@ class TestMalformedInput:
         code, err = _run_quietly([*argv, "--config", str(CONFIGS / f"{option}_bool.json")])
         assert code == 1
         assert f"error: --{option.replace('_', '-')}: True is not a value here" in err
+
+    @pytest.mark.parametrize("option, argv, config", [
+        ("omega-values", ["entropy-curve"], "omega_values_int"),
+        ("omega-values", ["entropy-curve"], "omega_values_zero"),
+        # an object's keys would be read as the list
+        ("n-values", ["curve", "--omega-values", "0.84"], "n_values_object"),
+        ("table", ["simulate", "--model", "classical", "--n", "100", "--omega-exp", "0.8"],
+         "table_int"),
+    ], ids=["omega-values-5", "omega-values-0", "n-values-object", "table-1"])
+    def test_list_option_rejects_a_json_scalar_or_object(self, option, argv, config):
+        code, err = _run_quietly([*argv, "--config", str(CONFIGS / f"{config}.json")])
+        assert code == 1
+        assert f"error: --{option}: " in err and "is not a list" in err
+
+    @pytest.mark.parametrize("command", ["verify-bound", "verify-twirl"])
+    def test_removed_subcommand_is_an_invalid_choice(self, command):
+        code, err = _run_quietly([command])
+        assert code == 2
+        assert "invalid choice" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["entropy-curve", "--omega-values", "0.8", "--omega-min", "0.76", "--omega-max", "0.77",
@@ -418,13 +415,6 @@ _REMOVED_FLAGS = [
     ("entropy-curve", "--exact"),
     ("simulate", "--mode", "printed"),
     ("simulate", "--exact"),
-    ("verify-bound", "--seed", "1"),
-    ("verify-bound", "--out", "OUT"),
-    ("verify-bound", "--mode", "printed"),
-    ("verify-bound", "--exact"),
-    ("verify-twirl", "--out", "OUT"),
-    ("verify-twirl", "--mode", "printed"),
-    ("verify-twirl", "--exact"),
 ]
 
 
