@@ -272,6 +272,8 @@ def _build_model(cfg: _Config) -> simulate.DeviceModel:
             raise ValidationError(f"--table needs four bits a0,a1,b0,b1, got {table}")
         return simulate.ClassicalDeterministicDevice(*table)
     if name == "memory":
+        if not 0 <= xi <= 1:  # before the 0.5 floor below hides it
+            raise ValidationError(f"--xi={xi} outside [0, 1]")
         noisy = Strategy(
             state=werner_state(max(xi, 0.5)).matrix,
             alice_observables=opt.alice_observables,

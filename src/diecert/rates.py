@@ -15,9 +15,11 @@ Each rule has one home: `_f` is the only piecewise f and `_fmax` its tangent
 completion (`tradeoff_f`, `tradeoff_fmax` and `eta` are views over them);
 `_v_half` is v/2, `_kappa` the smoothing factor and its domain,
 `_cutoff_score` the cutoff's domain, `_budget_term` the log(1/eps) term and
-`ErrorBudget` the budget's ranges, checked before any search. `_minimize` is
-the only search: a fixed scan grid plus golden section, used for the cutoff
-in eta_opt and, on the negated rate, for gamma and eps_smo; runs are bit-identical.
+`ErrorBudget` the budget's ranges, checked before any search. `RateCertificate`
+keeps what eta_opt found and derives v, log L and the rate from it, so log L
+has one formula. `_minimize` is the only search: a fixed scan grid plus golden
+section, used for the cutoff in eta_opt and, on the negated rate of the
+certificates it returns, for gamma and eps_smo; runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -106,25 +108,33 @@ class FrequencyDistribution:
 
 @dataclass(frozen=True)
 class RateCertificate:
+    """eta_opt and its cutoff p_t at `params` and `errors`; v, log L and the
+    rate derive from them."""
+
     eta_opt_value: float
     minimizer_pt: FrequencyDistribution
-    second_order_v: float
-    log_l: float
-    rate_raw: float
-    rate: float
     params: ProtocolParams
     errors: ErrorBudget
     mode: str = "printed"
 
-    def __post_init__(self):
-        n = self.params.n
-        expected_log_l = -n * self.eta_opt_value - _budget_term(
-            self.errors.eps_dist, self.errors.eps_smo
-        )
-        if abs(self.log_l - expected_log_l) > 1e-9 * max(1, abs(expected_log_l)):
-            raise ValidationError("log_l inconsistent with eta_opt and the budget")
-        if abs(self.rate_raw - self.log_l / n) > 1e-9:
-            raise ValidationError("rate_raw must equal log_l / n")
+    @property
+    def second_order_v(self) -> float:
+        """v at the cutoff score p_t(1)/gamma, recovered from p_t (not eta_opt's own)."""
+        gamma = self.params.gamma
+        return 2 * _v_half(self.minimizer_pt.p1 / gamma, gamma, self.mode)
+
+    @property
+    def log_l(self) -> float:
+        budget = _budget_term(self.errors.eps_dist, self.errors.eps_smo)
+        return -self.params.n * self.eta_opt_value - budget
+
+    @property
+    def rate_raw(self) -> float:
+        return self.log_l / self.params.n
+
+    @property
+    def rate(self) -> float:
+        return max(self.rate_raw, 0.0)
 
 
 def _f(w: float, gamma: float) -> float:
@@ -242,8 +252,18 @@ def eta(
     return _eta_scalar(wt, p1_observed, params.gamma, params.n, kappa, mode)
 
 
-def _eta_opt_scalar(n, gamma, omega_exp, delta_est, kappa, mode):
-    p1_obs = omega_exp * gamma - delta_est
+def eta_opt(
+    params: ProtocolParams, budget: ErrorBudget, mode: str = "printed"
+) -> tuple[float, FrequencyDistribution]:
+    """Minimize eta over the cutoff score: 200-point scan, then golden section.
+
+    Returns the achieved minimum and the minimizing cutoff distribution.
+    """
+    n, gamma = params.n, params.gamma
+    if gamma <= 0:
+        raise ValidationError("gamma must be positive")
+    kappa = _kappa(budget.eps_smo, budget.eps_snd)
+    p1_obs = params.omega_exp * gamma - params.delta_est
     lo, hi = 0.75 + _EDGE, OMEGA_MAX - _EDGE
 
     def obj(wt):
@@ -252,23 +272,7 @@ def _eta_opt_scalar(n, gamma, omega_exp, delta_est, kappa, mode):
     npts = 200
     step = (hi - lo) / (npts - 1)
     wt = _minimize(obj, [lo + i * step for i in range(npts)], 1e-9)[0]
-    return obj(wt), wt
-
-
-def eta_opt(
-    params: ProtocolParams, budget: ErrorBudget, mode: str = "printed"
-) -> tuple[float, FrequencyDistribution]:
-    """Minimize eta over the cutoff score: 200-point scan, then golden section.
-
-    Returns the achieved minimum and the minimizing cutoff distribution.
-    """
-    if params.gamma <= 0:
-        raise ValidationError("gamma must be positive")
-    kappa = _kappa(budget.eps_smo, budget.eps_snd)
-    value, wt = _eta_opt_scalar(
-        params.n, params.gamma, params.omega_exp, params.delta_est, kappa, mode
-    )
-    return value, FrequencyDistribution.from_score(wt * params.gamma, params.gamma)
+    return obj(wt), FrequencyDistribution.from_score(wt * gamma, gamma)
 
 
 def completeness_bound(n: int, delta_est: float) -> float:
@@ -287,27 +291,7 @@ def certified_log_l(
     params: ProtocolParams, budget: ErrorBudget, mode: str = "printed"
 ) -> RateCertificate:
     """Certified log L and rate for fixed parameters and budget."""
-    value, minimizer = eta_opt(params, budget, mode)
-    v = 2 * _v_half(minimizer.p1 / params.gamma, params.gamma, mode)
-    log_l = -params.n * value - _budget_term(budget.eps_dist, budget.eps_smo)
-    rate_raw = log_l / params.n
-    return RateCertificate(
-        eta_opt_value=value,
-        minimizer_pt=minimizer,
-        second_order_v=v,
-        log_l=log_l,
-        rate_raw=rate_raw,
-        rate=max(rate_raw, 0.0),
-        params=params,
-        errors=budget,
-        mode=mode,
-    )
-
-
-def _rate_raw(n, gamma, omega_exp, delta_est, eps_dist, eps_snd, eps_smo, mode):
-    kappa = _kappa(eps_smo, eps_snd)
-    value, _ = _eta_opt_scalar(n, gamma, omega_exp, delta_est, kappa, mode)
-    return -value - _budget_term(eps_dist, eps_smo) / n
+    return RateCertificate(*eta_opt(params, budget, mode), params, budget, mode)
 
 
 def optimize_parameters(
@@ -329,41 +313,34 @@ def optimize_parameters(
     ErrorBudget(eps_dist, eps_snd, eps_cmp, eps_smo=0.0)
     sqrt_dist = math.sqrt(eps_dist)
 
+    def certificate(gamma, smo):
+        params = ProtocolParams(n, gamma, omega_exp, delta_est)
+        return certified_log_l(params, ErrorBudget(eps_dist, eps_snd, eps_cmp, smo), mode)
+
     memo = {}
 
     def best_over_smo(gamma):
-        if gamma in memo:
-            return memo[gamma]
-        # require a non-vacuous threshold above the classical score
-        if omega_exp * gamma - delta_est <= 0.75 * gamma + 1e-15:
-            memo[gamma] = (-math.inf, sqrt_dist / 2)
-            return memo[gamma]
-
-        def r(smo):
-            return _rate_raw(n, gamma, omega_exp, delta_est, eps_dist, eps_snd, smo, mode)
-
-        top = math.log10(sqrt_dist * 0.9999)
-        lgs = [top - 3 + 3 * i / 19 for i in range(20)]
-        smo = 10 ** _minimize(lambda lg: -r(10**lg), lgs, 1e-4)[0]
-        memo[gamma] = (r(smo), smo)
+        """The best certificate at gamma, or None if its threshold is vacuous."""
+        if gamma not in memo:
+            memo[gamma] = None
+            # require a non-vacuous threshold above the classical score
+            if omega_exp * gamma - delta_est > 0.75 * gamma + 1e-15:
+                top = math.log10(sqrt_dist * 0.9999)
+                lgs = [top - 3 + 3 * i / 19 for i in range(20)]
+                lg = _minimize(lambda lg: -certificate(gamma, 10**lg).rate_raw, lgs, 1e-4)[0]
+                memo[gamma] = certificate(gamma, 10**lg)
         return memo[gamma]
 
-    lgs = [-6 + 6 * i / 59 for i in range(60)]
-    lg, bi, neg_best = _minimize(lambda lg: -best_over_smo(10**lg)[0], lgs, 1e-4)
-    gamma = 10**lg
-    val, smo = best_over_smo(gamma)
-    if not math.isfinite(val) or val <= -neg_best:
-        gamma = 10 ** lgs[bi]
-        val, smo = best_over_smo(gamma)
+    def neg_rate(lg):
+        best = best_over_smo(10**lg)
+        return math.inf if best is None else -best.rate_raw
 
-    if not math.isfinite(val):
-        # nothing certifiable: report a zero-rate certificate at safe defaults
-        gamma, smo = 1.0, sqrt_dist / 2
-    params = ProtocolParams(n=n, gamma=gamma, omega_exp=omega_exp, delta_est=delta_est)
-    budget = ErrorBudget(
-        eps_dist=eps_dist, eps_snd=eps_snd, eps_cmp=eps_cmp, eps_smo=smo
-    )
-    return certified_log_l(params, budget, mode)
+    lgs = [-6 + 6 * i / 59 for i in range(60)]
+    lg, bi, neg_best = _minimize(neg_rate, lgs, 1e-4)
+    if not neg_rate(lg) < neg_best:
+        lg = lgs[bi]
+    # nothing certifiable: report a zero-rate certificate at safe defaults
+    return best_over_smo(10**lg) or certificate(1.0, sqrt_dist / 2)
 
 
 def asymptotic_rate(omega: float) -> float:

@@ -113,11 +113,16 @@ class MemorySwitcherDevice(DeviceModel):
 
 
 class NoisyDriftDevice(DeviceModel):
-    """Werner source whose noise grows linearly with the round index."""
+    """Werner source whose noise xi_start in [0, 1] moves by a finite xi_slope
+    per round, clamped to [0, 1]."""
 
     def __init__(self, xi_start: float, xi_slope: float):
         from .chsh import optimal_strategy
 
+        if not 0 <= xi_start <= 1:
+            raise ValidationError(f"xi_start={xi_start} outside [0, 1]")
+        if not math.isfinite(xi_slope):
+            raise ValidationError(f"xi_slope={xi_slope} is not finite")
         self.xi_start = xi_start
         self.xi_slope = xi_slope
         self._source = Source.of(optimal_strategy())

@@ -123,15 +123,22 @@ class TestRate:
         assert record["rate"] == max(record["rate_raw"], 0.0)
 
     def test_optimizing_path(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "rate", "--n", "1e6", "--omega-exp", "0.83225",
-            "--mode", "ceiling",
-        )
+        point = ["rate", "--n", "1e6", "--omega-exp", "0.83225", "--mode", "ceiling"]
+        code, out, _ = run_cli(capsys, *point, "--exact")
         assert code == 0
         values = dict(
             line.split(" = ") for line in out.strip().splitlines() if " = " in line
         )
         assert float(values["rate"]) == pytest.approx(0.081133, abs=0.01)
+        # the search returns the certificate of the parameters it reports
+        exact = out.strip().splitlines()[-1]
+        found = json.loads(exact)
+        fixed = [
+            f"--{k.replace('_', '-')}={found[k]!r}" for k in ("gamma", "eps_smo", "delta_est")
+        ]
+        code, again, _ = run_cli(capsys, *point, *fixed, "--exact")
+        assert code == 0
+        assert again.strip().splitlines()[-1] == exact
 
     def test_low_score_certifies_nothing(self, capsys):
         # the observed score 0.76 - 0.3/0.5 = 0.16 is far below 3/4
@@ -314,6 +321,12 @@ class TestMalformedInput:
         ["entropy-curve", "--omega-values", ""],
         ["entropy-curve", "--config", str(CONFIGS / "omega_values_empty.json")],
         ["curve", "--n-values", ""],
+        # a device's noise parameter lies in [0, 1] and its drift is finite
+        ["simulate", "--model", "drift", "--xi", "2", "--n", "100", "--omega-exp", "0.8"],
+        ["simulate", "--model", "drift", "--xi", "-0.5", "--n", "100", "--omega-exp", "0.8"],
+        ["simulate", "--model", "memory", "--xi", "-5", "--n", "100", "--omega-exp", "0.8"],
+        ["simulate", "--model", "drift", "--xi-slope", "nan", "--n", "100",
+         "--omega-exp", "0.8"],
     ], ids=["rate-n-inf", "rate-n-abc", "table-two-bits", "simulate-n-1e30",
             "simulate-trials-1e9", "simulate-seed-negative", "entropy-curve-step-1e-12",
             "entropy-curve-nan", "rate-omega-exp-abc",
@@ -323,7 +336,8 @@ class TestMalformedInput:
             "curve-eps-snd-0", "config-not-utf8", "config-trials-bool",
             "config-table-bool", "config-gamma-bool", "config-xi-bool",
             "config-omega-values-bool", "entropy-curve-omega-values-empty",
-            "config-omega-values-empty", "curve-n-values-empty"])
+            "config-omega-values-empty", "curve-n-values-empty", "drift-xi-2",
+            "drift-xi-negative", "memory-xi-negative", "drift-xi-slope-nan"])
     def test_rejected_with_error_line(self, argv):
         code, err = _run_quietly(argv)
         assert code == 1

@@ -310,20 +310,6 @@ class TestCertificates:
         assert cert.rate_raw < 0
         assert cert.rate == 0
 
-    def test_internal_consistency_enforced(self):
-        cert = certified_log_l(params(), budget())
-        from dataclasses import replace
-
-        with pytest.raises(ValidationError):
-            replace(cert, log_l=cert.log_l + 1)
-
-    def test_rate_raw_consistency_enforced(self):
-        cert = certified_log_l(params(), budget())
-        from dataclasses import replace
-
-        with pytest.raises(ValidationError, match="rate_raw must equal log_l / n"):
-            replace(cert, rate_raw=cert.rate_raw + 1)
-
     def test_rate_monotone_in_score(self):
         b = budget()
         rates = [
@@ -425,31 +411,31 @@ _BAD_BUDGETS = [
 
 
 class TestBudgetCheckedFirst:
-    """A bad (eps_dist, eps_snd) fails before the search evaluates eta_opt once."""
+    """A bad (eps_dist, eps_snd) fails before the search evaluates eta once."""
 
     @pytest.fixture
-    def eta_opt_calls(self, monkeypatch):
+    def eta_evaluations(self, monkeypatch):
         calls = []
-        inner = rates._eta_opt_scalar
+        inner = rates._eta_scalar
 
         def counted(*args):
             calls.append(args)
             return inner(*args)
 
-        monkeypatch.setattr(rates, "_eta_opt_scalar", counted)
+        monkeypatch.setattr(rates, "_eta_scalar", counted)
         return calls
 
     @pytest.mark.parametrize("eps_dist,eps_snd", _BAD_BUDGETS)
-    def test_optimize_parameters(self, eta_opt_calls, eps_dist, eps_snd):
+    def test_optimize_parameters(self, eta_evaluations, eps_dist, eps_snd):
         with pytest.raises(ValidationError):
             optimize_parameters(10**6, 0.84, eps_dist, eps_snd, EPS_CMP)
-        assert eta_opt_calls == []
+        assert eta_evaluations == []
 
     @pytest.mark.parametrize("eps_dist,eps_snd", _BAD_BUDGETS)
-    def test_rate_curve(self, eta_opt_calls, eps_dist, eps_snd):
+    def test_rate_curve(self, eta_evaluations, eps_dist, eps_snd):
         with pytest.raises(ValidationError):
             rate_curve(10**6, [0.82, 0.84], eps_dist, eps_snd, EPS_CMP)
-        assert eta_opt_calls == []
+        assert eta_evaluations == []
 
 
 class TestRateCurve:
