@@ -51,12 +51,9 @@ from .rates import (
     certified_log_l,
     completeness_bound,
     delta_est_for,
-    eta,
     eta_opt,
     optimize_parameters,
     rate_curve,
-    tradeoff_f,
-    tradeoff_fmax,
 )
 from .simulate import (
     ClassicalDeterministicDevice,

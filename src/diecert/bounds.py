@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import BETA_MAX, OMEGA_MAX
+from .chsh import BETA_MAX, OMEGA_MAX, omega_from_beta
 from .quantum import BellDiagonalSpectrum, ValidationError
 
 _SQRT2 = math.sqrt(2)
@@ -73,15 +73,19 @@ def optimal_spectrum(beta: float) -> BellDiagonalSpectrum:
 
 @dataclass(frozen=True)
 class EntropyBoundResult:
+    """The bound at Bell value beta; omega and H(A|B) derive from beta and H(AB)."""
+
     beta: float
-    omega: float
     max_total_entropy: float
-    conditional_bound: float
     optimal_spectrum: BellDiagonalSpectrum
 
-    def __post_init__(self):
-        if abs(self.conditional_bound - (self.max_total_entropy - 1)) > 1e-12:
-            raise ValidationError("conditional bound must equal total entropy minus 1")
+    @property
+    def omega(self) -> float:
+        return omega_from_beta(self.beta)
+
+    @property
+    def conditional_bound(self) -> float:
+        return self.max_total_entropy - 1
 
 
 def bell_diag_entropy_bound(beta: float) -> EntropyBoundResult:
@@ -93,12 +97,9 @@ def bell_diag_entropy_bound(beta: float) -> EntropyBoundResult:
     if beta < 2 - 1e-12 or beta > BETA_MAX + 1e-12:
         raise ValidationError(f"beta={beta} outside [2, 2*sqrt(2)]")
     beta = min(max(beta, 2.0), BETA_MAX)
-    total = max_total_entropy(beta)
     return EntropyBoundResult(
         beta=beta,
-        omega=0.5 + beta / 8,
-        max_total_entropy=total,
-        conditional_bound=total - 1,
+        max_total_entropy=max_total_entropy(beta),
         optimal_spectrum=optimal_spectrum(beta),
     )
 

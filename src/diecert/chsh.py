@@ -61,12 +61,13 @@ class Strategy:
 
 @dataclass(frozen=True)
 class GameScore:
-    omega: float
-    beta: float
+    """A winning probability omega; the Bell value beta derives from it."""
 
-    def __post_init__(self):
-        if abs(self.beta - (8 * self.omega - 4)) > 1e-12:
-            raise ValidationError("beta and omega are inconsistent (beta != 8*omega - 4)")
+    omega: float
+
+    @property
+    def beta(self) -> float:
+        return beta_from_omega(self.omega)
 
 
 def omega_from_beta(beta: float) -> float:
@@ -111,7 +112,7 @@ def winning_probability(strategy: Strategy) -> GameScore:
         for a, b in product((0, 1), repeat=2):
             if (a ^ b) == (x & y):
                 omega += probs[a, b] / 4
-    return GameScore(omega=omega, beta=8 * omega - 4)
+    return GameScore(omega=omega)
 
 
 def chsh_value(strategy: Strategy) -> float:

@@ -3,7 +3,8 @@
 Subcommands: rate, curve, entropy-curve, simulate.
 All outputs are deterministic for a fixed configuration and seed. Numbers are
 printed with 6 significant digits; --exact adds a full-precision JSON dump.
-Options may also come from a JSON config file (--config); explicit flags win.
+Options may also come from a JSON config file (--config); explicit flags win,
+and a key that names none of the subcommand's flags is an error.
 
 Exit codes: 0 success, 1 validation error (a malformed or missing option), 2
 an argparse structure error: an unknown subcommand or flag, a flag without a
@@ -86,8 +87,9 @@ def _list(kind):
 
 
 class _Config:
-    """Flag values with JSON-file fallback: explicit flags override the file.
-    `get` converts and checks a value the same way whichever route it took."""
+    """Flag values with JSON-file fallback: explicit flags override the file,
+    whose keys must be the subcommand's flags. `get` converts and checks a
+    value the same way whichever route it took."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = vars(args)
@@ -98,6 +100,10 @@ class _Config:
                 self.file = json.load(fh)
             if not isinstance(self.file, dict):
                 raise ValidationError("config file must contain a JSON object")
+            flags = _COMMANDS[self.args["command"]][2].replace("-", "_").split()
+            unknown = sorted(set(self.file) - set(flags))
+            if unknown:
+                raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
 
     def get(self, name, default=None, kind=None):
         """The option's value, converted by `kind` unless it is None."""

@@ -11,10 +11,10 @@ The second-order gradient term has two conventions, selectable via `mode`:
 ceiling of the tangent slope magnitude. The curves produced with "ceiling"
 match the published finite-n rate plots; "printed" is the literal formula.
 
-Each rule has one home: `_f` is the only piecewise f and `_fmax` its tangent
-completion (`tradeoff_f`, `tradeoff_fmax` and `eta` are views over them);
-`_v_half` is v/2, `_kappa` the smoothing factor and its domain,
-`_cutoff_score` the cutoff's domain, `_budget_term` the log(1/eps) term and
+Each rule has one home: `_f` is the only piecewise f, `_fmax` its tangent
+completion and `_eta_scalar` eta, all at a scalar cutoff score that eta_opt
+alone picks from (3/4, (2+sqrt(2))/4); `_v_half` is v/2, `_kappa` the
+smoothing factor and its domain, `_budget_term` the log(1/eps) term and
 `ErrorBudget` the budget's ranges, checked before any search. `RateCertificate`
 keeps what eta_opt found and derives v, log L and the rate from it, so log L
 has one formula. `_minimize` is the only search: a fixed scan grid plus golden
@@ -180,25 +180,6 @@ def _minimize(obj, grid, tol):
     return (a + b) / 2, best, vals[best]
 
 
-def tradeoff_f(p: FrequencyDistribution, gamma: float) -> float:
-    """Piecewise entropy tradeoff: (1-gamma) g(p1/gamma), capped at gamma-1."""
-    if gamma <= 0:
-        raise ValidationError("gamma must be positive")
-    if abs(p.p0 + p.p1 - gamma) > 1e-12:
-        raise ValidationError(
-            f"p0+p1={p.p0 + p.p1} does not match the test probability {gamma}"
-        )
-    return _f(p.p1 / gamma, gamma)
-
-
-def _cutoff_score(pt1: float, gamma: float) -> float:
-    """The cutoff score p_t(1)/gamma, which must lie in (3/4, (2+sqrt(2))/4)."""
-    wt = pt1 / gamma if gamma > 0 else 0.0
-    if not (0.75 < wt < OMEGA_MAX):
-        raise ValidationError(f"cutoff score p_t(1)/gamma={wt} outside (3/4, (2+sqrt(2))/4)")
-    return wt
-
-
 def _tangent_slope(wt: float, gamma: float) -> float:
     """d f / d p(1) at the cutoff point: ((1-gamma)/gamma) g'(p_t(1)/gamma)."""
     return (1 - gamma) / gamma * g_prime(wt)
@@ -212,21 +193,13 @@ def _fmax(p1: float, wt: float, gamma: float) -> float:
     return _tangent_slope(wt, gamma) * (p1 - pt1) + _f(wt, gamma)
 
 
-def tradeoff_fmax(
-    p: FrequencyDistribution, p_t: FrequencyDistribution, gamma: float
-) -> float:
-    """f completed past p_t by its tangent line, making it a concave upper bound."""
-    wt = _cutoff_score(p_t.p1, gamma)
-    tradeoff_f(p, gamma)  # rejects a p that does not match gamma
-    return _fmax(p.p1, wt, gamma)
-
-
 def _v_half(wt: float, gamma: float, mode: str) -> float:
     """v/2 = log2 5 + the gradient term of `mode`, at cutoff score wt."""
     if mode == "printed":
         return _LOG2_5 + abs(g_prime(wt)) / gamma
     if mode == "ceiling":
-        return _LOG2_5 + math.ceil(abs(_tangent_slope(wt, gamma)))
+        slope = abs(_tangent_slope(wt, gamma))  # infinite at a tiny gamma
+        return _LOG2_5 + (math.ceil(slope) if slope < math.inf else slope)
     raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
@@ -237,19 +210,6 @@ def _eta_scalar(
     fval = _fmax(p1_obs, wt, gamma)
     v_half = _v_half(wt, gamma, mode)
     return fval + (2 / math.sqrt(n)) * v_half * kappa
-
-
-def eta(
-    p1_observed: float,
-    p_t: FrequencyDistribution,
-    budget: ErrorBudget,
-    params: ProtocolParams,
-    mode: str = "printed",
-) -> float:
-    """Finite-size entropy rate at one cutoff distribution p_t."""
-    wt = _cutoff_score(p_t.p1, params.gamma)
-    kappa = _kappa(budget.eps_smo, budget.eps_snd)
-    return _eta_scalar(wt, p1_observed, params.gamma, params.n, kappa, mode)
 
 
 def eta_opt(

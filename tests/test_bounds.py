@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,11 +115,6 @@ class TestAnalyticBound:
         lam = optimal_spectrum(beta).as_array()
         assert lam[0] == pytest.approx(lo * lo, abs=1e-12)
         assert lam[1] == pytest.approx(lam[3], abs=1e-15)
-
-    def test_result_checks_its_conditional_bound(self):
-        res = bell_diag_entropy_bound(ORACLE_BETA)
-        with pytest.raises(ValidationError, match="must equal total entropy minus 1"):
-            replace(res, conditional_bound=res.max_total_entropy)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):

@@ -10,7 +10,6 @@ from diecert.chsh import (
     BETA_MAX,
     OMEGA_CLASSICAL,
     OMEGA_MAX,
-    GameScore,
     Strategy,
     all_deterministic_strategies,
     beta_from_omega,
@@ -50,11 +49,6 @@ class TestScoreConversions:
     def test_superquantum_warns(self):
         with pytest.warns(UserWarning):
             omega_from_beta(3.5)
-
-    def test_game_score_consistency(self):
-        GameScore(omega=0.8, beta=2.4)
-        with pytest.raises(ValidationError):
-            GameScore(omega=0.8, beta=2.0)
 
 
 class TestOutcomeProbabilities:

@@ -327,6 +327,8 @@ class TestMalformedInput:
         ["simulate", "--model", "memory", "--xi", "-5", "--n", "100", "--omega-exp", "0.8"],
         ["simulate", "--model", "drift", "--xi-slope", "nan", "--n", "100",
          "--omega-exp", "0.8"],
+        # a misspelt key would otherwise leave its option at the default
+        ["rate", "--config", str(CONFIGS / "unknown_key.json")],
     ], ids=["rate-n-inf", "rate-n-abc", "table-two-bits", "simulate-n-1e30",
             "simulate-trials-1e9", "simulate-seed-negative", "entropy-curve-step-1e-12",
             "entropy-curve-nan", "rate-omega-exp-abc",
@@ -337,11 +339,26 @@ class TestMalformedInput:
             "config-table-bool", "config-gamma-bool", "config-xi-bool",
             "config-omega-values-bool", "entropy-curve-omega-values-empty",
             "config-omega-values-empty", "curve-n-values-empty", "drift-xi-2",
-            "drift-xi-negative", "memory-xi-negative", "drift-xi-slope-nan"])
+            "drift-xi-negative", "memory-xi-negative", "drift-xi-slope-nan",
+            "config-unknown-key"])
     def test_rejected_with_error_line(self, argv):
         code, err = _run_quietly(argv)
         assert code == 1
         assert "error:" in err and "Traceback" not in err
+
+    def test_unknown_config_key_is_named(self):
+        code, err = _run_quietly(["rate", "--config", str(CONFIGS / "unknown_key.json")])
+        assert (code, err) == (1, "error: unknown config keys: eps_sound\n")
+
+    @pytest.mark.filterwarnings("ignore:omega_exp")  # the threshold is vacuous
+    @pytest.mark.parametrize("mode", ["printed", "ceiling"])
+    def test_tiny_gamma_certifies_nothing(self, capsys, mode):
+        # (1 - gamma)/gamma overflows, so v and eta are infinite
+        code, out, err = run_cli(
+            capsys, "rate", "--n", "1e6", "--omega-exp", "0.84", "--gamma", "1e-307",
+            "--eps-smo", "1e-4", "--mode", mode,
+        )
+        assert code == 0 and "rate = 0\n" in out and "Traceback" not in err
 
     @pytest.mark.parametrize("option, argv", [
         ("gamma", ["rate", "--n", "1e8", "--omega-exp", "0.84"]),

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diecert import rates
-from diecert.bounds import g
+from diecert.bounds import g, g_prime
 from diecert.chsh import OMEGA_MAX
 from diecert.quantum import ValidationError
 from diecert.rates import (
@@ -13,16 +13,17 @@ from diecert.rates import (
     ErrorBudget,
     FrequencyDistribution,
     ProtocolParams,
+    _eta_scalar,
+    _f,
+    _fmax,
+    _kappa,
     asymptotic_rate,
     certified_log_l,
     completeness_bound,
     delta_est_for,
-    eta,
     eta_opt,
     optimize_parameters,
     rate_curve,
-    tradeoff_f,
-    tradeoff_fmax,
 )
 
 from reference_data import ASYMPTOTIC_CURVE
@@ -97,98 +98,65 @@ class TestFrequencyDistribution:
 
 
 class TestTradeoff:
+    """f and its tangent completion f_max at a scalar score, as eta uses them."""
+
     def test_matches_entropy_curve_below_cutoff(self):
         gamma = 0.05
         for w in (0.76, 0.8, 0.84):
-            fd = FrequencyDistribution.from_score(w * gamma, gamma)
-            assert tradeoff_f(fd, gamma) == pytest.approx((1 - gamma) * g(w), abs=1e-12)
+            assert _f(w, gamma) == pytest.approx((1 - gamma) * g(w), abs=1e-12)
 
     def test_cap_above_quantum_maximum(self):
         gamma = 0.1
-        fd = FrequencyDistribution.from_score(OMEGA_MAX * gamma, gamma)
-        assert tradeoff_f(fd, gamma) == gamma - 1
+        assert _f(OMEGA_MAX, gamma) == gamma - 1
 
     def test_continuous_at_quantum_maximum(self):
         gamma = 0.3
         eps = 1e-9
-        below = FrequencyDistribution.from_score((OMEGA_MAX - eps) * gamma, gamma)
-        at = FrequencyDistribution.from_score(OMEGA_MAX * gamma, gamma)
-        assert tradeoff_f(below, gamma) == pytest.approx(
-            tradeoff_f(at, gamma), abs=1e-6
-        )
+        assert _f(OMEGA_MAX - eps, gamma) == pytest.approx(_f(OMEGA_MAX, gamma), abs=1e-6)
 
     def test_full_testing_at_maximum_gives_zero(self):
-        fd = FrequencyDistribution.from_score(OMEGA_MAX, 1.0)
-        assert tradeoff_f(fd, 1.0) == 0
-
-    def test_gamma_must_be_positive(self):
-        fd = FrequencyDistribution.from_score(0.04, 0.05)
-        with pytest.raises(ValidationError, match="gamma must be positive"):
-            tradeoff_f(fd, 0)
-
-    def test_frequency_must_match_gamma(self):
-        fd = FrequencyDistribution.from_score(0.04, 0.05)
-        with pytest.raises(ValidationError):
-            tradeoff_f(fd, 0.2)
+        assert _f(OMEGA_MAX, 1.0) == 0
 
     def test_fmax_equals_f_below_cutoff(self):
         gamma = 0.05
-        pt = FrequencyDistribution.from_score(0.82 * gamma, gamma)
-        fd = FrequencyDistribution.from_score(0.78 * gamma, gamma)
-        assert tradeoff_fmax(fd, pt, gamma) == tradeoff_f(fd, gamma)
+        p1 = 0.78 * gamma
+        assert _fmax(p1, 0.82, gamma) == _f(p1 / gamma, gamma)
 
     def test_fmax_is_tangent_above_cutoff(self):
         gamma = 0.05
         wt = 0.82
-        pt = FrequencyDistribution.from_score(wt * gamma, gamma)
         eps = 1e-6
-        fd = FrequencyDistribution.from_score((wt + eps) * gamma, gamma)
-        slope = (tradeoff_fmax(fd, pt, gamma) - tradeoff_f(pt, gamma)) / (eps * gamma)
-        fd2 = FrequencyDistribution.from_score((wt + 2 * eps) * gamma, gamma)
-        slope2 = (tradeoff_fmax(fd2, pt, gamma) - tradeoff_f(pt, gamma)) / (
+        slope = (_fmax((wt + eps) * gamma, wt, gamma) - _f(wt, gamma)) / (eps * gamma)
+        slope2 = (_fmax((wt + 2 * eps) * gamma, wt, gamma) - _f(wt, gamma)) / (
             2 * eps * gamma
         )
         assert slope == pytest.approx(slope2, rel=1e-9)
 
     def test_fmax_upper_bounds_f(self):
         gamma = 0.1
-        pt = FrequencyDistribution.from_score(0.8 * gamma, gamma)
         for w in [0.755 + 0.005 * k for k in range(20)]:
-            fd = FrequencyDistribution.from_score(w * gamma, gamma)
-            assert tradeoff_fmax(fd, pt, gamma) >= tradeoff_f(fd, gamma) - 1e-12
+            p1 = w * gamma
+            assert _fmax(p1, 0.8, gamma) >= _f(p1 / gamma, gamma) - 1e-12
 
-    def test_cutoff_must_be_interior(self):
-        gamma = 0.1
-        fd = FrequencyDistribution.from_score(0.8 * gamma, gamma)
-        bad = FrequencyDistribution.from_score(0.74 * gamma, gamma)
-        with pytest.raises(ValidationError):
-            tradeoff_fmax(fd, bad, gamma)
+
+def eta_at(wt, p1_observed, p, b, mode="printed"):
+    """eta at cutoff score wt, for protocol parameters p and error budget b."""
+    return _eta_scalar(wt, p1_observed, p.gamma, p.n, _kappa(b.eps_smo, b.eps_snd), mode)
 
 
 class TestEta:
+    """eta at one cutoff score; its mode check through eta_opt."""
+
     def test_regression_value(self):
-        pt = FrequencyDistribution.from_score(0.8 * 0.01, 0.01)
-        val = eta(
-            p1_observed=0.84 * 0.01 - 1e-5,
-            p_t=pt,
-            budget=budget(),
-            params=params(),
-            mode="printed",
-        )
+        val = eta_at(0.8, 0.84 * 0.01 - 1e-5, params(), budget(), mode="printed")
         assert val == pytest.approx(1.0625366430810415, abs=1e-12)
 
     def test_second_order_term_scales_as_inverse_sqrt_n(self):
-        pt = FrequencyDistribution.from_score(0.8 * 0.01, 0.01)
-        vals = {}
-        for n in (10**6, 4 * 10**6):
-            vals[n] = eta(
-                p1_observed=0.8 * 0.01,
-                p_t=pt,
-                budget=budget(),
-                params=params(n=n, delta_est=0),
-                mode="printed",
-            )
-        base = tradeoff_f(pt, 0.01)
+        vals = {
+            n: eta_at(0.8, 0.8 * 0.01, params(n=n, delta_est=0), budget(), mode="printed")
+            for n in (10**6, 4 * 10**6)
+        }
+        base = _f(0.8, 0.01)
         assert vals[10**6] - base == pytest.approx(
             2 * (vals[4 * 10**6] - base), rel=1e-9
         )
@@ -197,53 +165,29 @@ class TestEta:
         # with eps_smo * eps_snd -> 1 the kappa factor collapses to 1 and eta
         # is the tradeoff value plus the bare second-order term
         gamma, wt, n = 0.5, 0.8, 10**6
-        pt = FrequencyDistribution.from_score(wt * gamma, gamma)
         b = ErrorBudget(
             eps_dist=1.0, eps_snd=1.0, eps_cmp=0.5, eps_smo=1 - 1e-12
         )
-        val = eta(
-            p1_observed=wt * gamma,
-            p_t=pt,
-            budget=b,
-            params=params(n=n, gamma=gamma, omega_exp=0.8, delta_est=0.001),
-            mode="printed",
-        )
-        from diecert.bounds import g_prime
-
-        expected = tradeoff_f(pt, gamma) + (2 / math.sqrt(n)) * (
+        p = params(n=n, gamma=gamma, omega_exp=0.8, delta_est=0.001)
+        val = eta_at(wt, wt * gamma, p, b, mode="printed")
+        expected = _f(wt, gamma) + (2 / math.sqrt(n)) * (
             math.log2(5) + abs(g_prime(wt)) / gamma
         )
         assert val == pytest.approx(expected, abs=1e-9)
 
     def test_modes_differ(self):
-        pt = FrequencyDistribution.from_score(0.8 * 0.01, 0.01)
-        kwargs = dict(
-            p1_observed=0.8 * 0.01, p_t=pt, budget=budget(), params=params()
-        )
-        assert eta(mode="printed", **kwargs) != eta(mode="ceiling", **kwargs)
+        args = 0.8, 0.8 * 0.01, params(), budget()
+        assert eta_at(*args, mode="printed") != eta_at(*args, mode="ceiling")
 
     def test_unknown_mode_rejected(self):
-        pt = FrequencyDistribution.from_score(0.8 * 0.01, 0.01)
         with pytest.raises(ValidationError):
-            eta(0.008, pt, budget(), params(), mode="exact")
-
-    @pytest.mark.filterwarnings("ignore:omega_exp")  # gamma = 0: vacuous threshold
-    def test_zero_gamma_rejected(self):
-        pt = FrequencyDistribution.from_score(0.8 * 0.01, 0.01)
-        with pytest.raises(ValidationError):
-            eta(0.008, pt, budget(), params(gamma=0.0, delta_est=0.0))
-
-    def test_cutoff_must_be_interior(self):
-        pt = FrequencyDistribution.from_score(0.74 * 0.01, 0.01)
-        with pytest.raises(ValidationError):
-            eta(0.008, pt, budget(), params())
+            eta_opt(params(), budget(), mode="exact")
 
     @pytest.mark.parametrize("zero", ["eps_snd", "eps_smo"])
     def test_kappa_domain(self, zero):
         # ErrorBudget admits a zero eps_snd or eps_smo; the kappa factor does not
-        pt = FrequencyDistribution.from_score(0.8 * 0.01, 0.01)
         with pytest.raises(ValidationError):
-            eta(0.008, pt, budget(**{zero: 0.0}), params())
+            eta_at(0.8, 0.008, params(), budget(**{zero: 0.0}))
 
 
 class TestEtaOpt:
@@ -252,8 +196,7 @@ class TestEtaOpt:
         best, minimizer = eta_opt(p, b, mode="ceiling")
         obs = p.omega_exp * p.gamma - p.delta_est
         for wt in (0.76, 0.79, 0.82, 0.85):
-            pt = FrequencyDistribution.from_score(wt * p.gamma, p.gamma)
-            assert best <= eta(obs, pt, b, p, mode="ceiling") + 1e-12
+            assert best <= eta_at(wt, obs, p, b, mode="ceiling") + 1e-12
 
     def test_minimizer_is_interior(self):
         p, b = params(n=10**8, gamma=0.05, omega_exp=0.84, delta_est=1e-4), budget()
@@ -266,8 +209,9 @@ class TestEtaOpt:
         assert eta_opt(p, b)[0] == eta_opt(p, b)[0]
 
     def test_kappa_domain(self):
-        with pytest.raises(ValidationError):
-            eta_opt(params(), budget(eps_snd=0.0))
+        for zero in ("eps_snd", "eps_smo"):
+            with pytest.raises(ValidationError):
+                eta_opt(params(), budget(**{zero: 0.0}))
 
     @pytest.mark.filterwarnings("ignore:omega_exp")  # gamma = 0: vacuous threshold
     def test_zero_gamma_rejected(self):
