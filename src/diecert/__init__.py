@@ -66,6 +66,7 @@ from .simulate import (
     Transcript,
     check_statistics_equivalence,
     estimate_abort_probability,
+    kept_states,
     run_protocol,
 )
 

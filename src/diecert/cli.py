@@ -46,11 +46,23 @@ def _count(v) -> int:
 
 
 def _natural(v) -> int:
-    """A non-negative integer: a seed, as numpy requires, or a bit of --table."""
-    k = int(v)
-    if k < 0 or isinstance(v, float) and k != v:
+    """A non-negative integer written as one, not as a float such as 3.0 or
+    1e3, by either route: a seed, as numpy requires, or a bit of --table."""
+    try:
+        k = int(v) if isinstance(v, (int, str)) else -1
+    except ValueError:
+        k = -1
+    if k < 0:
         raise ValueError(f"{v!r} is not a non-negative integer")
     return k
+
+
+def _finite(v) -> float:
+    """A finite float: an end or the step of a score grid."""
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"{v!r} is not finite")
+    return x
 
 
 def _choice(options):
@@ -138,9 +150,9 @@ def _omega_grid(cfg, default_min, default_max, default_step):
         if any(cfg.get(f"omega_{end}") is not None for end in ("min", "max", "step")):
             raise ValidationError("--omega-values excludes --omega-min, --omega-max, --omega-step")
         return values
-    lo = cfg.get("omega_min", default_min, float)
-    hi = cfg.get("omega_max", default_max, float)
-    step = cfg.get("omega_step", default_step, float)
+    lo = cfg.get("omega_min", default_min, _finite)
+    hi = cfg.get("omega_max", default_max, _finite)
+    step = cfg.get("omega_step", default_step, _finite)
     if not (step > 0 and hi >= lo):
         raise ValidationError("empty score grid")
     span = (hi - lo) / step + 1e-9

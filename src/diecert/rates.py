@@ -25,6 +25,7 @@ certificates it returns, for gamma and eps_smo; runs are bit-identical.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -52,6 +53,8 @@ class ProtocolParams:
             raise ValidationError(f"n={self.n} must be a positive integer")
         if not (0 <= self.gamma <= 1):
             raise ValidationError(f"gamma={self.gamma} outside [0, 1]")
+        if 0 < self.gamma < sys.float_info.min:  # p1 / gamma would lose the cutoff
+            raise ValidationError(f"gamma={self.gamma} is subnormal")
         if not (0.75 - 1e-12 <= self.omega_exp <= OMEGA_MAX + 1e-12):
             raise ValidationError(
                 f"omega_exp={self.omega_exp} outside [0.75, (2+sqrt(2))/4]"

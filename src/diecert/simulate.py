@@ -9,8 +9,9 @@ protocol leaves the classical statistics unchanged.
 
 `run_protocol` is one loop over the `Source` the model returns each round,
 which fills lazily: cumulative Born tables from `chsh.born_probabilities`, the
-cumulative block-pair distribution and the kept states. Only whether a round
-draws a block pair depends on the mode. All trials run on one seed schedule.
+cumulative block-pair distribution and the kept states, which `kept_states`
+reads. Only whether a round draws a block pair depends on the mode. All trials
+run on one seed schedule.
 
 Randomness: every draw comes from a stream derived from the master seed and a
 purpose tag via numpy's SeedSequence, with the round index as the position in
@@ -63,8 +64,8 @@ class DeviceModel:
     behavior ignores the round and history entirely, which unlocks caching and
     bulk sampling.
 
-    `run_protocol` calls `prepare_round` once per round, in order, from round
-    0 (an iid model only at round 0), so a model may count incrementally.
+    `run_protocol` and `kept_states` call `prepare_round` once per round, in
+    order, from round 0 (an iid model only at round 0), so it may count incrementally.
     A model that returns the same `Source` again reuses its cached tables.
     """
 
@@ -134,8 +135,8 @@ class NoisyDriftDevice(DeviceModel):
 
 
 class RoundRecord(NamedTuple):
-    """Classical registers of one round, in transcript column order, then the
-    kept state; None encodes the unset symbol."""
+    """Classical registers of one round, in transcript column order; None
+    encodes the unset symbol."""
 
     t: int
     x: int | None = None
@@ -145,12 +146,11 @@ class RoundRecord(NamedTuple):
     w: int | None = None
     c: int | None = None
     d: int | None = None
-    kept_state: TwoQubitState | None = None
 
 
-@dataclass(eq=False)
+@dataclass
 class Transcript:
-    """One run. Compared by identity: rows hold state arrays; compare `serialize()`."""
+    """One run: its classical rows and abort decision, compared by value."""
 
     rounds: list[RoundRecord]
     params: ProtocolParams
@@ -165,14 +165,13 @@ class Transcript:
             f"# n={p.n} gamma={p.gamma!r} omega_exp={p.omega_exp!r} "
             f"delta_est={p.delta_est!r} seed={self.seed} mode={self.mode} "
             f"aborted={self.aborted} win_count={self.win_count}",
-            ",".join(("i", *RoundRecord._fields[:-1])),
+            ",".join(("i", *RoundRecord._fields)),
         ]
         text = {}  # the cells of each distinct register tuple; a run has few
         for i, r in enumerate(self.rounds):
-            cells = r[:-1]
-            if cells not in text:
-                text[cells] = ",".join("" if v is None else str(v) for v in cells)
-            lines.append(f"{i},{text[cells]}")
+            if r not in text:
+                text[r] = ",".join("" if v is None else str(v) for v in r)
+            lines.append(f"{i},{text[r]}")
         return "\n".join(lines) + "\n"
 
 
@@ -272,13 +271,12 @@ def run_protocol(
     params: ProtocolParams,
     mode: str = "standard",
     seed: int = 0,
-    record_kept_states: bool = True,
     project_test_rounds: bool = False,
 ) -> Transcript:
     """Execute the n-round protocol sequentially and apply the abort rule.
 
-    In modified mode, non-test rounds measure the Jordan block indices (c, d),
-    project accordingly and keep the twirled two-qubit state. With
+    In modified mode, non-test rounds measure the Jordan block indices (c, d);
+    `kept_states` gives the twirled two-qubit state each one keeps. With
     `project_test_rounds` the projection is also applied before test-round
     measurements, which must leave the classical statistics unchanged.
     """
@@ -310,9 +308,8 @@ def run_protocol(
             win_count += w
             rounds.append(RoundRecord(1, x, y, a, b, w))
         else:
-            kept = source.kept(pair) if record_kept_states else None
             c, d = pair if pair else (None, None)
-            rounds.append(RoundRecord(0, None, None, None, None, None, c, d, kept))
+            rounds.append(RoundRecord(0, None, None, None, None, None, c, d))
 
     return Transcript(
         rounds=rounds,
@@ -324,6 +321,19 @@ def run_protocol(
     )
 
 
+def kept_states(model: DeviceModel, transcript: Transcript) -> list[TwoQubitState | None]:
+    """Per row, `Source.kept` at the recorded block pair (none in standard
+    mode), or None for a test round. Steps a fresh `model` as `run_protocol`
+    does, with the transcript's earlier rows as history."""
+    kept, history, source = [], [], None
+    for i, r in enumerate(transcript.rounds):
+        if source is None or not model.iid:
+            source = model.prepare_round(i, history)
+        kept.append(None if r.t else source.kept(None if r.c is None else (r.c, r.d)))
+        history.append(r)
+    return kept
+
+
 def _trial_seed(seed: int, trial: int) -> int:
     ss = np.random.SeedSequence([int(seed), _STREAM_TRIAL, trial])
     return int(ss.generate_state(1)[0])
@@ -331,12 +341,10 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 def _transcripts(model, params, seed, mode="standard", **options):
     """The trial schedule, run on demand: trial k = 0, 1, ... is `run_protocol`
-    in `mode` with seed `_trial_seed(seed, k)` and no kept states, looked up
-    at each trial so that a wrapper on the module attribute sees every run."""
+    in `mode` with seed `_trial_seed(seed, k)`, looked up at each trial so
+    that a wrapper on the module attribute sees every run."""
     for trial in count():
-        yield run_protocol(
-            model, params, mode, _trial_seed(seed, trial), record_kept_states=False, **options
-        )
+        yield run_protocol(model, params, mode, _trial_seed(seed, trial), **options)
 
 
 def _bulk_sampled(model) -> bool:
@@ -388,10 +396,9 @@ def run_trials(
     seed: int = 0,
     mode: str = "standard",
 ) -> tuple[Transcript, float, tuple[float, float]]:
-    """Trial 0 of the schedule that `estimate_abort_probability` runs, in
-    `mode` and without kept states, followed by that function's estimate and
-    interval. A standard-mode trial 0 is also the estimate's first trial and
-    is run once."""
+    """Trial 0 of the schedule that `estimate_abort_probability` runs, in `mode`,
+    then that function's estimate and interval. A standard-mode trial 0 is
+    also the estimate's first trial and is run once."""
     runs = _transcripts(model, params, seed, mode)
     first = next(runs)
     if mode != "standard" or trials < 1 or _bulk_sampled(model):

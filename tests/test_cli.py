@@ -360,6 +360,46 @@ class TestMalformedInput:
         )
         assert code == 0 and "rate = 0\n" in out and "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", ["printed", "ceiling"])
+    @pytest.mark.parametrize("gamma", ["1e-321", "5e-324"])
+    def test_subnormal_gamma_rejected(self, gamma, mode):
+        # p1 / gamma would print a garbled pt_omega, or fail on g' at omega=1
+        code, err = _run_quietly([
+            "rate", "--n", "1e6", "--omega-exp", "0.84", "--gamma", gamma, "--eps-smo", "1e-4",
+            "--mode", mode,
+        ])
+        assert (code, err) == (1, f"error: gamma={float(gamma)!r} is subnormal\n")
+
+    @pytest.mark.parametrize("option, value", [
+        ("seed", "3.0"), ("seed", "1e3"), ("table", "0.0,1,0,1"),
+        ("seed", 3.0), ("seed", 1e3), ("seed", 1e30), ("table", [0.0, 1, 0, 1]),
+    ], ids=["flag-seed-3.0", "flag-seed-1e3", "flag-table-0.0", "config-seed-3.0",
+            "config-seed-1e3", "config-seed-1e30", "config-table-0.0"])
+    def test_integer_option_rejects_a_float_by_either_route(self, option, value, tmp_path):
+        argv = ["simulate", "--model", "classical", "--n", "100", "--omega-exp", "0.8",
+                "--trials", "1", "--out", str(tmp_path / "run.csv")]
+        if isinstance(value, str):
+            argv += [f"--{option}", value]
+        else:
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps({option: value}))
+            argv += ["--config", str(cfgfile)]
+        code, err = _run_quietly(argv)
+        assert code == 1
+        assert err.startswith(f"error: --{option}: ")
+        assert err.endswith(" is not a non-negative integer\n")
+
+    @pytest.mark.parametrize("option, argv", [
+        ("omega-step", ["entropy-curve", "--omega-step", "inf"]),
+        ("omega-step", ["curve", "--n-values", "1e6", "--omega-step", "inf"]),
+        ("omega-min", ["entropy-curve", "--omega-min", "nan"]),
+        ("omega-max", ["entropy-curve", "--omega-max=-inf"]),
+    ], ids=["entropy-curve-step-inf", "curve-step-inf", "min-nan", "max-minus-inf"])
+    def test_non_finite_grid_option_is_named(self, option, argv):
+        code, err = _run_quietly(argv)
+        assert code == 1
+        assert err.startswith(f"error: --{option}: ") and err.endswith(" is not finite\n")
+
     @pytest.mark.parametrize("option, argv", [
         ("gamma", ["rate", "--n", "1e8", "--omega-exp", "0.84"]),
         ("xi", ["simulate", "--n", "100", "--omega-exp", "0.8", "--trials", "2"]),

@@ -38,6 +38,7 @@ from diecert.simulate import (
     NoisyDriftDevice,
     check_statistics_equivalence,
     estimate_abort_probability,
+    kept_states,
     run_protocol,
 )
 from test_simulate import BlockPairDevice
@@ -86,11 +87,11 @@ def run_transcript(case):
         project_test_rounds=case["project_test_rounds"],
     )
     kept = {}
-    for r in tr.rounds:
-        if r.kept_state is None:
+    for r, state in zip(tr.rounds, kept_states(MODELS[case["model"]](), tr)):
+        if state is None:
             continue
         key = f"{r.c},{r.d}"
-        diag = np.diag(bell_diagonal_entries(r.kept_state)).real
+        diag = np.diag(bell_diagonal_entries(state)).real
         entry = kept.setdefault(key, {"rounds": 0, "bell_diagonal_sum": np.zeros(4)})
         entry["rounds"] += 1
         entry["bell_diagonal_sum"] = entry["bell_diagonal_sum"] + diag

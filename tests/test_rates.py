@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -56,6 +57,14 @@ class TestProtocolParams:
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValidationError):
             params(gamma=1.5)
+
+    @pytest.mark.parametrize("gamma", [5e-324, 1e-321, sys.float_info.min / 2])
+    def test_rejects_subnormal_gamma(self, gamma):
+        with pytest.raises(ValidationError, match=f"gamma={gamma!r} is subnormal"):
+            params(gamma=gamma, delta_est=0.0)
+
+    def test_smallest_normal_gamma_allowed(self):
+        assert params(gamma=sys.float_info.min, delta_est=0.0).gamma == sys.float_info.min
 
     def test_rejects_bad_omega(self):
         with pytest.raises(ValidationError):

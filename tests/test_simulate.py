@@ -35,6 +35,7 @@ from diecert.simulate import (
     Source,
     check_statistics_equivalence,
     estimate_abort_probability,
+    kept_states,
     run_protocol,
     run_trials,
     wilson_interval,
@@ -48,6 +49,25 @@ def make_params(n=5000, gamma=0.5, omega_exp=0.8, delta_est=0.05):
 
 def honest():
     return HonestIIDDevice(optimal_strategy())
+
+
+def werner_source(xi):
+    opt = optimal_strategy()
+    return Strategy(
+        state=werner_state(xi).matrix,
+        alice_observables=opt.alice_observables,
+        bob_observables=opt.bob_observables,
+    )
+
+
+# the models `diecert simulate --model` builds, at --xi 0.1 for honest,
+# --table 1,0,1,1 for classical and the default --xi otherwise
+CLI_MODELS = {
+    "honest": lambda: HonestIIDDevice(werner_source(0.1)),
+    "classical": lambda: ClassicalDeterministicDevice(1, 0, 1, 1),
+    "memory": lambda: MemorySwitcherDevice(optimal_strategy(), werner_source(0.5)),
+    "drift": lambda: NoisyDriftDevice(0.0, 1e-3),
+}
 
 
 class BlockPairDevice(DeviceModel):
@@ -102,6 +122,12 @@ class TestRunProtocol:
         t2 = run_protocol(honest(), p, seed=8)
         assert t1.serialize() != t2.serialize()
 
+    def test_transcripts_compare_by_value(self):
+        p = make_params(n=400)
+        run = run_protocol(honest(), p, "modified", seed=7)
+        assert run == run_protocol(honest(), p, "modified", seed=7)
+        assert run != run_protocol(honest(), p, "modified", seed=8)
+
     def test_register_layout(self):
         p = make_params(n=300)
         tr = run_protocol(honest(), p, mode="modified", seed=1)
@@ -121,7 +147,7 @@ class TestRunProtocol:
 
     def test_honest_score_concentrates(self):
         p = make_params(n=20000, gamma=0.5)
-        tr = run_protocol(honest(), p, seed=3, record_kept_states=False)
+        tr = run_protocol(honest(), p, seed=3)
         tested = sum(r.t for r in tr.rounds)
         assert tested / p.n == pytest.approx(0.5, abs=0.02)
         assert tr.win_count / tested == pytest.approx(OMEGA_MAX, abs=0.01)
@@ -129,7 +155,7 @@ class TestRunProtocol:
     def test_classical_device_capped(self):
         p = make_params(n=20000, gamma=1.0, delta_est=0.0, omega_exp=0.75)
         best = ClassicalDeterministicDevice(0, 0, 0, 0)
-        tr = run_protocol(best, p, seed=5, record_kept_states=False)
+        tr = run_protocol(best, p, seed=5)
         assert tr.win_count / p.n == pytest.approx(OMEGA_CLASSICAL, abs=0.01)
 
     @pytest.mark.parametrize("table", list(product((0, 1), repeat=4)))
@@ -140,13 +166,13 @@ class TestRunProtocol:
             tr = run_protocol(
                 dev, make_params(n=200), "modified", seed=6, project_test_rounds=project
             )
-            for r in tr.rounds:
+            for r, state in zip(tr.rounds, kept_states(dev, tr)):
                 if r.t:
                     assert (r.a, r.b) == (a_out[r.x], b_out[r.y])
                     assert r.w == (1 if (r.a ^ r.b) == (r.x & r.y) else 0)
                 else:
                     assert (r.c, r.d) == (0, 0)
-                    bell_spectrum(r.kept_state)  # raises if off-diagonal
+                    bell_spectrum(state)  # raises if off-diagonal
 
     def test_memory_switcher_mixes_strategies(self):
         p = make_params(n=20000, gamma=0.5)
@@ -154,7 +180,7 @@ class TestRunProtocol:
             optimal_strategy(),
             optimal_measurement_strategy(werner_state(1.0)),
         )
-        tr = run_protocol(dev, p, seed=9, record_kept_states=False)
+        tr = run_protocol(dev, p, seed=9)
         tested = sum(r.t for r in tr.rounds)
         # alternates a maximal strategy with a coin flip: mean near the middle
         assert tr.win_count / tested == pytest.approx(
@@ -174,9 +200,7 @@ class TestRunProtocol:
 
     def test_drift_device_degrades(self):
         p = ProtocolParams(n=4000, gamma=1.0, omega_exp=0.75, delta_est=0.0)
-        tr = run_protocol(
-            NoisyDriftDevice(0.0, 1 / 4000), p, seed=2, record_kept_states=False
-        )
+        tr = run_protocol(NoisyDriftDevice(0.0, 1 / 4000), p, seed=2)
         early = sum(r.w for r in tr.rounds[:1000])
         late = sum(r.w for r in tr.rounds[-1000:])
         assert early > late
@@ -218,7 +242,7 @@ class TestRunProtocol:
         dev = MemorySwitcherDevice(
             optimal_strategy(), optimal_measurement_strategy(werner_state(1.0))
         )
-        run_protocol(dev, make_params(n=2000), seed=5, record_kept_states=False)
+        run_protocol(dev, make_params(n=2000), seed=5)
         assert len(calls) <= 8  # one per (x, y) for each of the two strategies
 
     def test_drift_device_in_standard_mode_builds_no_jordan_geometry(self, monkeypatch):
@@ -258,14 +282,25 @@ class TestRunProtocol:
         tr = run_protocol(honest(), make_params(n=200), mode="standard", seed=4)
         assert all(r.c is None and r.d is None for r in tr.rounds)
 
+    @pytest.mark.parametrize("seed", [3, 2026])
+    @pytest.mark.parametrize("model", list(CLI_MODELS))
+    def test_mode_changes_only_the_untested_rows(self, model, seed):
+        p = make_params(n=1500, gamma=0.5, omega_exp=0.8, delta_est=0.02)
+        std = run_protocol(CLI_MODELS[model](), p, "standard", seed)
+        mod = run_protocol(CLI_MODELS[model](), p, "modified", seed)
+        assert [r[:6] for r in std.rounds] == [r[:6] for r in mod.rounds]
+        assert (std.win_count, std.aborted) == (mod.win_count, mod.aborted)
+        for r in mod.rounds:
+            assert (r.c, r.d) == (None, None) if r.t else None not in (r.c, r.d)
+
 
 class TestKeptStates:
     def test_modified_kept_states_are_bell_diagonal(self):
         p = make_params(n=200)
         tr = run_protocol(honest(), p, mode="modified", seed=11)
-        for r in tr.rounds:
+        for r, state in zip(tr.rounds, kept_states(honest(), tr)):
             if r.t == 0:
-                bell_spectrum(r.kept_state)  # raises if off-diagonal
+                bell_spectrum(state)  # raises if off-diagonal
 
     def test_werner_source_keeps_werner_spectrum(self):
         # measuring sigma_z / sigma_x on both sides keeps the reduction frame
@@ -280,22 +315,20 @@ class TestKeptStates:
         dev = HonestIIDDevice(strat)
         tr = run_protocol(dev, make_params(n=100), mode="modified", seed=12)
         expected = werner_spectrum(xi).as_array()
-        for r in tr.rounds:
+        for r, state in zip(tr.rounds, kept_states(dev, tr)):
             if r.t == 0:
-                assert np.allclose(
-                    bell_spectrum(r.kept_state).as_array(), expected, atol=1e-10
-                )
+                assert np.allclose(bell_spectrum(state).as_array(), expected, atol=1e-10)
 
     def test_block_pair_device_resolves_blocks(self):
         dev = BlockPairDevice()
         p = make_params(n=2000, gamma=0.2)
         tr = run_protocol(dev, p, mode="modified", seed=13)
         seen = {}
-        for r in tr.rounds:
+        for r, state in zip(tr.rounds, kept_states(dev, tr)):
             if r.t == 0:
                 assert r.c in (0, 1) and r.d in (0, 1)
                 seen[(r.c, r.d)] = seen.get((r.c, r.d), 0) + 1
-                spec = bell_spectrum(r.kept_state).as_array()
+                spec = bell_spectrum(state).as_array()
                 expected = werner_spectrum(dev.noises[r.c]).as_array()
                 assert r.c == r.d  # the source never mixes blocks across parties
                 assert np.allclose(spec, expected, atol=1e-10)
@@ -307,11 +340,34 @@ class TestKeptStates:
         with pytest.raises(ValidationError, match=r"block pair \(1, 1\) has vanishing probability"):
             source.kept((1, 1))
 
-    def test_record_kept_states_flag(self):
-        tr = run_protocol(
-            honest(), make_params(n=100), "modified", seed=1, record_kept_states=False
-        )
-        assert all(r.kept_state is None for r in tr.rounds)
+    def test_standard_mode_keeps_the_source_and_test_rounds_nothing(self):
+        dev = HonestIIDDevice(werner_source(0.1))
+        tr = run_protocol(dev, make_params(n=200), seed=4)
+        kept = kept_states(dev, tr)
+        assert len(kept) == len(tr.rounds)
+        for r, state in zip(tr.rounds, kept):
+            if r.t:
+                assert state is None
+            else:
+                assert np.allclose(state.matrix, werner_state(0.1).matrix)
+
+    @pytest.mark.parametrize("model", ["honest", "memory", "drift"])
+    def test_steps_the_model_as_run_protocol_does(self, model, monkeypatch):
+        cls = type(CLI_MODELS[model]())
+        calls, real = [], cls.prepare_round
+
+        def recorded(self, i, history):
+            calls.append((i, list(history)))
+            return real(self, i, history)
+
+        monkeypatch.setattr(cls, "prepare_round", recorded)
+        tr = run_protocol(CLI_MODELS[model](), make_params(n=300), "modified", seed=5)
+        ran = calls.copy()
+        calls.clear()
+        kept_states(CLI_MODELS[model](), tr)
+        assert calls == ran
+        assert [i for i, _ in ran] == ([0] if model == "honest" else list(range(300)))
+        assert all(history == tr.rounds[:i] for i, history in ran)
 
 
 class TestWilsonInterval:
@@ -381,7 +437,6 @@ class TestAbortEstimation:
         assert len(calls) == runs
         assert tuple(estimate) == expected
         assert first.mode == mode
-        assert all(r.kept_state is None for r in first.rounds)
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValidationError):

@@ -40,7 +40,7 @@ from diecert.rates import (
     certified_log_l,
     delta_est_for,
 )
-from diecert.simulate import HonestIIDDevice, run_protocol
+from diecert.simulate import HonestIIDDevice, kept_states, run_protocol
 
 
 def _hashing(spectrum):
@@ -145,7 +145,7 @@ def test_simulated_werner_source_certifies_below_its_kept_states(tmp_path, capsy
     transcript = run_protocol(model, params, "modified", seed=int(header["seed"]))
     assert transcript.serialize() == out.read_text()
 
-    kept = [r.kept_state.matrix for r in transcript.rounds if r.kept_state is not None]
+    kept = [s.matrix for s in kept_states(model, transcript) if s is not None]
     mean = bell_spectrum(TwoQubitState(np.mean(kept, axis=0)))
     hashing = _hashing(mean)
     margin = hashing - rate
