@@ -14,18 +14,21 @@ reads. Only whether a round draws a block pair depends on the mode. All trials
 run on one seed schedule.
 
 Randomness: every draw comes from a stream derived from the master seed and a
-purpose tag via numpy's SeedSequence, with the round index as the position in
-the stream. Identical (model, params, mode, seed) always give identical
-transcripts.
+purpose tag, with the round index as the position in the stream. A stream is
+numpy's `default_rng(SeedSequence([seed, purpose]))` (PCG64) bit for bit, but
+computed here in numpy integer arithmetic (`_draw`), so a run never loads
+`numpy.random`; only the bulk binomial abort estimate for iid models does.
+Identical (model, params, mode, seed) always give identical transcripts.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, count, islice
 from operator import itemgetter
 from typing import NamedTuple
@@ -175,8 +178,132 @@ class Transcript:
         return "\n".join(lines) + "\n"
 
 
-def _stream(seed: int, purpose: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), purpose]))
+def _seed(seed) -> int:
+    """`seed` as an int, if it is a non-negative integer (numpy's too, not a bool)."""
+    try:
+        if isinstance(seed, bool):
+            raise TypeError
+        value = operator.index(seed)
+    except TypeError:
+        raise ValidationError(f"seed={seed!r} is not an integer") from None
+    if value < 0:
+        raise ValidationError(f"seed={value} is negative")
+    return value
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx, pool of four words)
+# and PCG64 (a 128-bit LCG with XSL-RR output), reproduced bit for bit
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_TILE = 4096  # states drawn per step: 32 KB uint64 arrays
+
+
+def _seed_words(entropy: list[int], words: int) -> list[int]:
+    """`SeedSequence(entropy).generate_state(words)` for non-negative ints."""
+    data = []
+    for v in entropy:
+        data.append(v & _M32)
+        while v > _M32:
+            v >>= 32
+            data.append(v & _M32)
+    h = 0x43B0D7E5
+
+    def hashmix(v):
+        nonlocal h
+        v ^= h
+        h = h * 0x931E8875 & _M32
+        v = v * h & _M32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(data[i] if i < len(data) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for v in data[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(v))
+    h, state = 0x8B51F9DD, []
+    for i in range(words):
+        v = pool[i % 4] ^ h
+        h = h * 0x58F38DED & _M32
+        v = v * h & _M32
+        state.append(v ^ v >> 16)
+    return state
+
+
+def _limbs(values: list[int]):
+    """128-bit ints as read-only uint64 arrays: high word, low word and the
+    low word's high and low 32-bit halves."""
+    hi = np.array([v >> 64 for v in values], np.uint64)
+    lo = np.array([v & _M64 for v in values], np.uint64)
+    limbs = hi, lo, lo >> 32, lo & _M32
+    for v in limbs:
+        v.setflags(write=False)
+    return limbs
+
+
+@cache
+def _jump_sums():
+    """Limbs of 1 + M + ... + M^(j-1) mod 2**128 for j = 1.._TILE. Since
+    (M - 1)(1 + ... + M^(j-1)) = M^j - 1, the state j steps after s is
+    M^j s + inc (1 + ... + M^(j-1)) = s + (s' - s)(1 + ... + M^(j-1)), where
+    s' = M s + inc is the state one step after s."""
+    power, total, totals = 1, 0, []
+    for _ in range(_TILE):
+        power, total = power * _PCG_MULT & _M128, total + power & _M128
+        totals.append(total)
+    return _limbs(totals)
+
+
+def _mul128(x, y: int, k: int):
+    """The first k of the `_limbs` arrays x times y, mod 2**128, as (high,
+    low) uint64 words; the words wrap as arrays, so no overflow warns."""
+    xh, xl, x1, x0 = (v[:k] for v in x)
+    yh, yl, y1, y0 = map(np.uint64, (y >> 64, y & _M64, y >> 32 & _M32, y & _M32))
+    # the high word of xl * yl from 32-bit halves; neither sum reaches 2**64
+    t = x0 * y1 + (x0 * y0 >> 32)
+    u = x1 * y0 + (t & _M32)
+    return x1 * y1 + (t >> 32) + (u >> 32) + xl * yh + xh * yl, xl * yl
+
+
+def _draw(seed: int, purpose: int, n: int, convert) -> list:
+    """`convert` applied to the first n outputs of numpy's
+    `default_rng(SeedSequence([seed, purpose]))`, as one list. The states are
+    computed a tile at a time by jump-ahead from the tile's first state."""
+    w = _seed_words([seed, purpose], 8)
+    # generate_state(4, uint64) gives the seed state and, shifted, the increment
+    state = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+    inc = (w[5] << 97 | w[4] << 65 | w[7] << 33 | w[6] << 1 | 1) & _M128
+    s = (inc + state) * _PCG_MULT + inc & _M128
+    sums = _jump_sums()
+    out = []
+    for start in range(0, n, _TILE):
+        k = min(n - start, _TILE)
+        hi, lo = _mul128(sums, (s * (_PCG_MULT - 1) + inc) & _M128, k)
+        low = np.uint64(s & _M64)
+        lo += low
+        hi += np.uint64(s >> 64)
+        hi += lo < low
+        s = int(hi[-1]) << 64 | int(lo[-1])
+        x, r = hi ^ lo, hi >> 58  # XSL-RR: fold, rotate by the top six bits
+        out += convert(x >> r | x << (64 - r & 63)).tolist()
+    return out
+
+
+def _uniform(u):
+    """`Generator.random`: the top 53 bits of an output over 2**53."""
+    return (u >> 11) * 2.0**-53
+
+
+def _input_code(u):
+    """2x + y for the row (x, y) of `Generator.integers(0, 2, (n, 2))` that an
+    output draws: bits 31 and 63, the top bits of its two 32-bit halves."""
+    return u >> 30 & 2 | u >> 63
 
 
 def _cumulative(probs) -> list[float]:
@@ -282,13 +409,14 @@ def run_protocol(
     """
     if mode not in ("standard", "modified"):
         raise ValidationError(f"unknown protocol mode {mode!r}")
+    seed = _seed(seed)
     n = params.n
     modified = mode == "modified"
 
-    test_draws = (_stream(seed, _STREAM_TEST).random(n) < params.gamma).tolist()
-    input_draws = _stream(seed, _STREAM_INPUT).integers(0, 2, size=(n, 2)).tolist()
-    outcome_draws = _stream(seed, _STREAM_OUTCOME).random(n).tolist()
-    block_draws = _stream(seed, _STREAM_BLOCK).random(n).tolist() if modified else None
+    test_draws = _draw(seed, _STREAM_TEST, n, lambda u: _uniform(u) < params.gamma)
+    input_draws = _draw(seed, _STREAM_INPUT, n, _input_code)
+    outcome_draws = _draw(seed, _STREAM_OUTCOME, n, _uniform)
+    block_draws = _draw(seed, _STREAM_BLOCK, n, _uniform) if modified else None
 
     source = None
     rounds = []
@@ -301,7 +429,8 @@ def run_protocol(
         if modified and (project_test_rounds or not t):
             pair = source.sample_pair(block_draws[i])
         if t:
-            x, y = input_draws[i]
+            xy = input_draws[i]
+            x, y = xy >> 1, xy & 1
             k = bisect_right(source.outcome_cdf(x, y, pair), outcome_draws[i])
             a, b = k >> 1, k & 1
             w = 1 if (a ^ b) == (x & y) else 0
@@ -335,8 +464,7 @@ def kept_states(model: DeviceModel, transcript: Transcript) -> list[TwoQubitStat
 
 
 def _trial_seed(seed: int, trial: int) -> int:
-    ss = np.random.SeedSequence([int(seed), _STREAM_TRIAL, trial])
-    return int(ss.generate_state(1)[0])
+    return _seed_words([seed, _STREAM_TRIAL, trial], 1)[0]
 
 
 def _transcripts(model, params, seed, mode="standard", **options):
@@ -379,9 +507,10 @@ def estimate_abort_probability(
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    seed = _seed(seed)
     if _bulk_sampled(model):
         omega = model.exact_score()
-        rng = _stream(seed, _STREAM_ABORT)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_ABORT]))
         wins = rng.binomial(rng.binomial(params.n, params.gamma, size=trials), omega)
         aborts = int(np.count_nonzero(wins < params.threshold))
     else:
@@ -399,6 +528,7 @@ def run_trials(
     """Trial 0 of the schedule that `estimate_abort_probability` runs, in `mode`,
     then that function's estimate and interval. A standard-mode trial 0 is
     also the estimate's first trial and is run once."""
+    seed = _seed(seed)
     runs = _transcripts(model, params, seed, mode)
     first = next(runs)
     if mode != "standard" or trials < 1 or _bulk_sampled(model):
@@ -437,6 +567,7 @@ def check_statistics_equivalence(
     """
     if trials < 0:
         raise ValidationError("trials must be >= 0")
+    seed = _seed(seed)
     c1, ab1 = _register_counts(islice(_transcripts(model, params, seed), trials))
     c2, ab2 = _register_counts(
         islice(_transcripts(model, params, seed, "modified", project_test_rounds=True), trials)

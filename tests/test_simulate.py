@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import textwrap
 from bisect import bisect_right
 from itertools import accumulate, product
 
@@ -40,7 +43,14 @@ from diecert.simulate import (
     run_trials,
     wilson_interval,
 )
-from diecert.simulate import _cumulative
+from diecert.simulate import (
+    _TILE,
+    _cumulative,
+    _draw,
+    _input_code,
+    _trial_seed,
+    _uniform,
+)
 
 
 def make_params(n=5000, gamma=0.5, omega_exp=0.8, delta_est=0.05):
@@ -258,13 +268,13 @@ class TestRunProtocol:
         import diecert.simulate as sim
 
         purposes = []
-        real = sim._stream
+        real = sim._draw
 
-        def recorded(seed, purpose):
+        def recorded(seed, purpose, n, convert):
             purposes.append(purpose)
-            return real(seed, purpose)
+            return real(seed, purpose, n, convert)
 
-        monkeypatch.setattr(sim, "_stream", recorded)
+        monkeypatch.setattr(sim, "_draw", recorded)
         run_protocol(honest(), make_params(n=50), seed=3)
         assert purposes and sim._STREAM_BLOCK not in purposes
         run_protocol(honest(), make_params(n=50), mode="modified", seed=3)
@@ -443,6 +453,41 @@ class TestAbortEstimation:
             estimate_abort_probability(honest(), make_params(), trials=0)
 
 
+# a seed is a non-negative integer: each of these must raise ValidationError,
+# not run at int(seed) or reach numpy's own ValueError
+BAD_SEEDS = [1.5, True, -1]
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_run_protocol(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            run_protocol(honest(), make_params(n=10), seed=seed)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    @pytest.mark.parametrize("model", [honest, lambda: NoisyDriftDevice(0.0, 1e-3)])
+    def test_run_trials_and_estimate(self, seed, model):
+        p = make_params(n=10)
+        with pytest.raises(ValidationError, match="seed"):
+            run_trials(model(), p, trials=2, seed=seed)
+        with pytest.raises(ValidationError, match="seed"):
+            estimate_abort_probability(model(), p, trials=2, seed=seed)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_check_statistics_equivalence(self, seed, trials):
+        with pytest.raises(ValidationError, match="seed"):
+            check_statistics_equivalence(honest(), make_params(n=10), trials, seed)
+
+    def test_numpy_integer_seed_is_its_int(self):
+        p = make_params(n=300)
+        run = run_protocol(honest(), p, seed=np.int64(7))
+        assert run == run_protocol(honest(), p, seed=7)
+        assert type(run.seed) is int and "seed=7 " in run.serialize()
+        assert estimate_abort_probability(honest(), p, 5, np.uint32(7)) == \
+            estimate_abort_probability(honest(), p, 5, 7)
+
+
 class TestStatisticsEquivalence:
     def test_honest_device_passes(self):
         p = make_params(n=20000, gamma=0.5, omega_exp=0.8, delta_est=0.05)
@@ -534,3 +579,60 @@ class TestDraw:
     def test_cumulative_draw_breaks_ties_as_left_to_right_scan(self, case):
         probs, u = case
         assert bisect_right(_cumulative(probs), u) == _scan(probs, u)
+
+
+def _numpy_stream(seed, purpose):
+    return np.random.default_rng(np.random.SeedSequence([seed, purpose]))
+
+
+# one-word, boundary and multi-word seeds (more than the four-word pool of
+# SeedSequence once the purpose and trial words are added)
+_SEEDS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70]) | st.integers(
+    0, 2**70
+)
+_LENGTHS = st.sampled_from(
+    [1, 2, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE - 1, 2 * _TILE, 2 * _TILE + 1]
+) | st.integers(1, 3 * _TILE)
+
+
+class TestStreams:
+    """`_draw` reproduces numpy's default generator bit for bit."""
+
+    @given(_SEEDS, st.sampled_from([0, 1, 2, 4]), _LENGTHS)
+    def test_uniforms_equal_generator_random(self, seed, purpose, n):
+        assert _draw(seed, purpose, n, _uniform) == _numpy_stream(seed, purpose).random(n).tolist()
+
+    @given(_SEEDS, st.sampled_from([0, 1, 2, 4]), _LENGTHS)
+    def test_input_codes_equal_generator_integers(self, seed, purpose, n):
+        rows = _numpy_stream(seed, purpose).integers(0, 2, size=(n, 2)).tolist()
+        assert [[k >> 1, k & 1] for k in _draw(seed, purpose, n, _input_code)] == rows
+
+    @given(_SEEDS, st.integers(0, 2**40))
+    def test_trial_seed_equals_seed_sequence(self, seed, trial):
+        words = np.random.SeedSequence([seed, 6, trial]).generate_state(1)
+        assert _trial_seed(seed, trial) == int(words[0])
+
+
+def test_sequential_models_never_load_numpy_random():
+    """A drift and a memory simulation draw every stream without numpy.random."""
+    program = textwrap.dedent("""
+        import contextlib, io, sys
+        import numpy
+        if "numpy.random" in sys.modules:
+            print("preloaded")
+            sys.exit()
+        from diecert import cli
+        common = ["--n", "300", "--gamma", "0.5", "--omega-exp", "0.8",
+                  "--delta-est", "0.02", "--trials", "3", "--seed", "5"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["simulate", "--model", "drift", "--protocol", "modified",
+                             "--xi", "0.02", "--xi-slope", "1e-4", *common]) == 0
+            assert cli.main(["simulate", "--model", "memory", "--protocol", "standard",
+                             "--xi", "0.6", *common]) == 0
+        print("numpy.random" in sys.modules)
+    """)
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "preloaded":
+        pytest.skip("this numpy loads numpy.random on import")
+    assert proc.stdout.strip() == "False"
