@@ -47,7 +47,7 @@ def _count(v) -> int:
 
 def _natural(v) -> int:
     """A non-negative integer written as one, not as a float such as 3.0 or
-    1e3, by either route: a seed, as numpy requires, or a bit of --table."""
+    1e3, by either route: a seed (`simulate._seed` takes no float) or a bit of --table."""
     try:
         k = int(v) if isinstance(v, (int, str)) else -1
     except ValueError:
@@ -172,7 +172,7 @@ def _certificate_record(cert: rates.RateCertificate) -> dict:
         "eps_cmp": cert.errors.eps_cmp,
         "eps_smo": cert.errors.eps_smo,
         "eta_opt": cert.eta_opt_value,
-        "pt_omega": cert.minimizer_pt.p1 / cert.params.gamma,
+        "pt_omega": cert.cutoff,
         "second_order_v": cert.second_order_v,
         "log_l": cert.log_l,
         "rate_raw": cert.rate_raw,

@@ -16,14 +16,15 @@ completion and `_eta_scalar` eta, all at a scalar cutoff score that eta_opt
 alone picks from (3/4, (2+sqrt(2))/4); `_v_half` is v/2, `_kappa` the
 smoothing factor and its domain, `_budget_term` the log(1/eps) term and
 `ErrorBudget` the budget's ranges, checked before any search. `RateCertificate`
-keeps what eta_opt found and derives v, log L and the rate from it, so log L
+keeps what eta_opt found and derives p_t, v, log L and the rate from it, so log L
 has one formula. `_minimize` is the only search: a fixed scan grid plus golden
-section, used for the cutoff in eta_opt and, on the negated rate of the
-certificates it returns, for gamma and eps_smo; runs are bit-identical.
+section returning the best item it built: (eta, cutoff) pairs in eta_opt, and
+the certificates optimize_parameters returns, by rate. Runs are bit-identical.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -53,7 +54,7 @@ class ProtocolParams:
             raise ValidationError(f"n={self.n} must be a positive integer")
         if not (0 <= self.gamma <= 1):
             raise ValidationError(f"gamma={self.gamma} outside [0, 1]")
-        if 0 < self.gamma < sys.float_info.min:  # p1 / gamma would lose the cutoff
+        if 0 < self.gamma < sys.float_info.min:  # scores times gamma would round away
             raise ValidationError(f"gamma={self.gamma} is subnormal")
         if not (0.75 - 1e-12 <= self.omega_exp <= OMEGA_MAX + 1e-12):
             raise ValidationError(
@@ -111,20 +112,25 @@ class FrequencyDistribution:
 
 @dataclass(frozen=True)
 class RateCertificate:
-    """eta_opt and its cutoff p_t at `params` and `errors`; v, log L and the
-    rate derive from them."""
+    """eta_opt and the cutoff score it was computed at, for `params` and
+    `errors`; p_t, v, log L and the rate derive from them."""
 
     eta_opt_value: float
-    minimizer_pt: FrequencyDistribution
+    cutoff: float
     params: ProtocolParams
     errors: ErrorBudget
     mode: str = "printed"
 
     @property
-    def second_order_v(self) -> float:
-        """v at the cutoff score p_t(1)/gamma, recovered from p_t (not eta_opt's own)."""
+    def minimizer_pt(self) -> FrequencyDistribution:
+        """The cutoff distribution p_t, with p_t(1) = cutoff * gamma."""
         gamma = self.params.gamma
-        return 2 * _v_half(self.minimizer_pt.p1 / gamma, gamma, self.mode)
+        return FrequencyDistribution.from_score(self.cutoff * gamma, gamma)
+
+    @property
+    def second_order_v(self) -> float:
+        """v at the cutoff score that eta_opt was computed at."""
+        return 2 * _v_half(self.cutoff, self.params.gamma, self.mode)
 
     @property
     def log_l(self) -> float:
@@ -163,24 +169,25 @@ def _budget_term(eps_dist: float, eps_smo: float) -> float:
     return 4 * math.log2(1 / (math.sqrt(eps_dist) - eps_smo))
 
 
-def _minimize(obj, grid, tol):
+def _minimize(make, key, grid, tol):
     """Scan `grid`, bracket the first best point, golden-section to width `tol`.
 
-    Returns the final bracket midpoint, the best grid index and its value.
-    Callers that maximize pass the negated objective.
+    Builds the item `make(x)` at every point visited: the grid, each
+    golden-section pair and the final bracket midpoint. Returns the first
+    item of least `key`; callers that maximize pass a negated key.
     """
-    vals = [obj(x) for x in grid]
-    best = min(range(len(grid)), key=vals.__getitem__)
+    items = [make(x) for x in grid]
+    best = min(range(len(grid)), key=lambda i: key(items[i]))
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, len(grid) - 1)]
     while b - a > tol:
-        c = b - (b - a) / _GOLDEN
-        d = a + (b - a) / _GOLDEN
-        if obj(c) < obj(d):
+        c, d = b - (b - a) / _GOLDEN, a + (b - a) / _GOLDEN
+        items += make(c), make(d)
+        if key(items[-2]) < key(items[-1]):
             b = d
         else:
             a = c
-    return (a + b) / 2, best, vals[best]
+    return min([*items, make((a + b) / 2)], key=key)
 
 
 def _tangent_slope(wt: float, gamma: float) -> float:
@@ -209,18 +216,19 @@ def _v_half(wt: float, gamma: float, mode: str) -> float:
 def _eta_scalar(
     wt: float, p1_obs: float, gamma: float, n: int, kappa: float, mode: str
 ) -> float:
-    """eta at cutoff score wt, with kappa from `_kappa`."""
-    fval = _fmax(p1_obs, wt, gamma)
+    """eta at cutoff score wt, with kappa from `_kappa`; +inf wherever v is infinite."""
     v_half = _v_half(wt, gamma, mode)
-    return fval + (2 / math.sqrt(n)) * v_half * kappa
+    if v_half == math.inf:
+        return math.inf
+    return _fmax(p1_obs, wt, gamma) + (2 / math.sqrt(n)) * v_half * kappa
 
 
 def eta_opt(
     params: ProtocolParams, budget: ErrorBudget, mode: str = "printed"
-) -> tuple[float, FrequencyDistribution]:
+) -> tuple[float, float]:
     """Minimize eta over the cutoff score: 200-point scan, then golden section.
 
-    Returns the achieved minimum and the minimizing cutoff distribution.
+    Returns the least eta it computed and the cutoff score it computed it at.
     """
     n, gamma = params.n, params.gamma
     if gamma <= 0:
@@ -229,13 +237,12 @@ def eta_opt(
     p1_obs = params.omega_exp * gamma - params.delta_est
     lo, hi = 0.75 + _EDGE, OMEGA_MAX - _EDGE
 
-    def obj(wt):
-        return _eta_scalar(wt, p1_obs, gamma, n, kappa, mode)
+    def item(wt):
+        return _eta_scalar(wt, p1_obs, gamma, n, kappa, mode), wt
 
     npts = 200
     step = (hi - lo) / (npts - 1)
-    wt = _minimize(obj, [lo + i * step for i in range(npts)], 1e-9)[0]
-    return obj(wt), FrequencyDistribution.from_score(wt * gamma, gamma)
+    return _minimize(item, lambda it: it[0], [lo + i * step for i in range(npts)], 1e-9)
 
 
 def completeness_bound(n: int, delta_est: float) -> float:
@@ -280,30 +287,22 @@ def optimize_parameters(
         params = ProtocolParams(n, gamma, omega_exp, delta_est)
         return certified_log_l(params, ErrorBudget(eps_dist, eps_snd, eps_cmp, smo), mode)
 
-    memo = {}
+    def rank(cert):
+        return math.inf if cert is None else -cert.rate_raw
 
+    @functools.cache
     def best_over_smo(gamma):
-        """The best certificate at gamma, or None if its threshold is vacuous."""
-        if gamma not in memo:
-            memo[gamma] = None
-            # require a non-vacuous threshold above the classical score
-            if omega_exp * gamma - delta_est > 0.75 * gamma + 1e-15:
-                top = math.log10(sqrt_dist * 0.9999)
-                lgs = [top - 3 + 3 * i / 19 for i in range(20)]
-                lg = _minimize(lambda lg: -certificate(gamma, 10**lg).rate_raw, lgs, 1e-4)[0]
-                memo[gamma] = certificate(gamma, 10**lg)
-        return memo[gamma]
-
-    def neg_rate(lg):
-        best = best_over_smo(10**lg)
-        return math.inf if best is None else -best.rate_raw
+        """The best certificate at gamma, or None unless its observed score beats 3/4."""
+        if not omega_exp * gamma - delta_est > 0.75 * gamma + 1e-15:
+            return None
+        top = math.log10(sqrt_dist * 0.9999)
+        lgs = [top - 3 + 3 * i / 19 for i in range(20)]
+        return _minimize(lambda lg: certificate(gamma, 10**lg), rank, lgs, 1e-4)
 
     lgs = [-6 + 6 * i / 59 for i in range(60)]
-    lg, bi, neg_best = _minimize(neg_rate, lgs, 1e-4)
-    if not neg_rate(lg) < neg_best:
-        lg = lgs[bi]
+    best = _minimize(lambda lg: best_over_smo(10**lg), rank, lgs, 1e-4)
     # nothing certifiable: report a zero-rate certificate at safe defaults
-    return best_over_smo(10**lg) or certificate(1.0, sqrt_dist / 2)
+    return best or certificate(1.0, sqrt_dist / 2)
 
 
 def asymptotic_rate(omega: float) -> float:

@@ -353,17 +353,21 @@ class TestMalformedInput:
     @pytest.mark.filterwarnings("ignore:omega_exp")  # the threshold is vacuous
     @pytest.mark.parametrize("mode", ["printed", "ceiling"])
     def test_tiny_gamma_certifies_nothing(self, capsys, mode):
-        # (1 - gamma)/gamma overflows, so v and eta are infinite
-        code, out, err = run_cli(
-            capsys, "rate", "--n", "1e6", "--omega-exp", "0.84", "--gamma", "1e-307",
-            "--eps-smo", "1e-4", "--mode", mode,
-        )
-        assert code == 0 and "rate = 0\n" in out and "Traceback" not in err
+        # (1 - gamma)/gamma overflows, so v and eta are infinite; at the
+        # smallest normal gamma f_max is -inf too, and eta must not be nan
+        for tail in (["--gamma", "1e-307"],
+                     ["--gamma", "2.2250738585072014e-308", "--delta-est", "0"]):
+            code, out, err = run_cli(
+                capsys, "rate", "--n", "1e6", "--omega-exp", "0.84", "--eps-smo", "1e-4",
+                "--mode", mode, *tail,
+            )
+            assert code == 0 and "rate = 0\n" in out and "Traceback" not in err
 
     @pytest.mark.parametrize("mode", ["printed", "ceiling"])
     @pytest.mark.parametrize("gamma", ["1e-321", "5e-324"])
     def test_subnormal_gamma_rejected(self, gamma, mode):
-        # p1 / gamma would print a garbled pt_omega, or fail on g' at omega=1
+        # omega_exp * gamma and minimizer_pt's cutoff * gamma round to
+        # multiples of 5e-324: at gamma = 1e-323 both read a score of 1
         code, err = _run_quietly([
             "rate", "--n", "1e6", "--omega-exp", "0.84", "--gamma", gamma, "--eps-smo", "1e-4",
             "--mode", mode,

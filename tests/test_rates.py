@@ -14,6 +14,7 @@ from diecert.rates import (
     ErrorBudget,
     FrequencyDistribution,
     ProtocolParams,
+    _EDGE,
     _eta_scalar,
     _f,
     _fmax,
@@ -209,13 +210,30 @@ class TestEtaOpt:
 
     def test_minimizer_is_interior(self):
         p, b = params(n=10**8, gamma=0.05, omega_exp=0.84, delta_est=1e-4), budget()
-        _, minimizer = eta_opt(p, b, mode="ceiling")
-        wt = minimizer.p1 / p.gamma
-        assert 0.75 < wt < OMEGA_MAX
+        _, cutoff = eta_opt(p, b, mode="ceiling")
+        assert 0.75 < cutoff < OMEGA_MAX
 
     def test_deterministic(self):
         p, b = params(), budget()
         assert eta_opt(p, b)[0] == eta_opt(p, b)[0]
+
+    @given(
+        st.floats(4, 12), st.floats(-3, 0), st.floats(0.75, OMEGA_MAX), st.floats(0, 1),
+        st.floats(-10, -2), st.floats(-10, 0), st.floats(1e-3, 0.999), st.sampled_from(MODES),
+    )
+    def test_never_above_its_scan(self, lgn, lgg, omega, u, lgd, lgs, smo, mode):
+        # observed score omega - delta_est/gamma from omega down to 3/4
+        gamma = 10**lgg
+        delta = u * gamma * (omega - 0.75)
+        p = params(n=int(10**lgn), gamma=gamma, omega_exp=omega, delta_est=delta)
+        b = budget(eps_dist=10**lgd, eps_snd=10**lgs, eps_smo=smo * 10 ** (lgd / 2))
+        eta, cutoff = eta_opt(p, b, mode)
+        obs = p.omega_exp * gamma - p.delta_est
+        assert eta == eta_at(cutoff, obs, p, b, mode)
+        lo, hi = 0.75 + _EDGE, OMEGA_MAX - _EDGE
+        step = (hi - lo) / 199
+        for i in range(200):
+            assert eta <= eta_at(lo + i * step, obs, p, b, mode)
 
     def test_kappa_domain(self):
         for zero in ("eps_snd", "eps_smo"):
@@ -226,6 +244,25 @@ class TestEtaOpt:
     def test_zero_gamma_rejected(self):
         with pytest.raises(ValidationError):
             eta_opt(params(gamma=0.0, delta_est=0.0), budget())
+
+
+class TestMinimize:
+    def test_returns_a_scanned_point_the_bracket_misses(self):
+        # only the grid point 1 is low, so golden section sees a flat
+        # objective in the bracket [0, 2] and ends next to 2
+        visited = []
+
+        def make(x):
+            visited.append(x)
+            return (0.0 if x == 1.0 else 1.0), x
+
+        best = rates._minimize(make, lambda it: it[0], [0.0, 1.0, 2.0, 3.0], 1e-3)
+        assert best == (0.0, 1.0)
+        assert visited[-1] > 1.99  # the final bracket midpoint, also an item
+
+    def test_first_of_equal_items(self):
+        best = rates._minimize(lambda x: (0.0, x), lambda it: it[0], [0.0, 1.0, 2.0], 1e-3)
+        assert best == (0.0, 0.0)
 
 
 class TestCompleteness:
@@ -253,8 +290,8 @@ class TestCompleteness:
 class TestCertificates:
     def test_regression_values(self):
         cert = certified_log_l(params(), budget(), mode="printed")
-        assert cert.eta_opt_value == pytest.approx(0.7511647677946964, abs=1e-9)
-        assert cert.rate_raw == pytest.approx(-0.7511651725061916, abs=1e-9)
+        assert cert.eta_opt_value == pytest.approx(0.7511647665078731, abs=1e-9)
+        assert cert.rate_raw == pytest.approx(-0.7511651712193683, abs=1e-9)
         cert2 = certified_log_l(params(), budget(), mode="ceiling")
         assert cert2.eta_opt_value == pytest.approx(0.7407797197190162, abs=1e-9)
 
