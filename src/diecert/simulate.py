@@ -3,8 +3,9 @@
 Runs the n-round CHSH test against pluggable device models, in the standard
 mode (test rounds are measured, the rest pass through) or the modified mode
 (untested states are projected onto a pair of Jordan blocks and twirled, so
-the kept states are Bell-diagonal two-qubit states). Also provides empirical
-abort-probability estimates and the statistical check that the modified
+the kept states are Bell-diagonal two-qubit states). Also provides abort
+probabilities (the exact binomial tail for an iid model with a known score, a
+Monte Carlo estimate otherwise) and the statistical check that the modified
 protocol leaves the classical statistics unchanged.
 
 `run_protocol` is one loop over the `Source` the model returns each round,
@@ -16,9 +17,10 @@ run on one seed schedule.
 Randomness: every draw comes from a stream derived from the master seed and a
 purpose tag, with the round index as the position in the stream. A stream is
 numpy's `default_rng(SeedSequence([seed, purpose]))` (PCG64) bit for bit, but
-computed here in numpy integer arithmetic (`_draw`), so a run never loads
-`numpy.random`; only the bulk binomial abort estimate for iid models does.
-Identical (model, params, mode, seed) always give identical transcripts.
+computed here in numpy integer arithmetic (`_draw`), and an exact abort
+probability (`rates.binomial_tail`) is summed in `math` alone, so this module
+never loads `numpy.random`. Identical (model, params, mode, seed) always give
+identical transcripts.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .quantum import (
     twirl,
     werner_state,
 )
-from .rates import ProtocolParams
+from .rates import ProtocolParams, binomial_tail
 
 # purpose tags for the derived randomness streams
 _STREAM_TEST = 0
@@ -52,7 +54,6 @@ _STREAM_INPUT = 1
 _STREAM_OUTCOME = 2
 _STREAM_BLOCK = 4
 _STREAM_TRIAL = 6
-_STREAM_ABORT = 7
 
 _Z95 = 1.959963984540054
 
@@ -64,8 +65,8 @@ class DeviceModel:
     the source state and the two pairs of binary observables. It may consult
     only the classical content of the history: measured states are gone and
     unmeasured states are out of the devices' reach. `iid` marks models whose
-    behavior ignores the round and history entirely, which unlocks caching and
-    bulk sampling.
+    behavior ignores the round and history entirely, which unlocks caching and,
+    for a model with an `exact_score`, an exact abort probability.
 
     `run_protocol` and `kept_states` call `prepare_round` once per round, in
     order, from round 0 (an iid model only at round 0), so it may count incrementally.
@@ -191,7 +192,7 @@ def _seed(seed) -> int:
     return value
 
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx, pool of four words)
+# numpy's SeedSequence (its bit_generator.pyx, pool of four words)
 # and PCG64 (a 128-bit LCG with XSL-RR output), reproduced bit for bit
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -475,13 +476,15 @@ def _transcripts(model, params, seed, mode="standard", **options):
         yield run_protocol(model, params, mode, _trial_seed(seed, trial), **options)
 
 
-def _bulk_sampled(model) -> bool:
-    """Whether abort estimates draw the model's win counts in bulk."""
+def _binomial_wins(model) -> bool:
+    """Whether the model's win count is Binomial(n, gamma * exact_score())."""
     return model.iid and hasattr(model, "exact_score")
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """95% score interval for a binomial proportion."""
+    """95% score interval for a binomial proportion. At 0 successes its lower
+    end is 0 and at `trials` its upper end is 1, exactly, as rounding would
+    otherwise leave them about 1e-18 inside."""
     z = _Z95
     if trials == 0:
         return (0.0, 1.0)
@@ -489,7 +492,9 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
-    return (max(center - half, 0.0), min(center + half, 1.0))
+    lo = 0.0 if successes == 0 else max(center - half, 0.0)
+    hi = 1.0 if successes == trials else min(center + half, 1.0)
+    return (lo, hi)
 
 
 def estimate_abort_probability(
@@ -498,23 +503,21 @@ def estimate_abort_probability(
     trials: int,
     seed: int = 0,
 ) -> tuple[float, tuple[float, float]]:
-    """Empirical abort frequency over independent trials, with a Wilson interval.
+    """Abort probability of the protocol, with a 95% interval.
 
-    For IID models the per-trial win count is drawn in bulk from its exact
-    distribution (a binomial number of test rounds, then binomial wins at the
-    model's exact score), which matches a full sequential run in distribution
-    at a fraction of the cost. Other models are run round by round.
+    An iid model with an `exact_score` wins each round independently with
+    probability gamma * score, so its win count is binomial and the result is
+    the exact tail `rates.binomial_tail` with the interval (p, p); `trials` and
+    `seed` are checked but unused. Any other model gives the abort frequency
+    over `trials` runs of the seed schedule, with a Wilson interval.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     seed = _seed(seed)
-    if _bulk_sampled(model):
-        omega = model.exact_score()
-        rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_ABORT]))
-        wins = rng.binomial(rng.binomial(params.n, params.gamma, size=trials), omega)
-        aborts = int(np.count_nonzero(wins < params.threshold))
-    else:
-        aborts = sum(tr.aborted for tr in islice(_transcripts(model, params, seed), trials))
+    if _binomial_wins(model):
+        p = binomial_tail(params.n, params.gamma * model.exact_score(), params.threshold)
+        return p, (p, p)
+    aborts = sum(tr.aborted for tr in islice(_transcripts(model, params, seed), trials))
     return aborts / trials, wilson_interval(aborts, trials)
 
 
@@ -527,11 +530,12 @@ def run_trials(
 ) -> tuple[Transcript, float, tuple[float, float]]:
     """Trial 0 of the schedule that `estimate_abort_probability` runs, in `mode`,
     then that function's estimate and interval. A standard-mode trial 0 is
-    also the estimate's first trial and is run once."""
+    also the estimate's first trial and is run once; a model with an exact
+    abort probability runs trial 0 alone."""
     seed = _seed(seed)
     runs = _transcripts(model, params, seed, mode)
     first = next(runs)
-    if mode != "standard" or trials < 1 or _bulk_sampled(model):
+    if mode != "standard" or trials < 1 or _binomial_wins(model):
         return first, *estimate_abort_probability(model, params, trials, seed)
     aborts = sum((tr.aborted for tr in islice(runs, trials - 1)), first.aborted)
     return first, aborts / trials, wilson_interval(aborts, trials)

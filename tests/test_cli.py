@@ -10,6 +10,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from diecert.cli import main
+from diecert.rates import ProtocolParams
+from diecert.simulate import ClassicalDeterministicDevice
+from test_simulate import exact_abort
 
 GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = Path(__file__).parent / "configs"
@@ -200,6 +203,12 @@ class TestConfigFile:
         assert "error: config file must contain a JSON object" in err
 
 
+def _exact_abort(table, **params) -> float:
+    """The exact abort probability of a classical table, as simulate prints it."""
+    model, p = ClassicalDeterministicDevice(*table), ProtocolParams(**params)
+    return float(f"{float(exact_abort(model, p)):.6g}")
+
+
 class TestSimulate:
     def test_golden_summary_and_transcript(self, capsys, tmp_path):
         target = tmp_path / "transcript.csv"
@@ -220,7 +229,9 @@ class TestSimulate:
         )
         assert code == 0
         summary = json.loads(out.strip().splitlines()[-1])
-        assert summary["abort_estimate"] == 1.0
+        want = _exact_abort((0, 0, 0, 0), n=2000, gamma=0.5, omega_exp=0.85, delta_est=0.01)
+        assert summary["abort_estimate"] == want == 0.999869
+        assert summary["interval"] == [want, want]
 
     def test_modified_protocol_runs(self, capsys):
         code, out, _ = run_cli(
@@ -240,7 +251,8 @@ class TestSimulate:
         )
         assert code == 0, err
         assert "mode=modified" in out
-        assert json.loads(out.strip().splitlines()[-1])["abort_estimate"] == 1.0
+        want = _exact_abort((1, 0, 1, 1), n=500, gamma=0.5, omega_exp=0.85, delta_est=0.01)
+        assert json.loads(out.strip().splitlines()[-1])["abort_estimate"] == want == 0.967053
 
     def test_unknown_model(self, capsys):
         code, _, err = run_cli(

@@ -9,8 +9,9 @@ modes, with and without ``project_test_rounds``, on two seeds:
   Bell-basis diagonals, compared to 1e-12 relative, because a kept state may
   be computed along a different floating-point route to the same matrix.
 
-It also pins the ``repr`` of abort estimates and the SHA-256 of two
-statistics-equivalence reports. The classical model's modified-mode cases
+It also pins the ``repr`` of abort estimates (for the honest and classical
+models, the exact binomial tail and its one-point interval) and the SHA-256
+of two statistics-equivalence reports. The classical model's modified-mode cases
 were recorded once deterministic strategies gained a Jordan block; before
 that the modified mode crashed on them. Every other case was recorded with
 the simulator as it stood before its per-round geometry was folded into

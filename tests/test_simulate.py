@@ -2,7 +2,9 @@ import math
 import subprocess
 import sys
 import textwrap
+import time
 from bisect import bisect_right
+from fractions import Fraction
 from itertools import accumulate, product
 
 import numpy as np
@@ -28,7 +30,7 @@ from diecert.quantum import (
     werner_spectrum,
     werner_state,
 )
-from diecert.rates import ProtocolParams, completeness_bound
+from diecert.rates import ProtocolParams, binomial_tail, completeness_bound
 from diecert.simulate import (
     ClassicalDeterministicDevice,
     DeviceModel,
@@ -59,6 +61,33 @@ def make_params(n=5000, gamma=0.5, omega_exp=0.8, delta_est=0.05):
 
 def honest():
     return HonestIIDDevice(optimal_strategy())
+
+
+def tail_oracle(n: int, p: float, threshold: float) -> Fraction:
+    """P(W < threshold) for W ~ Binomial(n, p), in exact rational arithmetic.
+
+    With p = a / d and b = d - a, it sums comb(n, k) a^k b^(n-k) over whole
+    k < threshold and divides by d^n. Each term is an integer, so the step
+    from term k to term k + 1, times (n - k) a / ((k + 1) b), divides
+    exactly."""
+    a, d = Fraction(p).as_integer_ratio()
+    b, term, total = d - a, (d - a) ** n, 0
+    for k in range(n + 1):
+        if not k < threshold:
+            break
+        total += term
+        term = term * (n - k) * a // ((k + 1) * b)
+    return Fraction(total, d**n)
+
+
+def exact_abort(model, params) -> Fraction:
+    """The abort probability of an iid model, by `tail_oracle`."""
+    return tail_oracle(params.n, params.gamma * model.exact_score(), params.threshold)
+
+
+def close_to(got: float, want: Fraction) -> bool:
+    """`got` within 1e-12 relative of `want`, in exact arithmetic."""
+    return abs(Fraction(got) - want) <= want * Fraction(1, 10**12)
 
 
 def werner_source(xi):
@@ -390,30 +419,77 @@ class TestWilsonInterval:
         assert wilson_interval(0, 0) == (0.0, 1.0)
 
     def test_contains_point_estimate(self):
-        for k, n in ((0, 20), (3, 17), (20, 20)):
+        for k, n in ((0, 20), (3, 17), (20, 20), (0, 100), (0, 200), (0, 1000), (1000, 1000)):
             lo, hi = wilson_interval(k, n)
             assert lo <= k / n <= hi
             assert 0 <= lo <= hi <= 1
+
+
+class TestExactTail:
+    @pytest.mark.parametrize("n", [1, 7, 60])
+    @pytest.mark.parametrize("p", [0.05, 0.375, OMEGA_MAX])
+    def test_matches_fraction_oracle(self, n, p):
+        # at or below 0, whole and fractional thresholds on either side of
+        # the mean n * p, n itself and above it
+        for threshold in (-2.5, 0.0, 1.0, 2.5, round(0.3 * n), 0.3 * n + 0.5,
+                          round(0.6 * n), 0.6 * n + 0.25, round(0.9 * n), 0.9 * n + 0.5,
+                          float(n), n + 0.5):
+            assert close_to(binomial_tail(n, p, threshold), tail_oracle(n, p, threshold))
+
+    @given(
+        st.one_of(
+            st.floats(0.0, 0.29).map(lambda xi: HonestIIDDevice(werner_source(xi))),
+            st.tuples(*[st.integers(0, 1)] * 4).map(lambda t: ClassicalDeterministicDevice(*t)),
+        ),
+        st.integers(1, 10**5),
+        st.floats(1e-3, 1.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+    )
+    def test_within_hoeffding_bound(self, model, n, gamma, at, width):
+        # whenever the model's score is at least omega_exp
+        score = model.exact_score()
+        assume(score >= OMEGA_CLASSICAL)
+        omega_exp = min(OMEGA_CLASSICAL + at * (score - OMEGA_CLASSICAL), score)
+        delta = width * omega_exp * gamma
+        assume(omega_exp * gamma - delta > 0)
+        params = ProtocolParams(n=n, gamma=gamma, omega_exp=omega_exp, delta_est=delta)
+        est, interval = estimate_abort_probability(model, params, trials=1)
+        assert interval == (est, est)
+        assert 0.0 <= est <= completeness_bound(n, delta)
+
+    def test_stops_early_at_the_largest_simulate_n(self):
+        # tails that underflow to 0 and to 1 as well as ones near the mean; a
+        # sum that ran through every one of the 10**7 terms would take seconds
+        n, p = 10**7, 0.5 * OMEGA_MAX
+        start = time.perf_counter()
+        assert binomial_tail(n, p, n * (p - 0.05)) == 0.0
+        assert binomial_tail(n, p, n * (p + 0.05)) == 1.0
+        assert 0.4 < binomial_tail(n, p, n * p) < 0.6
+        assert 0.4 < binomial_tail(n, p, n * p + 0.5) < 0.6
+        assert time.perf_counter() - start < 1.0
 
 
 class TestAbortEstimation:
     def test_honest_rarely_aborts(self):
         p = ProtocolParams(n=10**5, gamma=0.05, omega_exp=0.85, delta_est=0.005)
         est, (lo, hi) = estimate_abort_probability(honest(), p, trials=2000, seed=21)
-        assert lo - 1e-9 <= est <= hi + 1e-9
-        assert est <= completeness_bound(p.n, p.delta_est) + 0.01
+        assert lo == est == hi
+        assert est <= completeness_bound(p.n, p.delta_est)
 
     def test_dishonest_always_aborts(self):
         p = ProtocolParams(n=10**4, gamma=0.5, omega_exp=0.85, delta_est=0.01)
         cheat = ClassicalDeterministicDevice(0, 0, 0, 0)
-        est, _ = estimate_abort_probability(cheat, p, trials=500, seed=22)
-        assert est == 1.0
+        est, interval = estimate_abort_probability(cheat, p, trials=500, seed=22)
+        assert close_to(est, exact_abort(cheat, p)) and interval == (est, est)
+        assert 1 - 1e-15 < est <= 1.0
 
     def test_fast_path_matches_sequential(self):
-        # moderate abort probability: the bulk-sampled estimate and the
-        # round-by-round runs must agree within their joint uncertainty
+        # the exact value must lie inside the Wilson interval of round-by-round
+        # runs of the same device, which estimate the same law by sampling
         p = ProtocolParams(n=2000, gamma=0.5, omega_exp=0.85, delta_est=0.002)
-        fast, fast_iv = estimate_abort_probability(honest(), p, trials=4000, seed=23)
+        exact, exact_iv = estimate_abort_probability(honest(), p, trials=4000, seed=23)
+        assert close_to(exact, exact_abort(honest(), p)) and exact_iv == (exact, exact)
 
         class SlowHonest(HonestIIDDevice):
             iid = False
@@ -421,7 +497,7 @@ class TestAbortEstimation:
         slow, slow_iv = estimate_abort_probability(
             SlowHonest(optimal_strategy()), p, trials=120, seed=23
         )
-        assert fast_iv[0] <= slow_iv[1] and slow_iv[0] <= fast_iv[1]
+        assert slow_iv[0] <= exact <= slow_iv[1]
 
     def test_deterministic(self):
         p = ProtocolParams(n=10**4, gamma=0.1, omega_exp=0.84, delta_est=0.01)
@@ -613,8 +689,9 @@ class TestStreams:
         assert _trial_seed(seed, trial) == int(words[0])
 
 
-def test_sequential_models_never_load_numpy_random():
-    """A drift and a memory simulation draw every stream without numpy.random."""
+def test_simulate_never_loads_numpy_random():
+    """Every model, in both protocols, draws its streams and gets its abort
+    probability without numpy.random."""
     program = textwrap.dedent("""
         import contextlib, io, sys
         import numpy
@@ -624,11 +701,13 @@ def test_sequential_models_never_load_numpy_random():
         from diecert import cli
         common = ["--n", "300", "--gamma", "0.5", "--omega-exp", "0.8",
                   "--delta-est", "0.02", "--trials", "3", "--seed", "5"]
+        models = (["drift", "--xi", "0.02", "--xi-slope", "1e-4"], ["memory", "--xi", "0.6"],
+                  ["honest", "--xi", "0.05"], ["classical", "--table", "1,0,1,1"])
         with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["simulate", "--model", "drift", "--protocol", "modified",
-                             "--xi", "0.02", "--xi-slope", "1e-4", *common]) == 0
-            assert cli.main(["simulate", "--model", "memory", "--protocol", "standard",
-                             "--xi", "0.6", *common]) == 0
+            for model in models:
+                for protocol in ("standard", "modified"):
+                    assert cli.main(["simulate", "--model", *model, "--protocol", protocol,
+                                     *common]) == 0
         print("numpy.random" in sys.modules)
     """)
     proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True)
