@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from fractions import Fraction
 
 from . import bounds, rates, simulate
 from .chsh import OMEGA_MAX, optimal_strategy, Strategy
@@ -38,9 +39,10 @@ _MAX_GRID = 10**5  # most points in one score grid
 
 
 def _count(v) -> int:
-    """A positive integer, also accepted in float notation such as 1e6."""
-    x = float(v)
-    if not (x >= 1 and x.is_integer()):
+    """A positive integer, also accepted in float notation such as 1e6, read
+    exactly. `float` first checks the syntax and that the rates can take it."""
+    x = Fraction(v) if 1 <= float(v) < math.inf else None
+    if x is None or x.denominator != 1:
         raise ValueError(f"{v!r} is not a positive integer")
     return int(x)
 

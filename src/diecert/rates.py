@@ -294,7 +294,7 @@ def delta_est_for(n: int, eps_cmp: float) -> float:
     """Confidence width making the honest abort bound equal eps_cmp."""
     if not (0 < eps_cmp < 1):
         raise ValidationError(f"eps_cmp={eps_cmp} outside (0, 1)")
-    return math.sqrt(math.log(1 / eps_cmp) / (2 * n))
+    return math.sqrt(math.log(1 / eps_cmp) / 2 / n)
 
 
 def certified_log_l(

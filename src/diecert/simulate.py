@@ -4,15 +4,16 @@ Runs the n-round CHSH test against pluggable device models, in the standard
 mode (test rounds are measured, the rest pass through) or the modified mode
 (untested states are projected onto a pair of Jordan blocks and twirled, so
 the kept states are Bell-diagonal two-qubit states). Also provides abort
-probabilities (the exact binomial tail for an iid model with a known score, a
+probabilities (the exact binomial tail for a model with an `exact_score`, a
 Monte Carlo estimate otherwise) and the statistical check that the modified
 protocol leaves the classical statistics unchanged.
 
-`run_protocol` is one loop over the `Source` the model returns each round,
-which fills lazily: cumulative Born tables from `chsh.born_probabilities`, the
-cumulative block-pair distribution and the kept states, which `kept_states`
-reads. Only whether a round draws a block pair depends on the mode. All trials
-run on one seed schedule.
+`run_protocol` asks the model for its `Source` every round and appends shared
+rows: a test row from a fixed table of 16, an untested row one per block pair.
+A source fills lazily: cumulative Born tables from `chsh.born_probabilities`,
+the cumulative block-pair distribution and the kept states, which
+`kept_states` reads. Only whether a round draws a block pair depends on the
+mode. All trials run on one seed schedule.
 
 Randomness: every draw comes from a stream derived from the master seed and a
 purpose tag, with the round index as the position in the stream. A stream is
@@ -31,7 +32,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate, count, islice
+from itertools import accumulate, count, islice, product
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -64,25 +65,21 @@ class DeviceModel:
     A model maps (round index, classical history) to this round's `Source`:
     the source state and the two pairs of binary observables. It may consult
     only the classical content of the history: measured states are gone and
-    unmeasured states are out of the devices' reach. `iid` marks models whose
-    behavior ignores the round and history entirely, which unlocks caching and,
-    for a model with an `exact_score`, an exact abort probability.
+    unmeasured states are out of the devices' reach.
 
     `run_protocol` and `kept_states` call `prepare_round` once per round, in
-    order, from round 0 (an iid model only at round 0), so it may count incrementally.
-    A model that returns the same `Source` again reuses its cached tables.
+    order, from round 0, so it may count incrementally. A model that returns
+    the same `Source` again reuses its cached tables. A model that defines
+    `exact_score()` declares that it wins each round independently with
+    probability gamma * score, which gives it an exact abort probability.
     """
-
-    iid = False
 
     def prepare_round(self, i, history) -> Source:
         raise NotImplementedError
 
 
 class HonestIIDDevice(DeviceModel):
-    """Plays a fixed strategy every round."""
-
-    iid = True
+    """Plays a fixed strategy every round, so its `exact_score` is the strategy's."""
 
     def __init__(self, strategy: Strategy):
         self.strategy = strategy
@@ -150,6 +147,11 @@ class RoundRecord(NamedTuple):
     w: int | None = None
     c: int | None = None
     d: int | None = None
+
+
+# every test row, at index 4 * (2x + y) + 2a + b, with its CHSH win w
+_TEST_ROWS = tuple(RoundRecord(1, x, y, a, b, int(a ^ b == x & y))
+                   for x, y, a, b in product((0, 1), repeat=4))
 
 
 @dataclass
@@ -419,27 +421,22 @@ def run_protocol(
     outcome_draws = _draw(seed, _STREAM_OUTCOME, n, _uniform)
     block_draws = _draw(seed, _STREAM_BLOCK, n, _uniform) if modified else None
 
-    source = None
-    rounds = []
-    win_count = 0
-    for i in range(n):
-        if source is None or not model.iid:
-            source = model.prepare_round(i, rounds)
-        t = 1 if test_draws[i] else 0
-        pair = None
-        if modified and (project_test_rounds or not t):
-            pair = source.sample_pair(block_draws[i])
+    untested = {None: RoundRecord(0)}  # one shared untested row per block pair
+    rounds, win_count = [], 0
+    for i, t in enumerate(test_draws):
+        source = model.prepare_round(i, rounds)
+        draws_pair = modified and (project_test_rounds or not t)
+        pair = source.sample_pair(block_draws[i]) if draws_pair else None
         if t:
             xy = input_draws[i]
-            x, y = xy >> 1, xy & 1
-            k = bisect_right(source.outcome_cdf(x, y, pair), outcome_draws[i])
-            a, b = k >> 1, k & 1
-            w = 1 if (a ^ b) == (x & y) else 0
-            win_count += w
-            rounds.append(RoundRecord(1, x, y, a, b, w))
+            k = bisect_right(source.outcome_cdf(xy >> 1, xy & 1, pair), outcome_draws[i])
+            row = _TEST_ROWS[4 * xy + k]
+            win_count += row.w
+        elif pair in untested:
+            row = untested[pair]
         else:
-            c, d = pair if pair else (None, None)
-            rounds.append(RoundRecord(0, None, None, None, None, None, c, d))
+            row = untested[pair] = RoundRecord(0, c=pair[0], d=pair[1])
+        rounds.append(row)
 
     return Transcript(
         rounds=rounds,
@@ -455,10 +452,9 @@ def kept_states(model: DeviceModel, transcript: Transcript) -> list[TwoQubitStat
     """Per row, `Source.kept` at the recorded block pair (none in standard
     mode), or None for a test round. Steps a fresh `model` as `run_protocol`
     does, with the transcript's earlier rows as history."""
-    kept, history, source = [], [], None
+    kept, history = [], []
     for i, r in enumerate(transcript.rounds):
-        if source is None or not model.iid:
-            source = model.prepare_round(i, history)
+        source = model.prepare_round(i, history)
         kept.append(None if r.t else source.kept(None if r.c is None else (r.c, r.d)))
         history.append(r)
     return kept
@@ -477,8 +473,8 @@ def _transcripts(model, params, seed, mode="standard", **options):
 
 
 def _binomial_wins(model) -> bool:
-    """Whether the model's win count is Binomial(n, gamma * exact_score())."""
-    return model.iid and hasattr(model, "exact_score")
+    """Whether the model declares, by defining `exact_score`, Binomial(n, gamma * score) wins."""
+    return hasattr(model, "exact_score")
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -505,9 +501,9 @@ def estimate_abort_probability(
 ) -> tuple[float, tuple[float, float]]:
     """Abort probability of the protocol, with a 95% interval.
 
-    An iid model with an `exact_score` wins each round independently with
-    probability gamma * score, so its win count is binomial and the result is
-    the exact tail `rates.binomial_tail` with the interval (p, p); `trials` and
+    A model with an `exact_score` declares that it wins each round
+    independently with probability gamma * score, so the result is the exact
+    binomial tail `rates.binomial_tail` with the interval (p, p); `trials` and
     `seed` are checked but unused. Any other model gives the abort frequency
     over `trials` runs of the seed schedule, with a Wilson interval.
     """

@@ -153,6 +153,29 @@ class TestRate:
         assert code == 0
         assert "rate = 0\n" in out
 
+    @pytest.mark.parametrize("route, value, n", [
+        ("flag", "9007199254740993", 2**53 + 1),
+        ("flag", "1e23", 10**23),
+        ("flag", "1e308", 10**308),
+        ("config", 9007199254740993, 2**53 + 1),
+        ("config", "1e23", 10**23),
+        ("config", 1.5e6, 1500000),
+    ], ids=["flag-2^53+1", "flag-1e23", "flag-1e308", "config-int-2^53+1",
+            "config-string-1e23", "config-float-1.5e6"])
+    def test_count_is_read_exactly(self, capsys, tmp_path, route, value, n):
+        # not through a float, which rounds above 2^53; up to the float range
+        # the rates take it, delta_est's 2n included
+        argv = ["rate", "--omega-exp", "0.84", "--gamma", "0.01", "--eps-smo", "1e-4"]
+        if route == "flag":
+            argv += ["--n", value]
+        else:
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps({"n": value}))
+            argv += ["--config", str(cfgfile)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.startswith(f"n = {n}\n")
+
     def test_missing_required_option(self, capsys):
         code, _, err = run_cli(capsys, "rate", "--n", "1e6")
         assert code == 1
@@ -357,6 +380,20 @@ class TestMalformedInput:
         code, err = _run_quietly(argv)
         assert code == 1
         assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [
+        "2e308", "1e309", "inf", "1.0000000000000001", "9007199254740993.5", 10**400,
+    ])
+    def test_count_not_whole_or_beyond_a_float_rejected(self, value, tmp_path):
+        # by flag and by config; a float would round the middle two to whole
+        # numbers, and a count past the float range would overflow the rates
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"n": value}))
+        common = ["rate", "--omega-exp", "0.84", "--gamma", "0.01", "--eps-smo", "1e-4"]
+        for argv in ([*common, "--n", str(value)], [*common, "--config", str(cfgfile)]):
+            code, err = _run_quietly(argv)
+            assert code == 1
+            assert err.startswith("error: --n: ") and "Traceback" not in err
 
     def test_unknown_config_key_is_named(self):
         code, err = _run_quietly(["rate", "--config", str(CONFIGS / "unknown_key.json")])

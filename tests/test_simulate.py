@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from diecert.chsh import (
     OMEGA_CLASSICAL,
     OMEGA_MAX,
     Strategy,
+    deterministic_strategy,
     optimal_measurement_strategy,
     optimal_strategy,
 )
@@ -37,6 +39,7 @@ from diecert.simulate import (
     HonestIIDDevice,
     MemorySwitcherDevice,
     NoisyDriftDevice,
+    RoundRecord,
     Source,
     check_statistics_equivalence,
     estimate_abort_probability,
@@ -116,8 +119,6 @@ class BlockPairDevice(DeviceModel):
     observables, so the modified protocol should resolve the block pair and
     keep a Bell-diagonal two-qubit state."""
 
-    iid = True
-
     def __init__(self, weights=(0.3, 0.7), noises=(0.0, 0.4)):
         embeds = [np.zeros((4, 2), dtype=complex) for _ in range(2)]
         for k in range(2):
@@ -126,7 +127,6 @@ class BlockPairDevice(DeviceModel):
         for k, (wgt, xi) in enumerate(zip(weights, noises)):
             iso = np.kron(embeds[k], embeds[k])
             state += wgt * iso @ werner_state(xi).matrix @ iso.conj().T
-        self.state = state
         # per-block angles differ so the blocks stay spectrally separated;
         # the first observable is sigma_z on each block, which pins the
         # reduction frame to the embedding itself. Block indices come out
@@ -135,8 +135,8 @@ class BlockPairDevice(DeviceModel):
         second = [s * (SIGMA_Z + SIGMA_X), SIGMA_X]
         obs0 = self._lift([SIGMA_Z, SIGMA_Z], embeds)
         obs1 = self._lift(second, embeds)
-        self.alice_obs = (Observable(obs0), Observable(obs1))
-        self.bob_obs = (Observable(obs0), Observable(obs1))
+        both = (Observable(obs0), Observable(obs1))
+        self.source = Source(state, both, both)
         self.weights = weights
         self.noises = noises
 
@@ -145,7 +145,7 @@ class BlockPairDevice(DeviceModel):
         return sum(e @ m @ e.conj().T for m, e in zip(blocks2, embeds))
 
     def prepare_round(self, i, history):
-        return Source(self.state, self.alice_obs, self.bob_obs)
+        return self.source
 
 
 class TestRunProtocol:
@@ -236,6 +236,41 @@ class TestRunProtocol:
                 source = dev.prepare_round(i, tr.rounds[:i])
                 tests = sum(r.t for r in tr.rounds[:i])
                 assert source.state is (even if tests % 2 == 0 else odd).state
+
+    @pytest.mark.parametrize("mode", ["standard", "modified"])
+    def test_every_round_asks_the_model(self, mode):
+        # an honest device whose subclass changes its table each round: the
+        # rows follow the table of their own round, not round 0's
+        tables = ((0, 0, 0, 0), (1, 0, 1, 1))
+
+        class Alternating(HonestIIDDevice):
+            odd = Source.of(deterministic_strategy(*tables[1]))
+
+            def prepare_round(self, i, history):
+                return self.odd if i % 2 else super().prepare_round(i, history)
+
+        dev = Alternating(deterministic_strategy(*tables[0]))
+        tr = run_protocol(dev, make_params(n=300), mode, seed=8, project_test_rounds=True)
+        tested = [(i % 2, r) for i, r in enumerate(tr.rounds) if r.t]
+        assert {odd for odd, _ in tested} == {0, 1}
+        for odd, r in tested:
+            assert (r.a, r.b) == (tables[odd][r.x], tables[odd][2 + r.y])
+
+    @pytest.mark.parametrize("mode", ["standard", "modified"])
+    @pytest.mark.parametrize("model", [honest, BlockPairDevice])
+    def test_rows_are_shared(self, model, mode):
+        p = make_params(n=2000, gamma=0.5)
+        tr = run_protocol(model(), p, mode, seed=14)
+        tested = [r for r in tr.rounds if r.t]
+        untested = [r for r in tr.rounds if not r.t]
+        pairs = {(r.c, r.d) for r in untested}
+        assert len({id(r) for r in tested}) <= 16
+        assert len({id(r) for r in untested}) == len(pairs)
+        assert mode == "modified" or pairs == {(None, None)}
+        assert all(r.w == int(r.a ^ r.b == r.x & r.y) for r in tested)
+        assert tr.win_count == sum(r.w for r in tested)
+        copied = dataclasses.replace(tr, rounds=[RoundRecord(*r) for r in tr.rounds])
+        assert copied == tr == run_protocol(model(), p, mode, seed=14)
 
     def test_drift_device_degrades(self):
         p = ProtocolParams(n=4000, gamma=1.0, omega_exp=0.75, delta_est=0.0)
@@ -405,7 +440,7 @@ class TestKeptStates:
         calls.clear()
         kept_states(CLI_MODELS[model](), tr)
         assert calls == ran
-        assert [i for i, _ in ran] == ([0] if model == "honest" else list(range(300)))
+        assert [i for i, _ in ran] == list(range(300))
         assert all(history == tr.rounds[:i] for i, history in ran)
 
 
@@ -491,12 +526,15 @@ class TestAbortEstimation:
         exact, exact_iv = estimate_abort_probability(honest(), p, trials=4000, seed=23)
         assert close_to(exact, exact_abort(honest(), p)) and exact_iv == (exact, exact)
 
-        class SlowHonest(HonestIIDDevice):
-            iid = False
+        class SlowHonest(DeviceModel):
+            """The honest source, with no `exact_score` to declare its law."""
 
-        slow, slow_iv = estimate_abort_probability(
-            SlowHonest(optimal_strategy()), p, trials=120, seed=23
-        )
+            source = Source.of(optimal_strategy())
+
+            def prepare_round(self, i, history):
+                return self.source
+
+        slow, slow_iv = estimate_abort_probability(SlowHonest(), p, trials=120, seed=23)
         assert slow_iv[0] <= exact <= slow_iv[1]
 
     def test_deterministic(self):
