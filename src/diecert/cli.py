@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import bounds, rates, simulate
@@ -100,6 +101,11 @@ def _list(kind):
     return parse
 
 
+class _Number(Decimal):
+    """A JSON number with a fraction or exponent: exact for `_count`, shown as written."""
+    __repr__ = Decimal.__str__
+
+
 class _Config:
     """Flag values with JSON-file fallback: explicit flags override the file,
     whose keys must be the subcommand's flags. `get` converts and checks a
@@ -111,7 +117,7 @@ class _Config:
         path = self.args.get("config")
         if path:
             with open(path, encoding="utf-8") as fh:
-                self.file = json.load(fh)
+                self.file = json.load(fh, parse_float=_Number)
             if not isinstance(self.file, dict):
                 raise ValidationError("config file must contain a JSON object")
             flags = _COMMANDS[self.args["command"]][2].replace("-", "_").split()

@@ -18,10 +18,10 @@ mode. All trials run on one seed schedule.
 Randomness: every draw comes from a stream derived from the master seed and a
 purpose tag, with the round index as the position in the stream. A stream is
 numpy's `default_rng(SeedSequence([seed, purpose]))` (PCG64) bit for bit, but
-computed here in numpy integer arithmetic (`_draw`), and an exact abort
-probability (`rates.binomial_tail`) is summed in `math` alone, so this module
-never loads `numpy.random`. Identical (model, params, mode, seed) always give
-identical transcripts.
+computed here in numpy integer arithmetic, a tile at a time (`_draw`), and an
+exact abort probability (`rates.binomial_tail`) is summed in `math` alone, so
+this module never loads `numpy.random`. Identical (model, params, mode, seed)
+always give identical transcripts.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate, count, islice, product
+from itertools import accumulate, chain, count, islice, product, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -239,20 +239,10 @@ def _seed_words(entropy: list[int], words: int) -> list[int]:
     return state
 
 
-def _limbs(values: list[int]):
-    """128-bit ints as read-only uint64 arrays: high word, low word and the
-    low word's high and low 32-bit halves."""
-    hi = np.array([v >> 64 for v in values], np.uint64)
-    lo = np.array([v & _M64 for v in values], np.uint64)
-    limbs = hi, lo, lo >> 32, lo & _M32
-    for v in limbs:
-        v.setflags(write=False)
-    return limbs
-
-
 @cache
 def _jump_sums():
-    """Limbs of 1 + M + ... + M^(j-1) mod 2**128 for j = 1.._TILE. Since
+    """1 + M + ... + M^(j-1) mod 2**128 for j = 1.._TILE, as a read-only
+    uint64 array whose rows are the high and low words. Since
     (M - 1)(1 + ... + M^(j-1)) = M^j - 1, the state j steps after s is
     M^j s + inc (1 + ... + M^(j-1)) = s + (s' - s)(1 + ... + M^(j-1)), where
     s' = M s + inc is the state one step after s."""
@@ -260,13 +250,16 @@ def _jump_sums():
     for _ in range(_TILE):
         power, total = power * _PCG_MULT & _M128, total + power & _M128
         totals.append(total)
-    return _limbs(totals)
+    words = np.array([[v >> 64 for v in totals], [v & _M64 for v in totals]], np.uint64)
+    words.setflags(write=False)
+    return words
 
 
 def _mul128(x, y: int, k: int):
-    """The first k of the `_limbs` arrays x times y, mod 2**128, as (high,
+    """The first k columns of the word rows x times y, mod 2**128, as (high,
     low) uint64 words; the words wrap as arrays, so no overflow warns."""
-    xh, xl, x1, x0 = (v[:k] for v in x)
+    xh, xl = x[:, :k]
+    x1, x0 = xl >> 32, xl & _M32
     yh, yl, y1, y0 = map(np.uint64, (y >> 64, y & _M64, y >> 32 & _M32, y & _M32))
     # the high word of xl * yl from 32-bit halves; neither sum reaches 2**64
     t = x0 * y1 + (x0 * y0 >> 32)
@@ -274,17 +267,17 @@ def _mul128(x, y: int, k: int):
     return x1 * y1 + (t >> 32) + (u >> 32) + xl * yh + xh * yl, xl * yl
 
 
-def _draw(seed: int, purpose: int, n: int, convert) -> list:
-    """`convert` applied to the first n outputs of numpy's
-    `default_rng(SeedSequence([seed, purpose]))`, as one list. The states are
-    computed a tile at a time by jump-ahead from the tile's first state."""
+def _draw(seed: int, purpose: int, n: int, convert):
+    """The first n outputs of numpy's `default_rng(SeedSequence([seed,
+    purpose]))`, yielded a tile at a time: each tile's outputs, `convert`ed,
+    as one list of at most `_TILE` values. A tile's states are computed when
+    it is asked for, by jump-ahead from its first state."""
     w = _seed_words([seed, purpose], 8)
     # generate_state(4, uint64) gives the seed state and, shifted, the increment
     state = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
     inc = (w[5] << 97 | w[4] << 65 | w[7] << 33 | w[6] << 1 | 1) & _M128
     s = (inc + state) * _PCG_MULT + inc & _M128
     sums = _jump_sums()
-    out = []
     for start in range(0, n, _TILE):
         k = min(n - start, _TILE)
         hi, lo = _mul128(sums, (s * (_PCG_MULT - 1) + inc) & _M128, k)
@@ -294,8 +287,7 @@ def _draw(seed: int, purpose: int, n: int, convert) -> list:
         hi += lo < low
         s = int(hi[-1]) << 64 | int(lo[-1])
         x, r = hi ^ lo, hi >> 58  # XSL-RR: fold, rotate by the top six bits
-        out += convert(x >> r | x << (64 - r & 63)).tolist()
-    return out
+        yield convert(x >> r | x << (64 - r & 63)).tolist()
 
 
 def _uniform(u):
@@ -416,20 +408,21 @@ def run_protocol(
     n = params.n
     modified = mode == "modified"
 
-    test_draws = _draw(seed, _STREAM_TEST, n, lambda u: _uniform(u) < params.gamma)
-    input_draws = _draw(seed, _STREAM_INPUT, n, _input_code)
-    outcome_draws = _draw(seed, _STREAM_OUTCOME, n, _uniform)
-    block_draws = _draw(seed, _STREAM_BLOCK, n, _uniform) if modified else None
-
+    streams = (
+        _draw(seed, _STREAM_TEST, n, lambda u: _uniform(u) < params.gamma),
+        _draw(seed, _STREAM_INPUT, n, _input_code),
+        _draw(seed, _STREAM_OUTCOME, n, _uniform),
+        _draw(seed, _STREAM_BLOCK, n, _uniform) if modified else repeat(repeat(None)),
+    )
     untested = {None: RoundRecord(0)}  # one shared untested row per block pair
     rounds, win_count = [], 0
-    for i, t in enumerate(test_draws):
-        source = model.prepare_round(i, rounds)
+    # each round's (t, xy, u, u_pair): the streams read in lockstep, a tile at a time
+    for t, xy, u, u_pair in chain.from_iterable(map(zip, *streams)):
+        source = model.prepare_round(len(rounds), rounds)
         draws_pair = modified and (project_test_rounds or not t)
-        pair = source.sample_pair(block_draws[i]) if draws_pair else None
+        pair = source.sample_pair(u_pair) if draws_pair else None
         if t:
-            xy = input_draws[i]
-            k = bisect_right(source.outcome_cdf(xy >> 1, xy & 1, pair), outcome_draws[i])
+            k = bisect_right(source.outcome_cdf(xy >> 1, xy & 1, pair), u)
             row = _TEST_ROWS[4 * xy + k]
             win_count += row.w
         elif pair in untested:
@@ -472,11 +465,6 @@ def _transcripts(model, params, seed, mode="standard", **options):
         yield run_protocol(model, params, mode, _trial_seed(seed, trial), **options)
 
 
-def _binomial_wins(model) -> bool:
-    """Whether the model declares, by defining `exact_score`, Binomial(n, gamma * score) wins."""
-    return hasattr(model, "exact_score")
-
-
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% score interval for a binomial proportion. At 0 successes its lower
     end is 0 and at `trials` its upper end is 1, exactly, as rounding would
@@ -510,7 +498,7 @@ def estimate_abort_probability(
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     seed = _seed(seed)
-    if _binomial_wins(model):
+    if hasattr(model, "exact_score"):
         p = binomial_tail(params.n, params.gamma * model.exact_score(), params.threshold)
         return p, (p, p)
     aborts = sum(tr.aborted for tr in islice(_transcripts(model, params, seed), trials))
@@ -529,9 +517,11 @@ def run_trials(
     also the estimate's first trial and is run once; a model with an exact
     abort probability runs trial 0 alone."""
     seed = _seed(seed)
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
     runs = _transcripts(model, params, seed, mode)
     first = next(runs)
-    if mode != "standard" or trials < 1 or _binomial_wins(model):
+    if mode != "standard" or hasattr(model, "exact_score"):
         return first, *estimate_abort_probability(model, params, trials, seed)
     aborts = sum((tr.aborted for tr in islice(runs, trials - 1)), first.aborted)
     return first, aborts / trials, wilson_interval(aborts, trials)
@@ -574,7 +564,6 @@ def check_statistics_equivalence(
     )
     n1 = n2 = trials * params.n
     registers = {}
-    passed = True
     for name in _REGISTERS:
         for v in sorted(c1[name].keys() | c2[name].keys(), key=str):
             k1, k2 = c1[name][v], c2[name][v]
@@ -584,13 +573,11 @@ def check_statistics_equivalence(
             ok = abs(f1 - f2) <= 3 * sigma + 1e-12
             label = f"{name}={'bot' if v is None else v}"
             registers[label] = {"standard": f1, "modified": f2, "sigma": sigma, "passed": ok}
-            passed = passed and ok
     i1, i2 = wilson_interval(ab1, trials), wilson_interval(ab2, trials)
     abort_ok = i1[0] <= i2[1] and i2[0] <= i1[1]
-    passed = passed and abort_ok
     return {
         "trials": trials,
-        "passed": passed,
+        "passed": abort_ok and all(r["passed"] for r in registers.values()),
         "registers": registers,
         "abort": {"standard": i1, "modified": i2, "passed": abort_ok},
     }

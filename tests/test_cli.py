@@ -160,17 +160,22 @@ class TestRate:
         ("config", 9007199254740993, 2**53 + 1),
         ("config", "1e23", 10**23),
         ("config", 1.5e6, 1500000),
+        ("config-text", "1e23", 10**23),
+        ("config-text", "9007199254740993.0", 2**53 + 1),
     ], ids=["flag-2^53+1", "flag-1e23", "flag-1e308", "config-int-2^53+1",
-            "config-string-1e23", "config-float-1.5e6"])
+            "config-string-1e23", "config-float-1.5e6", "config-float-1e23",
+            "config-float-2^53+1"])
     def test_count_is_read_exactly(self, capsys, tmp_path, route, value, n):
         # not through a float, which rounds above 2^53; up to the float range
-        # the rates take it, delta_est's 2n included
+        # the rates take it, delta_est's 2n included. A "config-text" value
+        # is the JSON number text itself, which a Python float cannot hold.
         argv = ["rate", "--omega-exp", "0.84", "--gamma", "0.01", "--eps-smo", "1e-4"]
         if route == "flag":
             argv += ["--n", value]
         else:
             cfgfile = tmp_path / "cfg.json"
-            cfgfile.write_text(json.dumps({"n": value}))
+            text = value if route == "config-text" else json.dumps(value)
+            cfgfile.write_text(f'{{"n": {text}}}')
             argv += ["--config", str(cfgfile)]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
@@ -476,6 +481,19 @@ class TestMalformedInput:
         code, err = _run_quietly([*argv, "--config", str(CONFIGS / f"{config}.json")])
         assert code == 1
         assert f"error: --{option}: " in err and "is not a list" in err
+
+    @pytest.mark.parametrize("argv, config, err", [
+        (["entropy-curve"], '{"omega_values": 0.84}', "--omega-values: 0.84 is not a list"),
+        (["rate", "--n", "1e6", "--omega-exp", "0.84", "--gamma", "0.1", "--eps-smo", "1e-4"],
+         '{"exact": 1.0}', "--exact: 1.0 is not true or false"),
+        (["simulate", "--n", "100", "--omega-exp", "0.8", "--trials", "1"],
+         '{"seed": 1e3}', "--seed: 1E+3 is not a non-negative integer"),
+        (["entropy-curve"], '{"omega_step": 1e400}', "--omega-step: 1E+400 is not finite"),
+    ], ids=["list-0.84", "switch-1.0", "seed-1e3", "step-1e400"])
+    def test_json_number_is_named_as_written(self, argv, config, err, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(config)
+        assert _run_quietly([*argv, "--config", str(cfgfile)]) == (1, f"error: {err}\n")
 
     @pytest.mark.parametrize("command", ["verify-bound", "verify-twirl"])
     def test_removed_subcommand_is_an_invalid_choice(self, command):

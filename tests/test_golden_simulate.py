@@ -160,6 +160,35 @@ def test_statistics_equivalence_report(model):
     assert run_equivalence(model) == GOLDEN["equivalence"][model]
 
 
+# Transcripts whose streams cross tile edges: n = 8195 = 2 * _TILE + 3, so
+# `_draw` reads each stream in three tiles, while every case above fits in
+# one. Recorded with the draw lists built whole, before `_draw` yielded tiles;
+# modified mode projects the test rounds too. (SHA-256, win count, aborted).
+TILE_PARAMS = ProtocolParams(n=8195, gamma=0.3, omega_exp=0.8, delta_est=0.015)
+TILE_PINS = {
+    ("honest_xi0.13", "standard"): (
+        "705996002a8f3f0590d151e479a22880c07ad44bcabefafb7e4a78c33604396f", 2039, False),
+    ("honest_xi0.13", "modified"): (
+        "fc0b42d1dce1c06aa31dd6180ab99e10f73cf303b08f5ee8b1190bcd99be21cf", 2039, False),
+    ("drift", "standard"): (
+        "39b2dddeea0ad4104939adecc1bcb54047c5e4b64be123b43cf91278bd50b814", 1519, True),
+    ("drift", "modified"): (
+        "c4c178d1e60d5a66e94614134850c492e63ceab5e799cb3dae10ec4f239b8c53", 1519, True),
+    ("block_pair", "standard"): (
+        "4ea6f25844dd68d95df3f4a1ceed4db7dd3b197b039e467bd2f2aff3bb39b398", 1390, True),
+    ("block_pair", "modified"): (
+        "6ba49e7d40cbf242aa65fc38e42f0d0a8a607dcc1ddcc5f7c01de9959b437618", 1397, True),
+}
+
+
+@pytest.mark.parametrize("model, mode", TILE_PINS)
+def test_transcript_across_tiles(model, mode):
+    tr = run_protocol(MODELS[model](), TILE_PARAMS, mode, seed=7,
+                      project_test_rounds=mode == "modified")
+    digest = hashlib.sha256(tr.serialize().encode()).hexdigest()
+    assert (digest, tr.win_count, tr.aborted) == TILE_PINS[model, mode]
+
+
 def _regenerate():
     """Add the cases the golden lacks, computed with the simulator as it is.
 

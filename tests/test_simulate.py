@@ -4,9 +4,10 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 
 import numpy as np
 import pytest
@@ -53,6 +54,7 @@ from diecert.simulate import (
     _cumulative,
     _draw,
     _input_code,
+    _jump_sums,
     _trial_seed,
     _uniform,
 )
@@ -566,6 +568,18 @@ class TestAbortEstimation:
         with pytest.raises(ValidationError):
             estimate_abort_probability(honest(), make_params(), trials=0)
 
+    @pytest.mark.parametrize("mode", ["standard", "modified"])
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_run_trials_rejects_trials_before_any_run(self, trials, mode, monkeypatch):
+        import diecert.simulate as sim
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("run_protocol called")
+
+        monkeypatch.setattr(sim, "run_protocol", forbidden)
+        with pytest.raises(ValidationError, match="trials"):
+            run_trials(NoisyDriftDevice(0.0, 1e-3), make_params(n=3000), trials, mode=mode)
+
 
 # a seed is a non-negative integer: each of these must raise ValidationError,
 # not run at int(seed) or reach numpy's own ValueError
@@ -710,16 +724,35 @@ _LENGTHS = st.sampled_from(
 
 
 class TestStreams:
-    """`_draw` reproduces numpy's default generator bit for bit."""
+    """`_draw` reproduces numpy's default generator bit for bit, a tile at a time."""
 
     @given(_SEEDS, st.sampled_from([0, 1, 2, 4]), _LENGTHS)
     def test_uniforms_equal_generator_random(self, seed, purpose, n):
-        assert _draw(seed, purpose, n, _uniform) == _numpy_stream(seed, purpose).random(n).tolist()
+        tiles = list(_draw(seed, purpose, n, _uniform))
+        assert all(type(tile) is list for tile in tiles)
+        assert [len(tile) for tile in tiles] == [min(_TILE, n - k) for k in range(0, n, _TILE)]
+        assert list(chain.from_iterable(tiles)) == _numpy_stream(seed, purpose).random(n).tolist()
 
     @given(_SEEDS, st.sampled_from([0, 1, 2, 4]), _LENGTHS)
     def test_input_codes_equal_generator_integers(self, seed, purpose, n):
         rows = _numpy_stream(seed, purpose).integers(0, 2, size=(n, 2)).tolist()
-        assert [[k >> 1, k & 1] for k in _draw(seed, purpose, n, _input_code)] == rows
+        codes = chain.from_iterable(_draw(seed, purpose, n, _input_code))
+        assert [[k >> 1, k & 1] for k in codes] == rows
+
+    @pytest.mark.parametrize("mode", ["standard", "modified"])
+    def test_run_holds_its_transcript_and_a_tile_of_draws(self, mode):
+        # n-long draw lists would peak near 10 MB here, against 1.6 MB kept
+        model = honest()
+        _jump_sums()
+        run_protocol(model, make_params(n=100), mode, seed=1)  # builds the source's tables
+        tracemalloc.start()
+        try:
+            tr = run_protocol(model, make_params(n=200_000), mode, seed=3)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tr.rounds) == 200_000
+        assert peak < kept + 2 * 2**20
 
     @given(_SEEDS, st.integers(0, 2**40))
     def test_trial_seed_equals_seed_sequence(self, seed, trial):
