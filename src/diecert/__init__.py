@@ -27,7 +27,6 @@ from .chsh import (
     BETA_MAX,
     OMEGA_CLASSICAL,
     OMEGA_MAX,
-    GameScore,
     Strategy,
     beta_from_omega,
     omega_from_beta,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import BETA_MAX, OMEGA_MAX, omega_from_beta
+from .chsh import BETA_MAX
 from .quantum import BellDiagonalSpectrum, ValidationError
 
 _SQRT2 = math.sqrt(2)
@@ -73,15 +73,11 @@ def optimal_spectrum(beta: float) -> BellDiagonalSpectrum:
 
 @dataclass(frozen=True)
 class EntropyBoundResult:
-    """The bound at Bell value beta; omega and H(A|B) derive from beta and H(AB)."""
+    """The bound at Bell value beta; H(A|B) derives from H(AB)."""
 
     beta: float
     max_total_entropy: float
     optimal_spectrum: BellDiagonalSpectrum
-
-    @property
-    def omega(self) -> float:
-        return omega_from_beta(self.beta)
 
     @property
     def conditional_bound(self) -> float:

@@ -1,9 +1,9 @@
 """CHSH game semantics: strategies, winning probability, Bell value.
 
 `born_probabilities` is the one home of the Born rule, exact and never
-sampled; :mod:`diecert.simulate` samples game rounds from it. `chsh_value`
-works from the four correlators instead and so checks it independently.
-Inputs (x, y) are always uniform.
+sampled; `winning_probability` sums its tables and :mod:`diecert.simulate`
+samples every round from them. `chsh_value` works from the four correlators
+instead and so checks it independently. Inputs (x, y) are always uniform.
 """
 
 from __future__ import annotations
@@ -59,17 +59,6 @@ class Strategy:
         return self.alice_observables[0].dim, self.bob_observables[0].dim
 
 
-@dataclass(frozen=True)
-class GameScore:
-    """A winning probability omega; the Bell value beta derives from it."""
-
-    omega: float
-
-    @property
-    def beta(self) -> float:
-        return beta_from_omega(self.omega)
-
-
 def omega_from_beta(beta: float) -> float:
     """Winning probability omega = 1/2 + beta/8."""
     if abs(beta) > BETA_MAX + 1e-12:
@@ -81,38 +70,28 @@ def beta_from_omega(omega: float) -> float:
     return 8 * omega - 4
 
 
-def born_probabilities(state, alice_obs, bob_obs, x: int, y: int) -> np.ndarray:
-    """Joint Born probabilities p(a, b | x, y) in the order (0,0), (0,1),
-    (1,0), (1,1), with rounding negatives clipped and the table renormalised:
-    the package's one map from a state and observables to outcome statistics."""
-    pa = [alice_obs[x].projector(a) for a in (0, 1)]
-    pb = [bob_obs[y].projector(b) for b in (0, 1)]
-    probs = np.empty(4)
-    for a, b in product((0, 1), repeat=2):
-        probs[2 * a + b] = np.trace(np.kron(pa[a], pb[b]) @ state).real
+def born_probabilities(state, left, right) -> np.ndarray:
+    """Born probabilities tr((L (x) R) state) for every projector L in `left`
+    and R in `right`, row-major, with rounding negatives clipped and the table
+    renormalised: the package's one map from a state to outcome statistics."""
+    probs = [np.trace(np.kron(pl, pr) @ state).real for pl in left for pr in right]
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()
 
 
-def outcome_probabilities(strategy: Strategy, x: int, y: int) -> np.ndarray:
-    """Joint Born probabilities p(a, b | x, y) as a 2x2 array."""
-    return born_probabilities(
-        strategy.state, strategy.alice_observables, strategy.bob_observables, x, y
-    ).reshape(2, 2)
-
-
-def winning_probability(strategy: Strategy) -> GameScore:
-    """Exact CHSH winning probability over uniform inputs.
+def winning_probability(strategy: Strategy) -> float:
+    """Exact CHSH winning probability omega over uniform inputs.
 
     The game is won iff a XOR b == x AND y.
     """
+    state, alice, bob = strategy.state, strategy.alice_observables, strategy.bob_observables
     omega = 0.0
     for x, y in product((0, 1), repeat=2):
-        probs = outcome_probabilities(strategy, x, y)
+        probs = born_probabilities(state, alice[x].projectors, bob[y].projectors)
         for a, b in product((0, 1), repeat=2):
             if (a ^ b) == (x & y):
-                omega += probs[a, b] / 4
-    return GameScore(omega=omega)
+                omega += probs[2 * a + b] / 4
+    return float(omega)
 
 
 def chsh_value(strategy: Strategy) -> float:

@@ -98,10 +98,11 @@ class Observable:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def projector(self, outcome: int) -> np.ndarray:
-        """Projector onto the outcome-`outcome` eigenspace (0 -> +1, 1 -> -1)."""
-        sign = 1.0 if outcome == 0 else -1.0
-        return (np.eye(self.dim) + sign * self.matrix) / 2
+    @property
+    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Projectors onto the +1 and -1 eigenspaces, outcomes 0 and 1."""
+        eye = np.eye(self.dim)
+        return (eye + self.matrix) / 2, (eye - self.matrix) / 2
 
 
 @dataclass(frozen=True)

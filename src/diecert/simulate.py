@@ -10,10 +10,10 @@ protocol leaves the classical statistics unchanged.
 
 `run_protocol` asks the model for its `Source` every round and appends shared
 rows: a test row from a fixed table of 16, an untested row one per block pair.
-A source fills lazily: cumulative Born tables from `chsh.born_probabilities`,
-the cumulative block-pair distribution and the kept states, which
-`kept_states` reads. Only whether a round draws a block pair depends on the
-mode. All trials run on one seed schedule.
+A source fills lazily: its cumulative tables, all `chsh.born_probabilities`
+(test outcomes, block pairs and test outcomes given a pair), and the kept
+states, which `kept_states` reads. Only whether a round draws a block pair
+depends on the mode. All trials run on one seed schedule.
 
 Randomness: every draw comes from a stream derived from the master seed and a
 purpose tag, with the round index as the position in the stream. A stream is
@@ -89,7 +89,7 @@ class HonestIIDDevice(DeviceModel):
         return self._source
 
     def exact_score(self) -> float:
-        return winning_probability(self.strategy).omega
+        return winning_probability(self.strategy)
 
 
 class ClassicalDeterministicDevice(HonestIIDDevice):
@@ -165,20 +165,24 @@ class Transcript:
     seed: int = 0
     mode: str = "standard"
 
-    def serialize(self) -> str:
+    def lines(self):
+        """The CSV text a line at a time, without newlines: the parameters and
+        verdict, the column names, then each round's row as it is asked for."""
         p = self.params
-        lines = [
+        yield (
             f"# n={p.n} gamma={p.gamma!r} omega_exp={p.omega_exp!r} "
             f"delta_est={p.delta_est!r} seed={self.seed} mode={self.mode} "
-            f"aborted={self.aborted} win_count={self.win_count}",
-            ",".join(("i", *RoundRecord._fields)),
-        ]
+            f"aborted={self.aborted} win_count={self.win_count}"
+        )
+        yield ",".join(("i", *RoundRecord._fields))
         text = {}  # the cells of each distinct register tuple; a run has few
         for i, r in enumerate(self.rounds):
             if r not in text:
                 text[r] = ",".join("" if v is None else str(v) for v in r)
-            lines.append(f"{i},{text[r]}")
-        return "\n".join(lines) + "\n"
+            yield f"{i},{text[r]}"
+
+    def serialize(self) -> str:
+        return "\n".join(self.lines()) + "\n"
 
 
 def _seed(seed) -> int:
@@ -342,9 +346,7 @@ class Source:
     def pair_cdf(self) -> list[float]:
         """`_cumulative` block-pair distribution, row-major over (c, d)."""
         _, (qa, qb) = self.geometry
-        joint = [np.trace(np.kron(pc, qd) @ self.state).real for pc in qa for qd in qb]
-        joint = np.clip(joint, 0.0, None)
-        return _cumulative((joint / joint.sum()).tolist())
+        return _cumulative(born_probabilities(self.state, qa, qb).tolist())
 
     def sample_pair(self, u: float) -> tuple[int, int]:
         """Block pair (c, d) drawn with the uniform variate u."""
@@ -352,18 +354,16 @@ class Source:
         return divmod(bisect_right(self.pair_cdf, u), len(bb))
 
     def outcome_cdf(self, x: int, y: int, pair=None) -> list[float]:
-        """`_cumulative` Born table over (a, b) for inputs (x, y), projected
-        onto the block pair first when one is given."""
+        """`_cumulative` Born table over (a, b) for inputs (x, y) and, if given,
+        the block pair: outcome projectors times block projectors (they commute)."""
         key = (x, y, pair)
         if key not in self._cdfs:
-            state = self.state
+            left, right = self.obs[0][x].projectors, self.obs[1][y].projectors
             if pair is not None:
                 _, (qa, qb) = self.geometry
-                op = np.kron(qa[pair[0]], qb[pair[1]])
-                rho = op @ state @ op
-                tr = np.trace(rho).real
-                state = rho / tr if tr > 1e-15 else rho
-            self._cdfs[key] = _cumulative(born_probabilities(state, *self.obs, x, y).tolist())
+                left = [p @ qa[pair[0]] for p in left]
+                right = [p @ qb[pair[1]] for p in right]
+            self._cdfs[key] = _cumulative(born_probabilities(self.state, left, right).tolist())
         return self._cdfs[key]
 
     def kept(self, pair=None) -> TwoQubitState | None:

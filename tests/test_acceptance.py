@@ -178,15 +178,13 @@ def test_criterion_7_twirl_structure():
 
 
 def test_criterion_8_chsh_exactness():
-    opt_dev = abs(winning_probability(optimal_strategy()).omega - OMEGA_MAX)
+    opt_dev = abs(winning_probability(optimal_strategy()) - OMEGA_MAX)
     det_max = max(
-        winning_probability(s).omega for s in all_deterministic_strategies()
+        winning_probability(s) for s in all_deterministic_strategies()
     )
     werner_dev = 0.0
     for xi in (0.0, 0.2, 0.5, 0.8, 1.0):
-        score = winning_probability(
-            optimal_measurement_strategy(werner_state(xi))
-        ).omega
+        score = winning_probability(optimal_measurement_strategy(werner_state(xi)))
         expected = 0.5 + (1 - xi) * math.sqrt(2) / 4
         werner_dev = max(werner_dev, abs(score - expected))
     ok = opt_dev <= 1e-12 and det_max <= 0.75 + 1e-12 and werner_dev <= 1e-10

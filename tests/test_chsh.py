@@ -13,12 +13,12 @@ from diecert.chsh import (
     Strategy,
     all_deterministic_strategies,
     beta_from_omega,
+    born_probabilities,
     chsh_value,
     deterministic_strategy,
     omega_from_beta,
     optimal_measurement_strategy,
     optimal_strategy,
-    outcome_probabilities,
     winning_probability,
 )
 from diecert.quantum import (
@@ -51,11 +51,20 @@ class TestScoreConversions:
             omega_from_beta(3.5)
 
 
+def outcome_table(strategy, x, y):
+    """p(a, b | x, y) as a 2x2 array, from the parties' outcome projectors."""
+    return born_probabilities(
+        strategy.state,
+        strategy.alice_observables[x].projectors,
+        strategy.bob_observables[y].projectors,
+    ).reshape(2, 2)
+
+
 class TestOutcomeProbabilities:
     def test_normalized_and_nonnegative(self):
         strat = optimal_strategy()
         for x, y in product((0, 1), repeat=2):
-            probs = outcome_probabilities(strat, x, y)
+            probs = outcome_table(strat, x, y)
             assert probs.shape == (2, 2)
             assert np.all(probs >= 0)
             assert probs.sum() == pytest.approx(1, abs=1e-12)
@@ -63,29 +72,30 @@ class TestOutcomeProbabilities:
     def test_uniform_marginals_at_optimum(self):
         strat = optimal_strategy()
         for x, y in product((0, 1), repeat=2):
-            probs = outcome_probabilities(strat, x, y)
+            probs = outcome_table(strat, x, y)
             assert np.allclose(probs.sum(axis=1), [0.5, 0.5], atol=1e-12)
             assert np.allclose(probs.sum(axis=0), [0.5, 0.5], atol=1e-12)
 
     def test_deterministic_point_mass(self):
-        probs = outcome_probabilities(deterministic_strategy(1, 0, 0, 1), 0, 1)
+        probs = outcome_table(deterministic_strategy(1, 0, 0, 1), 0, 1)
         assert probs[1, 1] == pytest.approx(1, abs=1e-12)
 
 
 class TestWinningProbability:
     def test_optimal_strategy_attains_maximum(self):
-        score = winning_probability(optimal_strategy())
-        assert score.omega == pytest.approx(OMEGA_MAX, abs=1e-12)
-        assert score.beta == pytest.approx(BETA_MAX, abs=1e-12)
+        omega = winning_probability(optimal_strategy())
+        assert type(omega) is float
+        assert omega == pytest.approx(OMEGA_MAX, abs=1e-12)
+        assert beta_from_omega(omega) == pytest.approx(BETA_MAX, abs=1e-12)
 
     def test_chsh_value_matches_game_score(self):
         for strat in (optimal_strategy(), deterministic_strategy(0, 0, 0, 0)):
             assert chsh_value(strat) == pytest.approx(
-                winning_probability(strat).beta, abs=1e-10
+                beta_from_omega(winning_probability(strat)), abs=1e-10
             )
 
     def test_deterministic_bound(self):
-        scores = [winning_probability(s).omega for s in all_deterministic_strategies()]
+        scores = [winning_probability(s) for s in all_deterministic_strategies()]
         assert len(scores) == 16
         assert max(scores) == pytest.approx(OMEGA_CLASSICAL, abs=1e-12)
         assert min(scores) == pytest.approx(0.25, abs=1e-12)
@@ -94,7 +104,7 @@ class TestWinningProbability:
         # optimal measurements on a Werner state scale the violation linearly
         for xi in (0.0, 0.25, 0.6, 1.0):
             strat = optimal_measurement_strategy(werner_state(xi))
-            assert winning_probability(strat).beta == pytest.approx(
+            assert beta_from_omega(winning_probability(strat)) == pytest.approx(
                 (1 - xi) * BETA_MAX, abs=1e-10
             )
 
@@ -102,7 +112,7 @@ class TestWinningProbability:
     def test_werner_score_formula(self, xi):
         strat = optimal_measurement_strategy(werner_state(xi))
         expected = 0.5 + (1 - xi) * BETA_MAX / 8
-        assert winning_probability(strat).omega == pytest.approx(expected, abs=1e-9)
+        assert winning_probability(strat) == pytest.approx(expected, abs=1e-9)
 
 
 def _reflection(v):
@@ -130,10 +140,10 @@ class TestBornRuleAgainstCorrelators:
     @staticmethod
     def _check(strategy):
         for x, y in product((0, 1), repeat=2):
-            probs = outcome_probabilities(strategy, x, y)
+            probs = outcome_table(strategy, x, y)
             assert np.all(probs >= 0)
             assert probs.sum() == pytest.approx(1, abs=1e-12)
-        beta = 8 * winning_probability(strategy).omega - 4
+        beta = 8 * winning_probability(strategy) - 4
         assert abs(beta - chsh_value(strategy)) <= 1e-12
 
     @given(st.lists(_unit, min_size=32, max_size=32))

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 from diecert.cli import main
 from diecert.rates import ProtocolParams
-from diecert.simulate import ClassicalDeterministicDevice
-from test_simulate import exact_abort
+from diecert.simulate import ClassicalDeterministicDevice, run_trials
+from test_simulate import CLI_MODELS, exact_abort
 
 GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = Path(__file__).parent / "configs"
@@ -281,6 +282,24 @@ class TestSimulate:
         assert "mode=modified" in out
         want = _exact_abort((1, 0, 1, 1), n=500, gamma=0.5, omega_exp=0.85, delta_est=0.01)
         assert json.loads(out.strip().splitlines()[-1])["abort_estimate"] == want == 0.967053
+
+    def test_out_file_is_written_as_the_rows_come(self, tmp_path):
+        # the whole text, built before the write, would peak near 22 MB here
+        argv = ["simulate", "--model", "honest", "--xi", "0.1", "--gamma", "0.5",
+                "--omega-exp", "0.8", "--delta-est", "0.05", "--trials", "1", "--seed", "3"]
+        target = tmp_path / "run.csv"
+        assert _run_quietly([*argv, "--n", "100", "--out", str(target)]) == (0, "")  # warm-up
+        params = ProtocolParams(n=200_000, gamma=0.5, omega_exp=0.8, delta_est=0.05)
+        first = run_trials(CLI_MODELS["honest"](), params, 1, 3)[0]
+        kept = sys.getsizeof(first.rounds)  # the rows are a few shared records
+        tracemalloc.start()
+        try:
+            assert _run_quietly([*argv, "--n", "200000", "--out", str(target)]) == (0, "")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < kept + 3 * 2**20
+        assert target.read_text() == first.serialize()
 
     def test_unknown_model(self, capsys):
         code, _, err = run_cli(

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diecert.chsh import optimal_measurement_strategy, optimal_strategy
+from diecert.chsh import optimal_measurement_strategy, optimal_strategy, winning_probability
 from diecert.quantum import bell_diagonal_entries, werner_state
 from diecert.rates import ProtocolParams
 from diecert.simulate import (
@@ -42,7 +42,12 @@ from diecert.simulate import (
     kept_states,
     run_protocol,
 )
-from test_simulate import BlockPairDevice
+from test_simulate import (
+    BlockPairDevice,
+    drift_win_probabilities,
+    memory_abort_probability,
+    poisson_binomial_below,
+)
 
 PATH = Path(__file__).parent / "golden" / "simulate_models.json"
 PARAMS = ProtocolParams(n=1500, gamma=0.3, omega_exp=0.8, delta_est=0.015)
@@ -158,6 +163,28 @@ def test_abort_estimate(model):
 @pytest.mark.parametrize("model", sorted(GOLDEN["equivalence"]))
 def test_statistics_equivalence_report(model):
     assert run_equivalence(model) == GOLDEN["equivalence"][model]
+
+
+def test_sequential_abort_estimates_hold_the_exact_value():
+    # the DP oracles of test_simulate give drift and memory their exact abort
+    # probability, which each recorded interval must hold; a 400-trial memory
+    # estimate must hold it too (drift runs too slowly for that many trials)
+    drift = MODELS["drift"]()
+    even, odd = optimal_strategy(), optimal_measurement_strategy(werner_state(0.6))
+    exact = {
+        "drift": poisson_binomial_below(
+            drift_win_probabilities(drift, PARAMS.n, PARAMS.gamma), PARAMS.threshold
+        ),
+        "memory": memory_abort_probability(
+            (winning_probability(even), winning_probability(odd)),
+            PARAMS.gamma, PARAMS.n, PARAMS.threshold,
+        ),
+    }
+    for model, p in exact.items():
+        low, high = map(float, GOLDEN["abort_estimates"][model]["interval"])
+        assert low <= p <= high, model
+    _, (low, high) = estimate_abort_probability(MODELS["memory"](), PARAMS, 400, seed=11)
+    assert low <= exact["memory"] <= high
 
 
 # Transcripts whose streams cross tile edges: n = 8195 = 2 * _TILE + 3, so

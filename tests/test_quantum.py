@@ -265,6 +265,19 @@ class TestJordanBlocks:
         assert np.max(np.abs(r0 - obs0.matrix)) < 1e-8
         assert np.max(np.abs(r1 - obs1.matrix)) < 1e-8
 
+    def test_outcome_projectors_commute_with_block_projectors(self):
+        # so the simulator may condition on a block pair by multiplying them
+        obs0, obs1 = two_block_observables((0.4, 2.1, 0.9))
+        blocks = block_projectors(jordan_blocks(obs0, obs1))
+        for obs in (obs0, obs1):
+            plus, minus = obs.projectors
+            assert np.max(np.abs(plus + minus - np.eye(6))) < 1e-12
+            assert np.max(np.abs(plus - minus - obs.matrix)) < 1e-12
+            for p in (plus, minus):
+                assert np.max(np.abs(p @ p - p)) < 1e-12
+                for q in blocks:
+                    assert np.max(np.abs(p @ q - q @ p)) < 1e-10
+
     def test_product_trace_gives_angle(self):
         obs0, obs1 = two_block_observables((0.8,))
         blocks = jordan_blocks(obs0, obs1)

@@ -11,7 +11,7 @@ from itertools import accumulate, chain, product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diecert.chsh import (
@@ -22,6 +22,7 @@ from diecert.chsh import (
     deterministic_strategy,
     optimal_measurement_strategy,
     optimal_strategy,
+    winning_probability,
 )
 from diecert.quantum import (
     Observable,
@@ -93,6 +94,42 @@ def exact_abort(model, params) -> Fraction:
 def close_to(got: float, want: Fraction) -> bool:
     """`got` within 1e-12 relative of `want`, in exact arithmetic."""
     return abs(Fraction(got) - want) <= want * Fraction(1, 10**12)
+
+
+def poisson_binomial_below(probs, threshold):
+    """P(W < threshold) for W the number of successes in independent trials
+    with success probabilities `probs`: a DP over the counts below the
+    threshold, in the arithmetic of `probs`."""
+    dist = [1 if k == 0 else 0 for k in range(math.ceil(threshold))]
+    for p in probs:
+        dist = [q * (1 - p) + (dist[k - 1] * p if k else 0) for k, q in enumerate(dist)]
+    return sum(dist)
+
+
+def drift_win_probabilities(model, n, gamma) -> list[float]:
+    """gamma * omega(xi_i) for the n rounds of a `NoisyDriftDevice`, with
+    omega(xi) = 1/2 + (1 - xi) sqrt(2)/4, the optimal score on a Werner state."""
+    xis = (min(max(model.xi_start + model.xi_slope * i, 0.0), 1.0) for i in range(n))
+    return [gamma * (0.5 + (1 - xi) * math.sqrt(2) / 4) for xi in xis]
+
+
+def memory_abort_probability(scores, gamma, n, threshold):
+    """P(W < threshold) for a `MemorySwitcherDevice` whose strategies score
+    `scores` (even, odd): a DP over (wins below the threshold, parity of the
+    test rounds so far), in the arithmetic of its inputs."""
+    counts = range(math.ceil(threshold))
+    dist = [[1 if k == 0 else 0 for k in counts], [0 for k in counts]]
+    for _ in range(n):
+        new = [[q * (1 - gamma) for q in row] for row in dist]
+        for parity, row in enumerate(dist):
+            win, lose = gamma * scores[parity], gamma * (1 - scores[parity])
+            flipped = new[1 - parity]
+            for k, q in enumerate(row):
+                flipped[k] += q * lose
+                if k + 1 < len(row):
+                    flipped[k + 1] += q * win
+        dist = new
+    return sum(dist[0]) + sum(dist[1])
 
 
 def werner_source(xi):
@@ -446,6 +483,40 @@ class TestKeptStates:
         assert all(history == tr.rounds[:i] for i, history in ran)
 
 
+def _table(cdf):
+    """The probabilities behind a `_cumulative` table, the last one up to a total of 1."""
+    return np.diff([0.0, *cdf[:-1], 1.0])
+
+
+class TestProjectedTables:
+    """Sum over (c, d) of p(c, d) p(a, b | x, y, c, d) = p(a, b | x, y): the
+    modified protocol's projection leaves the test statistics as they were,
+    exactly, not only within the 3 sigma of `check_statistics_equivalence`."""
+
+    @staticmethod
+    def _check(source):
+        (ba, bb), _ = source.geometry
+        weights = _table(source.pair_cdf)
+        pairs = product(range(len(ba)), range(len(bb)))
+        # a pair of weight below 1e-13 moves the sum by less than that
+        kept = [(w, pair) for w, pair in zip(weights, pairs) if w >= 1e-13]
+        for x, y in product((0, 1), repeat=2):
+            mixed = sum(w * _table(source.outcome_cdf(x, y, pair)) for w, pair in kept)
+            assert np.max(np.abs(mixed - _table(source.outcome_cdf(x, y)))) <= 1e-12
+
+    @given(st.floats(0, 1))
+    def test_werner_source(self, xi):
+        self._check(Source.of(werner_source(xi)))
+
+    @pytest.mark.parametrize("table", list(product((0, 1), repeat=4)))
+    def test_classical_table(self, table):
+        self._check(Source.of(deterministic_strategy(*table)))
+
+    @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
+    def test_block_pair_source(self, weight, xi0, xi1):
+        self._check(BlockPairDevice((weight, 1 - weight), (xi0, xi1)).source)
+
+
 class TestWilsonInterval:
     def test_reference_value(self):
         lo, hi = wilson_interval(5, 10)
@@ -584,6 +655,62 @@ class TestAbortEstimation:
 # a seed is a non-negative integer: each of these must raise ValidationError,
 # not run at int(seed) or reach numpy's own ValueError
 BAD_SEEDS = [1.5, True, -1]
+
+
+def _drift_brute_force(probs, threshold) -> Fraction:
+    """`poisson_binomial_below` by summing every win pattern in exact arithmetic."""
+    probs, total = [Fraction(p) for p in probs], Fraction(0)
+    for wins in product((0, 1), repeat=len(probs)):
+        if sum(wins) < threshold:
+            total += math.prod(p if w else 1 - p for p, w in zip(probs, wins))
+    return total
+
+
+def _memory_brute_force(scores, gamma, n, threshold) -> Fraction:
+    """`memory_abort_probability` by summing every sequence of idle, won and
+    lost rounds in exact arithmetic."""
+    scores, gamma, total = [Fraction(v) for v in scores], Fraction(gamma), Fraction(0)
+    for rounds in product((None, 1, 0), repeat=n):
+        prob, parity, wins = Fraction(1), 0, 0
+        for won in rounds:
+            if won is None:
+                prob *= 1 - gamma
+            else:
+                prob *= gamma * (scores[parity] if won else 1 - scores[parity])
+                wins, parity = wins + won, 1 - parity
+        if wins < threshold:
+            total += prob
+    return total
+
+
+_PROBABILITY = st.floats(0, 1)
+
+
+class TestSequentialAbortOracles:
+    """The exact abort probabilities of the drift and memory models, test
+    oracles for their sequential estimates, against exhaustive sums."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 8), _PROBABILITY, _PROBABILITY,
+           st.floats(-0.2, 0.2), st.floats(-1, 9))
+    def test_drift_dp_matches_brute_force(self, n, gamma, xi_start, xi_slope, threshold):
+        probs = drift_win_probabilities(NoisyDriftDevice(xi_start, xi_slope), n, gamma)
+        assert close_to(poisson_binomial_below(probs, threshold),
+                        _drift_brute_force(probs, threshold))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 8), st.tuples(_PROBABILITY, _PROBABILITY), _PROBABILITY,
+           st.floats(-1, 9))
+    def test_memory_dp_matches_brute_force(self, n, scores, gamma, threshold):
+        assert close_to(memory_abort_probability(scores, gamma, n, threshold),
+                        _memory_brute_force(scores, gamma, n, threshold))
+
+    def test_memory_dp_of_equal_scores_is_the_binomial_tail(self):
+        # with one score the parity is idle, so the wins are binomial
+        params = make_params(n=300, gamma=0.4, omega_exp=0.8, delta_est=0.02)
+        score = winning_probability(werner_source(0.2))
+        got = memory_abort_probability((score, score), params.gamma, params.n, params.threshold)
+        assert close_to(got, tail_oracle(params.n, params.gamma * score, params.threshold))
 
 
 class TestSeedValidation:

@@ -51,7 +51,7 @@ def _hashing(spectrum):
 def _score(spectrum):
     """Score of the Bell-diagonal state under the optimal-CHSH observables,
     which is 1/2 + (lambda_phi+ - lambda_psi-)/(2 sqrt(2))."""
-    return winning_probability(optimal_measurement_strategy(spectrum.to_state())).omega
+    return winning_probability(optimal_measurement_strategy(spectrum.to_state()))
 
 
 def _sorted_spectrum(weights):
