@@ -2,7 +2,7 @@
 entanglement from CHSH statistics.
 
 Modules:
-    quantum   exact finite-dimensional quantum math (states, twirl, entropies)
+    quantum   exact finite-dimensional quantum math (states, twirl, Jordan blocks)
     chsh      CHSH game semantics and strategies
     bounds    single-round entropy bounds and the brute-force oracle
     rates     entropy-accumulation rate pipeline and parameter optimization
@@ -16,11 +16,8 @@ from .quantum import (
     Observable,
     TwoQubitState,
     ValidationError,
-    conditional_entropy,
     jordan_blocks,
-    partial_trace,
     twirl,
-    von_neumann_entropy,
     werner_state,
 )
 from .chsh import (
@@ -29,7 +26,6 @@ from .chsh import (
     OMEGA_MAX,
     Strategy,
     beta_from_omega,
-    omega_from_beta,
     optimal_strategy,
     winning_probability,
 )

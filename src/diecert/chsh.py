@@ -9,7 +9,6 @@ instead and so checks it independently. Inputs (x, y) are always uniform.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import product
 
@@ -20,7 +19,6 @@ from .quantum import (
     SIGMA_X,
     SIGMA_Z,
     Observable,
-    TwoQubitState,
     ValidationError,
     _check_density,
 )
@@ -54,19 +52,9 @@ class Strategy:
                 f"state dimension {state.shape[0]} does not match {da}x{db}"
             )
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.alice_observables[0].dim, self.bob_observables[0].dim
-
-
-def omega_from_beta(beta: float) -> float:
-    """Winning probability omega = 1/2 + beta/8."""
-    if abs(beta) > BETA_MAX + 1e-12:
-        warnings.warn(f"beta={beta} outside the quantum range [-2*sqrt(2), 2*sqrt(2)]")
-    return 0.5 + beta / 8
-
 
 def beta_from_omega(omega: float) -> float:
+    """Bell value beta = 8 omega - 4, the inverse of omega = 1/2 + beta/8."""
     return 8 * omega - 4
 
 
@@ -118,16 +106,6 @@ def optimal_strategy() -> Strategy:
     )
 
 
-def optimal_measurement_strategy(state: TwoQubitState) -> Strategy:
-    """The optimal-CHSH observables applied to an arbitrary two-qubit state."""
-    opt = optimal_strategy()
-    return Strategy(
-        state=state.matrix,
-        alice_observables=opt.alice_observables,
-        bob_observables=opt.bob_observables,
-    )
-
-
 def deterministic_strategy(a0: int, a1: int, b0: int, b1: int) -> Strategy:
     """Local deterministic strategy outputting a = a_x, b = b_y regardless of the state.
 
@@ -143,7 +121,3 @@ def deterministic_strategy(a0: int, a1: int, b0: int, b1: int) -> Strategy:
         alice_observables=(Observable(sign[a0]), Observable(sign[a1])),
         bob_observables=(Observable(sign[b0]), Observable(sign[b1])),
     )
-
-
-def all_deterministic_strategies() -> list[Strategy]:
-    return [deterministic_strategy(*bits) for bits in product((0, 1), repeat=4)]

@@ -18,12 +18,13 @@ import contextlib
 import json
 import math
 import sys
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
 
 from . import bounds, rates, simulate
-from .chsh import OMEGA_MAX, optimal_strategy, Strategy
+from .chsh import OMEGA_MAX, beta_from_omega, optimal_strategy, Strategy
 from .quantum import ValidationError, werner_state
 
 
@@ -52,7 +53,7 @@ def _count(v) -> int:
 
 def _natural(v) -> int:
     """A non-negative integer written as one, not as a float such as 3.0 or
-    1e3, by either route: a seed (`simulate._seed` takes no float) or a bit of --table."""
+    1e3, by either route: a seed (`rates._whole` takes no float) or a bit of --table."""
     try:
         k = int(v) if isinstance(v, (int, str)) else -1
     except ValueError:
@@ -273,7 +274,7 @@ def cmd_entropy_curve(cfg: _Config) -> int:
     for w in omegas:
         if not 0.75 - 1e-12 <= w <= OMEGA_MAX + 1e-12:
             raise ValidationError(f"omega={w} outside [0.75, (2+sqrt(2))/4]")
-        beta = 8 * min(w, OMEGA_MAX) - 4
+        beta = beta_from_omega(min(w, OMEGA_MAX))
         result = bounds.bell_diag_entropy_bound(beta)
         lines.append(f"{_fmt(w)},{_fmt(beta)},{_fmt(result.conditional_bound)}")
     _write_text(cfg.get("out", kind=str), lines)
@@ -395,8 +396,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _Config(args)
-        return args.func(cfg)
+        with warnings.catch_warnings():  # one line per warning, not Python's two
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return args.func(_Config(args))
     except (ValidationError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,7 +1,7 @@
 """Exact finite-dimensional quantum math for two-qubit certification.
 
 Density matrices, binary (+/-1) observables, the Bell basis, twirling,
-Jordan-block decomposition of observable pairs and entropies.
+Jordan-block decomposition of observable pairs and Bell spectra.
 Everything here is deterministic linear algebra; all randomness lives in
 the simulation layer.
 """
@@ -71,12 +71,6 @@ class TwoQubitState:
             raise ValidationError(f"two-qubit state must be 4x4, got {m.shape}")
         object.__setattr__(self, "matrix", m)
 
-    @staticmethod
-    def from_vector(psi: np.ndarray) -> "TwoQubitState":
-        psi = np.asarray(psi, dtype=complex)
-        psi = psi / np.linalg.norm(psi)
-        return TwoQubitState(np.outer(psi, psi.conj()))
-
 
 @dataclass(frozen=True)
 class Observable:
@@ -131,11 +125,6 @@ class BellDiagonalSpectrum:
             ]
         )
 
-    def to_state(self) -> TwoQubitState:
-        diag = np.clip(self.as_array(), 0.0, 1.0)
-        diag = diag / diag.sum()
-        return TwoQubitState(BELL_BASIS @ np.diag(diag).astype(complex) @ BELL_BASIS.conj().T)
-
 
 @dataclass(frozen=True)
 class JordanBlock:
@@ -150,19 +139,6 @@ class JordanBlock:
     block_basis: np.ndarray
 
 
-def partial_trace(state: TwoQubitState, keep: str) -> np.ndarray:
-    """Reduced 2x2 density matrix of one side of a two-qubit state.
-
-    `keep` is "A" or "B".
-    """
-    m = state.matrix.reshape(2, 2, 2, 2)
-    if keep == "A":
-        return np.einsum("ikjk->ij", m)
-    if keep == "B":
-        return np.einsum("kikj->ij", m)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-
-
 def clean_eigenvalues(eigvals: np.ndarray) -> np.ndarray:
     """Clamp eigenvalues to [0, 1], rejecting anything beyond tolerance."""
     eigvals = np.asarray(eigvals, dtype=float)
@@ -171,25 +147,6 @@ def clean_eigenvalues(eigvals: np.ndarray) -> np.ndarray:
     if eigvals.max() > 1 + EIG_CLIP_TOL:
         raise ValidationError(f"eigenvalue {eigvals.max()} above 1+{EIG_CLIP_TOL}")
     return np.clip(eigvals, 0.0, 1.0)
-
-
-def shannon_entropy(probs: np.ndarray) -> float:
-    """Shannon entropy in bits; entries below 1e-12 contribute zero."""
-    p = np.asarray(probs, dtype=float)
-    p = p[p > ENTROPY_EIG_CUTOFF]
-    return float(-(p * np.log2(p)).sum())
-
-
-def von_neumann_entropy(density: np.ndarray | TwoQubitState) -> float:
-    """H(rho) = -Tr(rho log2 rho) in bits."""
-    m = density.matrix if isinstance(density, TwoQubitState) else _check_density(density)
-    eigvals = clean_eigenvalues(np.linalg.eigvalsh(m))
-    return shannon_entropy(eigvals)
-
-
-def conditional_entropy(state: TwoQubitState) -> float:
-    """Conditional entropy H(A|B) = H(AB) - H(B) of a two-qubit state, in bits."""
-    return von_neumann_entropy(state) - von_neumann_entropy(partial_trace(state, "B"))
 
 
 def twirl(state: TwoQubitState) -> TwoQubitState:
@@ -230,10 +187,6 @@ def werner_state(xi: float) -> TwoQubitState:
         raise ValidationError(f"xi must lie in [0, 1], got {xi}")
     phi_plus = np.outer(BELL_BASIS[:, 0], BELL_BASIS[:, 0].conj())
     return TwoQubitState((1 - xi) * phi_plus + xi * np.eye(4) / 4)
-
-
-def werner_spectrum(xi: float) -> BellDiagonalSpectrum:
-    return BellDiagonalSpectrum(1 - 3 * xi / 4, xi / 4, xi / 4, xi / 4)
 
 
 def jordan_blocks(obs0: Observable, obs1: Observable) -> list[JordanBlock]:
@@ -308,16 +261,3 @@ def _split_eigenspace(a0, a1, space, angle):
 def block_projectors(blocks: list[JordanBlock]) -> list[np.ndarray]:
     """Rank-2 projector onto each block's subspace."""
     return [b.block_basis.T @ b.block_basis.conj() for b in blocks]
-
-
-def observables_from_blocks(blocks: list[JordanBlock]) -> tuple[np.ndarray, np.ndarray]:
-    """Reconstruct the observable pair encoded by a block list."""
-    d = blocks[0].block_basis.shape[1]
-    a0 = np.zeros((d, d), dtype=complex)
-    a1 = np.zeros((d, d), dtype=complex)
-    for b in blocks:
-        v = b.block_basis.T  # columns u, w
-        c, s = math.cos(b.angle), math.sin(b.angle)
-        a0 += v @ SIGMA_Z @ v.conj().T
-        a1 += v @ (c * SIGMA_Z + s * SIGMA_X) @ v.conj().T
-    return a0, a1

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass
@@ -43,6 +44,20 @@ _GOLDEN = (1 + math.sqrt(5)) / 2
 _EDGE = 1e-9  # open-interval endpoints are shrunk by this much
 
 
+def _whole(value, name: str, least: int) -> int:
+    """`value` as an int, if it is an integer (numpy's too, not a bool) of at
+    least `least`: a count or a seed."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        k = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name}={value!r} is not an integer") from None
+    if k < least:
+        raise ValidationError(f"{name}={k} is less than {least}")
+    return k
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Protocol arguments: rounds, test probability, target score, confidence width."""
@@ -53,8 +68,7 @@ class ProtocolParams:
     delta_est: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"n={self.n} must be a positive integer")
+        object.__setattr__(self, "n", _whole(self.n, "n", 1))
         if not (0 <= self.gamma <= 1):
             raise ValidationError(f"gamma={self.gamma} outside [0, 1]")
         if 0 < self.gamma < sys.float_info.min:  # scores times gamma would round away
@@ -65,15 +79,16 @@ class ProtocolParams:
             )
         if not (0 <= self.delta_est < 1):
             raise ValidationError(f"delta_est={self.delta_est} outside [0, 1)")
-        if self.omega_exp * self.gamma - self.delta_est <= 0:
+        if self.min_wins <= 0:
             warnings.warn(
                 "omega_exp*gamma - delta_est <= 0: the abort threshold is vacuous"
             )
 
     @property
-    def threshold(self) -> float:
-        """Minimum number of wins required to continue."""
-        return (self.omega_exp * self.gamma - self.delta_est) * self.n
+    def min_wins(self) -> int:
+        """The fewest wins that pass: the protocol aborts on fewer than
+        (omega_exp * gamma - delta_est) * n."""
+        return max(math.ceil((self.omega_exp * self.gamma - self.delta_est) * self.n), 0)
 
 
 @dataclass(frozen=True)
@@ -248,12 +263,12 @@ def eta_opt(
     return _minimize(item, lambda it: it[0], [lo + i * step for i in range(npts)], 1e-9)
 
 
-def binomial_tail(n: int, p: float, threshold: float) -> float:
-    """P(W < threshold) for W ~ Binomial(n, p): the abort probability of a
+def binomial_tail(n: int, p: float, min_wins: int) -> float:
+    """P(W < min_wins) for W ~ Binomial(n, p): the abort probability of a
     device that wins each round independently with probability p = gamma *
     omega, which `completeness_bound` bounds when omega >= omega_exp. p must
-    lie in (0, 1) unless the threshold is at most 0 (the answer is 0) or above
-    n (it is 1).
+    lie in (0, 1) unless min_wins is at most 0 (the answer is 0) or above n
+    (it is 1).
 
     Sums the smaller tail in log space from the term at the threshold
     outwards, each term scaled by that first one, and stops once a term is
@@ -263,7 +278,7 @@ def binomial_tail(n: int, p: float, threshold: float) -> float:
     the relative error: up to 6e-13 at n = 1e3 and 1e-8 at n = 1e7 against a
     60-digit sum.
     """
-    top = math.ceil(threshold) - 1  # the most wins that abort
+    top = min_wins - 1  # the most wins that abort
     if top < 0:
         return 0.0
     if top >= n:

@@ -27,7 +27,6 @@ always give identical transcripts.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -47,7 +46,7 @@ from .quantum import (
     twirl,
     werner_state,
 )
-from .rates import ProtocolParams, binomial_tail
+from .rates import ProtocolParams, _whole, binomial_tail
 
 # purpose tags for the derived randomness streams
 _STREAM_TEST = 0
@@ -180,22 +179,6 @@ class Transcript:
             if r not in text:
                 text[r] = ",".join("" if v is None else str(v) for v in r)
             yield f"{i},{text[r]}"
-
-    def serialize(self) -> str:
-        return "\n".join(self.lines()) + "\n"
-
-
-def _seed(seed) -> int:
-    """`seed` as an int, if it is a non-negative integer (numpy's too, not a bool)."""
-    try:
-        if isinstance(seed, bool):
-            raise TypeError
-        value = operator.index(seed)
-    except TypeError:
-        raise ValidationError(f"seed={seed!r} is not an integer") from None
-    if value < 0:
-        raise ValidationError(f"seed={value} is negative")
-    return value
 
 
 # numpy's SeedSequence (its bit_generator.pyx, pool of four words)
@@ -404,7 +387,7 @@ def run_protocol(
     """
     if mode not in ("standard", "modified"):
         raise ValidationError(f"unknown protocol mode {mode!r}")
-    seed = _seed(seed)
+    seed = _whole(seed, "seed", 0)
     n = params.n
     modified = mode == "modified"
 
@@ -434,7 +417,7 @@ def run_protocol(
     return Transcript(
         rounds=rounds,
         params=params,
-        aborted=win_count < params.threshold,
+        aborted=win_count < params.min_wins,
         win_count=win_count,
         seed=seed,
         mode=mode,
@@ -495,11 +478,10 @@ def estimate_abort_probability(
     `seed` are checked but unused. Any other model gives the abort frequency
     over `trials` runs of the seed schedule, with a Wilson interval.
     """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    seed = _seed(seed)
+    trials = _whole(trials, "trials", 1)
+    seed = _whole(seed, "seed", 0)
     if hasattr(model, "exact_score"):
-        p = binomial_tail(params.n, params.gamma * model.exact_score(), params.threshold)
+        p = binomial_tail(params.n, params.gamma * model.exact_score(), params.min_wins)
         return p, (p, p)
     aborts = sum(tr.aborted for tr in islice(_transcripts(model, params, seed), trials))
     return aborts / trials, wilson_interval(aborts, trials)
@@ -516,9 +498,8 @@ def run_trials(
     then that function's estimate and interval. A standard-mode trial 0 is
     also the estimate's first trial and is run once; a model with an exact
     abort probability runs trial 0 alone."""
-    seed = _seed(seed)
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    seed = _whole(seed, "seed", 0)
+    trials = _whole(trials, "trials", 1)
     runs = _transcripts(model, params, seed, mode)
     first = next(runs)
     if mode != "standard" or hasattr(model, "exact_score"):
@@ -555,9 +536,8 @@ def check_statistics_equivalence(
     must agree within 3 sigma (pooled binomial), and the abort frequencies
     must have overlapping Wilson intervals.
     """
-    if trials < 0:
-        raise ValidationError("trials must be >= 0")
-    seed = _seed(seed)
+    trials = _whole(trials, "trials", 0)
+    seed = _whole(seed, "seed", 0)
     c1, ab1 = _register_counts(islice(_transcripts(model, params, seed), trials))
     c2, ab2 = _register_counts(
         islice(_transcripts(model, params, seed, "modified", project_test_rounds=True), trials)

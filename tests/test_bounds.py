@@ -15,8 +15,9 @@ from diecert.bounds import (
     optimal_spectrum,
 )
 from diecert.chsh import BETA_MAX, OMEGA_CLASSICAL, OMEGA_MAX
-from diecert.quantum import ValidationError, von_neumann_entropy
+from diecert.quantum import ValidationError
 
+from oracles import bell_diagonal_state, von_neumann_entropy
 from reference_data import ENTROPY_CURVE
 
 # independently derived to full precision at beta = 2.5
@@ -103,7 +104,7 @@ class TestAnalyticBound:
     def test_spectrum_attains_the_bound(self):
         for beta in (2.05, 2.5, 2.8):
             res = bell_diag_entropy_bound(beta)
-            state = res.optimal_spectrum.to_state()
+            state = bell_diagonal_state(res.optimal_spectrum)
             assert von_neumann_entropy(state.matrix) == pytest.approx(
                 res.max_total_entropy, abs=1e-10
             )

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from diecert.cli import main
 from diecert.rates import ProtocolParams
 from diecert.simulate import ClassicalDeterministicDevice, run_trials
+from oracles import transcript_text
 from test_simulate import CLI_MODELS, exact_abort
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -299,7 +300,7 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert peak < kept + 3 * 2**20
-        assert target.read_text() == first.serialize()
+        assert target.read_text() == transcript_text(first)
 
     def test_unknown_model(self, capsys):
         code, _, err = run_cli(
@@ -628,3 +629,15 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1].startswith("0.75,")
+
+    def test_warning_prints_as_one_line(self):
+        # not Python's "file:line: UserWarning: ..." followed by the source line
+        argv = ["-m", "diecert.cli", "simulate", "--n", "10", "--omega-exp", "0.8",
+                "--gamma", "0"]
+        proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True)
+        quiet = subprocess.run([sys.executable, "-W", "ignore", *argv],
+                               capture_output=True, text=True)
+        assert proc.returncode == quiet.returncode == 0 and quiet.stderr == ""
+        assert proc.stderr == (
+            "warning: omega_exp*gamma - delta_est <= 0: the abort threshold is vacuous\n")
+        assert proc.stdout == quiet.stdout

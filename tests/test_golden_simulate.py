@@ -3,7 +3,7 @@
 Pins what ``run_protocol`` produces for every device model in both protocol
 modes, with and without ``project_test_rounds``, on two seeds:
 
-- the SHA-256 of the transcript's ``serialize()`` text, plus its win count
+- the SHA-256 of the transcript's CSV text, plus its win count
   and abort flag, compared exactly;
 - per block pair (c, d), the number of kept states and the sum of their
   Bell-basis diagonals, compared to 1e-12 relative, because a kept state may
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diecert.chsh import optimal_measurement_strategy, optimal_strategy, winning_probability
+from diecert.chsh import optimal_strategy, winning_probability
 from diecert.quantum import bell_diagonal_entries, werner_state
 from diecert.rates import ProtocolParams
 from diecert.simulate import (
@@ -42,6 +42,7 @@ from diecert.simulate import (
     kept_states,
     run_protocol,
 )
+from oracles import optimal_measurement_strategy, transcript_text
 from test_simulate import (
     BlockPairDevice,
     drift_win_probabilities,
@@ -102,7 +103,7 @@ def run_transcript(case):
         entry["rounds"] += 1
         entry["bell_diagonal_sum"] = entry["bell_diagonal_sum"] + diag
     return {
-        "sha256": hashlib.sha256(tr.serialize().encode()).hexdigest(),
+        "sha256": hashlib.sha256(transcript_text(tr).encode()).hexdigest(),
         "win_count": tr.win_count,
         "aborted": tr.aborted,
         "kept": {
@@ -173,11 +174,11 @@ def test_sequential_abort_estimates_hold_the_exact_value():
     even, odd = optimal_strategy(), optimal_measurement_strategy(werner_state(0.6))
     exact = {
         "drift": poisson_binomial_below(
-            drift_win_probabilities(drift, PARAMS.n, PARAMS.gamma), PARAMS.threshold
+            drift_win_probabilities(drift, PARAMS.n, PARAMS.gamma), PARAMS.min_wins
         ),
         "memory": memory_abort_probability(
             (winning_probability(even), winning_probability(odd)),
-            PARAMS.gamma, PARAMS.n, PARAMS.threshold,
+            PARAMS.gamma, PARAMS.n, PARAMS.min_wins,
         ),
     }
     for model, p in exact.items():
@@ -212,7 +213,7 @@ TILE_PINS = {
 def test_transcript_across_tiles(model, mode):
     tr = run_protocol(MODELS[model](), TILE_PARAMS, mode, seed=7,
                       project_test_rounds=mode == "modified")
-    digest = hashlib.sha256(tr.serialize().encode()).hexdigest()
+    digest = hashlib.sha256(transcript_text(tr).encode()).hexdigest()
     assert (digest, tr.win_count, tr.aborted) == TILE_PINS[model, mode]
 
 

@@ -17,19 +17,23 @@ from diecert.quantum import (
     bell_spectrum,
     block_projectors,
     clean_eigenvalues,
-    conditional_entropy,
     jordan_blocks,
+    twirl,
+    werner_state,
+)
+
+from oracles import (
+    bell_diagonal_state,
+    conditional_entropy,
     observables_from_blocks,
     partial_trace,
-    twirl,
     von_neumann_entropy,
-    werner_spectrum,
-    werner_state,
 )
 
 
 def bell_state(index):
-    return TwoQubitState.from_vector(BELL_BASIS[:, index])
+    psi = BELL_BASIS[:, index]
+    return TwoQubitState(np.outer(psi, psi.conj()))
 
 
 def random_density(rng, d=4):
@@ -146,7 +150,7 @@ class TestTwirl:
     def test_computational_basis_state(self):
         psi = np.zeros(4)
         psi[0] = 1
-        spec = bell_spectrum(twirl(TwoQubitState.from_vector(psi)))
+        spec = bell_spectrum(twirl(TwoQubitState(np.outer(psi, psi))))
         assert np.allclose(spec.as_array(), [0.5, 0.5, 0, 0], atol=1e-12)
 
     def test_idempotent_and_diagonal_preserving(self):
@@ -200,11 +204,11 @@ class TestBellSpectrum:
         psi = np.zeros(4)
         psi[0] = 1
         with pytest.raises(ValidationError, match="off-diagonal"):
-            bell_spectrum(TwoQubitState.from_vector(psi))
+            bell_spectrum(TwoQubitState(np.outer(psi, psi)))
 
     def test_spectrum_roundtrip(self):
         spec = BellDiagonalSpectrum(0.4, 0.3, 0.2, 0.1)
-        assert np.allclose(bell_spectrum(spec.to_state()).as_array(), spec.as_array())
+        assert np.allclose(bell_spectrum(bell_diagonal_state(spec)).as_array(), spec.as_array())
 
 
 class TestWerner:
@@ -213,9 +217,10 @@ class TestWerner:
         assert np.allclose(werner_state(1).matrix, np.eye(4) / 4, atol=1e-12)
 
     def test_half_spectrum(self):
-        spec = bell_spectrum(werner_state(0.5)).as_array()
+        xi = 0.5
+        spec = bell_spectrum(werner_state(xi)).as_array()
         assert np.allclose(spec, [0.625, 0.125, 0.125, 0.125], atol=1e-12)
-        assert np.allclose(spec, werner_spectrum(0.5).as_array(), atol=1e-12)
+        assert np.allclose(spec, [1 - 3 * xi / 4, xi / 4, xi / 4, xi / 4], atol=1e-12)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):

@@ -48,8 +48,21 @@ def budget(eps_dist=1e-6, eps_snd=1e-6, eps_cmp=1e-6, eps_smo=1e-4):
 
 class TestProtocolParams:
     def test_threshold(self):
+        # the fewest passing wins, as an int, from the float product
         p = params(n=1000, gamma=0.5, omega_exp=0.8, delta_est=0.01)
-        assert p.threshold == pytest.approx(1000 * (0.4 - 0.01))
+        assert p.min_wins == 390 and type(p.min_wins) is int
+        p = params(n=1000, gamma=0.5, omega_exp=0.8, delta_est=0.0105)
+        assert p.min_wins == math.ceil((0.4 - 0.0105) * 1000) == 390
+
+    @pytest.mark.filterwarnings("ignore:omega_exp")  # vacuous thresholds included
+    @given(st.integers(1, 10**12), st.floats(1e-3, 1), st.floats(0.75, OMEGA_MAX),
+           st.floats(0, 0.999))
+    def test_min_wins_decides_as_the_float_threshold(self, n, gamma, omega, delta):
+        # a whole win count is below (omega*gamma - delta)*n iff below min_wins
+        p = params(n=n, gamma=gamma, omega_exp=omega, delta_est=delta)
+        threshold = (omega * gamma - delta) * n
+        for wins in range(max(p.min_wins - 1, 0), p.min_wins + 1):
+            assert (wins < p.min_wins) == (wins < threshold)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValidationError):
@@ -78,7 +91,7 @@ class TestProtocolParams:
     def test_gamma_zero_allowed_with_warning(self):
         with pytest.warns(UserWarning):
             p = params(gamma=0.0, delta_est=0.0)
-        assert p.threshold == 0
+        assert p.min_wins == 0
 
 
 class TestErrorBudget:

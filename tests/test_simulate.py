@@ -20,7 +20,6 @@ from diecert.chsh import (
     OMEGA_MAX,
     Strategy,
     deterministic_strategy,
-    optimal_measurement_strategy,
     optimal_strategy,
     winning_probability,
 )
@@ -31,7 +30,6 @@ from diecert.quantum import (
     ValidationError,
     bell_spectrum,
     twirl,
-    werner_spectrum,
     werner_state,
 )
 from diecert.rates import ProtocolParams, binomial_tail, completeness_bound
@@ -60,6 +58,8 @@ from diecert.simulate import (
     _uniform,
 )
 
+from oracles import optimal_measurement_strategy, transcript_text
+
 
 def make_params(n=5000, gamma=0.5, omega_exp=0.8, delta_est=0.05):
     return ProtocolParams(n=n, gamma=gamma, omega_exp=omega_exp, delta_est=delta_est)
@@ -69,17 +69,17 @@ def honest():
     return HonestIIDDevice(optimal_strategy())
 
 
-def tail_oracle(n: int, p: float, threshold: float) -> Fraction:
-    """P(W < threshold) for W ~ Binomial(n, p), in exact rational arithmetic.
+def tail_oracle(n: int, p: float, min_wins: int) -> Fraction:
+    """P(W < min_wins) for W ~ Binomial(n, p), in exact rational arithmetic.
 
-    With p = a / d and b = d - a, it sums comb(n, k) a^k b^(n-k) over whole
-    k < threshold and divides by d^n. Each term is an integer, so the step
+    With p = a / d and b = d - a, it sums comb(n, k) a^k b^(n-k) over
+    k < min_wins and divides by d^n. Each term is an integer, so the step
     from term k to term k + 1, times (n - k) a / ((k + 1) b), divides
     exactly."""
     a, d = Fraction(p).as_integer_ratio()
     b, term, total = d - a, (d - a) ** n, 0
     for k in range(n + 1):
-        if not k < threshold:
+        if not k < min_wins:
             break
         total += term
         term = term * (n - k) * a // ((k + 1) * b)
@@ -88,7 +88,7 @@ def tail_oracle(n: int, p: float, threshold: float) -> Fraction:
 
 def exact_abort(model, params) -> Fraction:
     """The abort probability of an iid model, by `tail_oracle`."""
-    return tail_oracle(params.n, params.gamma * model.exact_score(), params.threshold)
+    return tail_oracle(params.n, params.gamma * model.exact_score(), params.min_wins)
 
 
 def close_to(got: float, want: Fraction) -> bool:
@@ -96,11 +96,11 @@ def close_to(got: float, want: Fraction) -> bool:
     return abs(Fraction(got) - want) <= want * Fraction(1, 10**12)
 
 
-def poisson_binomial_below(probs, threshold):
-    """P(W < threshold) for W the number of successes in independent trials
-    with success probabilities `probs`: a DP over the counts below the
-    threshold, in the arithmetic of `probs`."""
-    dist = [1 if k == 0 else 0 for k in range(math.ceil(threshold))]
+def poisson_binomial_below(probs, min_wins):
+    """P(W < min_wins) for W the number of successes in independent trials
+    with success probabilities `probs`: a DP over the counts below min_wins,
+    in the arithmetic of `probs`."""
+    dist = [1 if k == 0 else 0 for k in range(min_wins)]
     for p in probs:
         dist = [q * (1 - p) + (dist[k - 1] * p if k else 0) for k, q in enumerate(dist)]
     return sum(dist)
@@ -113,11 +113,11 @@ def drift_win_probabilities(model, n, gamma) -> list[float]:
     return [gamma * (0.5 + (1 - xi) * math.sqrt(2) / 4) for xi in xis]
 
 
-def memory_abort_probability(scores, gamma, n, threshold):
-    """P(W < threshold) for a `MemorySwitcherDevice` whose strategies score
-    `scores` (even, odd): a DP over (wins below the threshold, parity of the
-    test rounds so far), in the arithmetic of its inputs."""
-    counts = range(math.ceil(threshold))
+def memory_abort_probability(scores, gamma, n, min_wins):
+    """P(W < min_wins) for a `MemorySwitcherDevice` whose strategies score
+    `scores` (even, odd): a DP over (wins below min_wins, parity of the test
+    rounds so far), in the arithmetic of its inputs."""
+    counts = range(min_wins)
     dist = [[1 if k == 0 else 0 for k in counts], [0 for k in counts]]
     for _ in range(n):
         new = [[q * (1 - gamma) for q in row] for row in dist]
@@ -192,13 +192,13 @@ class TestRunProtocol:
         p = make_params(n=400)
         t1 = run_protocol(honest(), p, seed=7)
         t2 = run_protocol(honest(), p, seed=7)
-        assert t1.serialize() == t2.serialize()
+        assert transcript_text(t1) == transcript_text(t2)
 
     def test_seed_changes_transcript(self):
         p = make_params(n=400)
         t1 = run_protocol(honest(), p, seed=7)
         t2 = run_protocol(honest(), p, seed=8)
-        assert t1.serialize() != t2.serialize()
+        assert transcript_text(t1) != transcript_text(t2)
 
     def test_transcripts_compare_by_value(self):
         p = make_params(n=400)
@@ -221,7 +221,7 @@ class TestRunProtocol:
                 assert (r.x, r.y, r.a, r.b, r.w) == (None,) * 5
                 assert r.c is not None and r.d is not None
         assert tr.win_count == wins
-        assert tr.aborted == (wins < p.threshold)
+        assert tr.aborted == (wins < p.min_wins)
 
     def test_honest_score_concentrates(self):
         p = make_params(n=20000, gamma=0.5)
@@ -427,7 +427,7 @@ class TestKeptStates:
         )
         dev = HonestIIDDevice(strat)
         tr = run_protocol(dev, make_params(n=100), mode="modified", seed=12)
-        expected = werner_spectrum(xi).as_array()
+        expected = [1 - 3 * xi / 4, xi / 4, xi / 4, xi / 4]
         for r, state in zip(tr.rounds, kept_states(dev, tr)):
             if r.t == 0:
                 assert np.allclose(bell_spectrum(state).as_array(), expected, atol=1e-10)
@@ -442,7 +442,8 @@ class TestKeptStates:
                 assert r.c in (0, 1) and r.d in (0, 1)
                 seen[(r.c, r.d)] = seen.get((r.c, r.d), 0) + 1
                 spec = bell_spectrum(state).as_array()
-                expected = werner_spectrum(dev.noises[r.c]).as_array()
+                xi = dev.noises[r.c]
+                expected = [1 - 3 * xi / 4, xi / 4, xi / 4, xi / 4]
                 assert r.c == r.d  # the source never mixes blocks across parties
                 assert np.allclose(spec, expected, atol=1e-10)
         kept_total = sum(seen.values())
@@ -537,12 +538,12 @@ class TestExactTail:
     @pytest.mark.parametrize("n", [1, 7, 60])
     @pytest.mark.parametrize("p", [0.05, 0.375, OMEGA_MAX])
     def test_matches_fraction_oracle(self, n, p):
-        # at or below 0, whole and fractional thresholds on either side of
-        # the mean n * p, n itself and above it
-        for threshold in (-2.5, 0.0, 1.0, 2.5, round(0.3 * n), 0.3 * n + 0.5,
-                          round(0.6 * n), 0.6 * n + 0.25, round(0.9 * n), 0.9 * n + 0.5,
-                          float(n), n + 0.5):
-            assert close_to(binomial_tail(n, p, threshold), tail_oracle(n, p, threshold))
+        # at or below 0, on either side of the mean n * p, at the ceilings of
+        # fractional thresholds, n itself and above it
+        for min_wins in (-2, 0, 1, 3, round(0.3 * n), math.ceil(0.3 * n + 0.5),
+                         round(0.6 * n), math.ceil(0.6 * n + 0.25), round(0.9 * n),
+                         math.ceil(0.9 * n + 0.5), n, n + 1):
+            assert close_to(binomial_tail(n, p, min_wins), tail_oracle(n, p, min_wins))
 
     @given(
         st.one_of(
@@ -571,10 +572,10 @@ class TestExactTail:
         # sum that ran through every one of the 10**7 terms would take seconds
         n, p = 10**7, 0.5 * OMEGA_MAX
         start = time.perf_counter()
-        assert binomial_tail(n, p, n * (p - 0.05)) == 0.0
-        assert binomial_tail(n, p, n * (p + 0.05)) == 1.0
-        assert 0.4 < binomial_tail(n, p, n * p) < 0.6
-        assert 0.4 < binomial_tail(n, p, n * p + 0.5) < 0.6
+        assert binomial_tail(n, p, math.ceil(n * (p - 0.05))) == 0.0
+        assert binomial_tail(n, p, math.ceil(n * (p + 0.05))) == 1.0
+        assert 0.4 < binomial_tail(n, p, math.ceil(n * p)) < 0.6
+        assert 0.4 < binomial_tail(n, p, math.ceil(n * p + 0.5)) < 0.6
         assert time.perf_counter() - start < 1.0
 
 
@@ -657,16 +658,16 @@ class TestAbortEstimation:
 BAD_SEEDS = [1.5, True, -1]
 
 
-def _drift_brute_force(probs, threshold) -> Fraction:
+def _drift_brute_force(probs, min_wins) -> Fraction:
     """`poisson_binomial_below` by summing every win pattern in exact arithmetic."""
     probs, total = [Fraction(p) for p in probs], Fraction(0)
     for wins in product((0, 1), repeat=len(probs)):
-        if sum(wins) < threshold:
+        if sum(wins) < min_wins:
             total += math.prod(p if w else 1 - p for p, w in zip(probs, wins))
     return total
 
 
-def _memory_brute_force(scores, gamma, n, threshold) -> Fraction:
+def _memory_brute_force(scores, gamma, n, min_wins) -> Fraction:
     """`memory_abort_probability` by summing every sequence of idle, won and
     lost rounds in exact arithmetic."""
     scores, gamma, total = [Fraction(v) for v in scores], Fraction(gamma), Fraction(0)
@@ -678,7 +679,7 @@ def _memory_brute_force(scores, gamma, n, threshold) -> Fraction:
             else:
                 prob *= gamma * (scores[parity] if won else 1 - scores[parity])
                 wins, parity = wins + won, 1 - parity
-        if wins < threshold:
+        if wins < min_wins:
             total += prob
     return total
 
@@ -692,25 +693,25 @@ class TestSequentialAbortOracles:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 8), _PROBABILITY, _PROBABILITY,
-           st.floats(-0.2, 0.2), st.floats(-1, 9))
-    def test_drift_dp_matches_brute_force(self, n, gamma, xi_start, xi_slope, threshold):
+           st.floats(-0.2, 0.2), st.integers(-1, 9))
+    def test_drift_dp_matches_brute_force(self, n, gamma, xi_start, xi_slope, min_wins):
         probs = drift_win_probabilities(NoisyDriftDevice(xi_start, xi_slope), n, gamma)
-        assert close_to(poisson_binomial_below(probs, threshold),
-                        _drift_brute_force(probs, threshold))
+        assert close_to(poisson_binomial_below(probs, min_wins),
+                        _drift_brute_force(probs, min_wins))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 8), st.tuples(_PROBABILITY, _PROBABILITY), _PROBABILITY,
-           st.floats(-1, 9))
-    def test_memory_dp_matches_brute_force(self, n, scores, gamma, threshold):
-        assert close_to(memory_abort_probability(scores, gamma, n, threshold),
-                        _memory_brute_force(scores, gamma, n, threshold))
+           st.integers(-1, 9))
+    def test_memory_dp_matches_brute_force(self, n, scores, gamma, min_wins):
+        assert close_to(memory_abort_probability(scores, gamma, n, min_wins),
+                        _memory_brute_force(scores, gamma, n, min_wins))
 
     def test_memory_dp_of_equal_scores_is_the_binomial_tail(self):
         # with one score the parity is idle, so the wins are binomial
         params = make_params(n=300, gamma=0.4, omega_exp=0.8, delta_est=0.02)
         score = winning_probability(werner_source(0.2))
-        got = memory_abort_probability((score, score), params.gamma, params.n, params.threshold)
-        assert close_to(got, tail_oracle(params.n, params.gamma * score, params.threshold))
+        got = memory_abort_probability((score, score), params.gamma, params.n, params.min_wins)
+        assert close_to(got, tail_oracle(params.n, params.gamma * score, params.min_wins))
 
 
 class TestSeedValidation:
@@ -738,9 +739,32 @@ class TestSeedValidation:
         p = make_params(n=300)
         run = run_protocol(honest(), p, seed=np.int64(7))
         assert run == run_protocol(honest(), p, seed=7)
-        assert type(run.seed) is int and "seed=7 " in run.serialize()
+        assert type(run.seed) is int and "seed=7 " in transcript_text(run)
         assert estimate_abort_probability(honest(), p, 5, np.uint32(7)) == \
             estimate_abort_probability(honest(), p, 5, 7)
+
+
+# a count is a whole number: each of these must raise ValidationError naming
+# the argument, not run at int(value), be ignored or reach islice's ValueError
+BAD_COUNTS = [1.5, 10.0, True, -1]
+
+
+class TestCountValidation:
+    @pytest.mark.parametrize("n", BAD_COUNTS)
+    def test_protocol_params_n(self, n):
+        with pytest.raises(ValidationError, match=f"^n={n!r} "):
+            make_params(n=n)
+
+    @pytest.mark.parametrize("trials", BAD_COUNTS)
+    @pytest.mark.parametrize("model", [honest, lambda: NoisyDriftDevice(0.0, 1e-3)])
+    @pytest.mark.parametrize("entry", [estimate_abort_probability, run_trials,
+                                       check_statistics_equivalence])
+    def test_trials(self, entry, model, trials):
+        with pytest.raises(ValidationError, match=f"^trials={trials!r} "):
+            entry(model(), make_params(n=10), trials)
+
+    def test_numpy_integer_n_is_its_int(self):
+        assert type(make_params(n=np.int64(10)).n) is int
 
 
 class TestStatisticsEquivalence:
@@ -775,7 +799,7 @@ class TestTranscriptSerialization:
     def test_header_and_rows(self):
         p = make_params(n=20)
         tr = run_protocol(honest(), p, seed=2)
-        text = tr.serialize()
+        text = transcript_text(tr)
         lines = text.strip().split("\n")
         assert lines[0].startswith("# n=20 ")
         assert "seed=2" in lines[0]
@@ -785,7 +809,7 @@ class TestTranscriptSerialization:
     def test_unset_cells_are_empty(self):
         p = make_params(n=50, gamma=0.2)
         tr = run_protocol(honest(), p, seed=3)
-        for line in tr.serialize().strip().split("\n")[2:]:
+        for line in transcript_text(tr).strip().split("\n")[2:]:
             i, t, rest = line.split(",", 2)
             if t == "0":
                 assert rest == ",,,,,,"
@@ -793,7 +817,7 @@ class TestTranscriptSerialization:
     def test_round_trip_fields(self):
         p = make_params(n=100, gamma=0.5)
         tr = run_protocol(honest(), p, mode="modified", seed=4)
-        lines = tr.serialize().strip().split("\n")[2:]
+        lines = transcript_text(tr).strip().split("\n")[2:]
         for line, r in zip(lines, tr.rounds):
             cells = line.split(",")
             assert cells[1] == str(r.t)

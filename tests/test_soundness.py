@@ -10,7 +10,7 @@ entanglement (an upper bound on distillable entanglement). The first step is
 an equality on `bounds.optimal_spectrum`. A finite-n certificate is at most
 the many-round rate. The scores come from the package's own Born rule, with
 the spectrum ordered so that the optimal-CHSH observables reach its largest
-score. H is summed over every positive entry: `quantum.shannon_entropy` drops
+score. H is summed over every positive entry: `oracles.shannon_entropy` drops
 entries below 1e-12, which can move H by 1e-11 near maximal violation.
 """
 
@@ -26,7 +26,6 @@ from diecert.bounds import binary_entropy, optimal_spectrum
 from diecert.chsh import (
     BETA_MAX,
     Strategy,
-    optimal_measurement_strategy,
     optimal_strategy,
     winning_probability,
 )
@@ -42,6 +41,8 @@ from diecert.rates import (
 )
 from diecert.simulate import HonestIIDDevice, kept_states, run_protocol
 
+from oracles import bell_diagonal_state, optimal_measurement_strategy, transcript_text
+
 
 def _hashing(spectrum):
     """1 - H(lambda), with H in bits."""
@@ -51,7 +52,7 @@ def _hashing(spectrum):
 def _score(spectrum):
     """Score of the Bell-diagonal state under the optimal-CHSH observables,
     which is 1/2 + (lambda_phi+ - lambda_psi-)/(2 sqrt(2))."""
-    return winning_probability(optimal_measurement_strategy(spectrum.to_state()))
+    return winning_probability(optimal_measurement_strategy(bell_diagonal_state(spectrum)))
 
 
 def _sorted_spectrum(weights):
@@ -143,7 +144,7 @@ def test_simulated_werner_source_certifies_below_its_kept_states(tmp_path, capsy
     ))
     params = ProtocolParams(n=n, gamma=gamma, omega_exp=0.8, delta_est=delta_est_for(n, 1e-2))
     transcript = run_protocol(model, params, "modified", seed=int(header["seed"]))
-    assert transcript.serialize() == out.read_text()
+    assert transcript_text(transcript) == out.read_text()
 
     kept = [s.matrix for s in kept_states(model, transcript) if s is not None]
     mean = bell_spectrum(TwoQubitState(np.mean(kept, axis=0)))
