@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .quantum import (
-    BELL_BASIS,
+    PHI_PLUS,
     SIGMA_X,
     SIGMA_Z,
     Observable,
@@ -26,6 +26,12 @@ from .quantum import (
 BETA_MAX = 2 * math.sqrt(2)
 OMEGA_MAX = (2 + math.sqrt(2)) / 4  # winning probability at maximal violation
 OMEGA_CLASSICAL = 0.75
+
+
+def check_score(name: str, omega: float) -> None:
+    """Reject a CHSH score `name`=`omega` outside [3/4, OMEGA_MAX], up to rounding."""
+    if not OMEGA_CLASSICAL - 1e-12 <= omega <= OMEGA_MAX + 1e-12:
+        raise ValidationError(f"{name}={omega} outside [0.75, (2+sqrt(2))/4]")
 
 
 @dataclass(frozen=True)
@@ -94,10 +100,9 @@ def chsh_value(strategy: Strategy) -> float:
 
 def optimal_strategy() -> Strategy:
     """|Phi+> with Alice sigma_z/sigma_x and Bob (sigma_z +/- sigma_x)/sqrt(2)."""
-    phi_plus = np.outer(BELL_BASIS[:, 0], BELL_BASIS[:, 0].conj())
     s = 1 / math.sqrt(2)
     return Strategy(
-        state=phi_plus,
+        state=PHI_PLUS,
         alice_observables=(Observable(SIGMA_Z), Observable(SIGMA_X)),
         bob_observables=(
             Observable(s * (SIGMA_Z + SIGMA_X)),

@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import json
 import math
+import re
 import sys
 import warnings
 from decimal import Decimal
@@ -24,7 +25,7 @@ from fractions import Fraction
 from itertools import islice
 
 from . import bounds, rates, simulate
-from .chsh import OMEGA_MAX, beta_from_omega, optimal_strategy, Strategy
+from .chsh import OMEGA_MAX, beta_from_omega, check_score, optimal_strategy, Strategy
 from .quantum import ValidationError, werner_state
 
 
@@ -272,8 +273,7 @@ def cmd_entropy_curve(cfg: _Config) -> int:
     omegas = _omega_grid(cfg, 0.75, OMEGA_MAX, 0.0025)
     lines = ["omega,beta,conditional_bound"]
     for w in omegas:
-        if not 0.75 - 1e-12 <= w <= OMEGA_MAX + 1e-12:
-            raise ValidationError(f"omega={w} outside [0.75, (2+sqrt(2))/4]")
+        check_score("omega", w)
         beta = beta_from_omega(min(w, OMEGA_MAX))
         result = bounds.bell_diag_entropy_bound(beta)
         lines.append(f"{_fmt(w)},{_fmt(beta)},{_fmt(result.conditional_bound)}")
@@ -289,13 +289,12 @@ def _build_model(cfg: _Config) -> simulate.DeviceModel:
     name = cfg.get("model", "honest")
     xi = cfg.get("xi", 0.0, float)
     opt = optimal_strategy()
+
+    def werner(xi):  # the Werner state under the optimal observables
+        return Strategy(werner_state(xi).matrix, opt.alice_observables, opt.bob_observables)
+
     if name == "honest":
-        strat = Strategy(
-            state=werner_state(xi).matrix,
-            alice_observables=opt.alice_observables,
-            bob_observables=opt.bob_observables,
-        )
-        return simulate.HonestIIDDevice(strat)
+        return simulate.HonestIIDDevice(werner(xi))
     if name == "classical":
         table = cfg.get("table", "0,0,0,0", _list(_natural))
         if len(table) != 4 or not set(table) <= {0, 1}:
@@ -304,12 +303,7 @@ def _build_model(cfg: _Config) -> simulate.DeviceModel:
     if name == "memory":
         if not 0 <= xi <= 1:  # before the 0.5 floor below hides it
             raise ValidationError(f"--xi={xi} outside [0, 1]")
-        noisy = Strategy(
-            state=werner_state(max(xi, 0.5)).matrix,
-            alice_observables=opt.alice_observables,
-            bob_observables=opt.bob_observables,
-        )
-        return simulate.MemorySwitcherDevice(opt, noisy)
+        return simulate.MemorySwitcherDevice(opt, werner(max(xi, 0.5)))
     if name == "drift":
         return simulate.NoisyDriftDevice(xi, cfg.get("xi_slope", 1e-3, float))
     raise ValidationError(f"unknown model {name!r}; available: {', '.join(_MODELS)}")
@@ -392,9 +386,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negatives(argv) -> list[str]:
+    """Each token of a minus sign then a digit or point, such as -1e-3, joined
+    to the value flag before it: argparse reads only a plain decimal such as
+    -0.001 as a value and would take -1e-3 for a flag."""
+    flags = {f"--{f}" for _, _, names in _COMMANDS.values()
+             for f in ["config", *names.split()] if f not in _SWITCHES}
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in flags and re.match(r"-[\d.]", token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negatives(sys.argv[1:] if argv is None else argv))
     try:
         with warnings.catch_warnings():  # one line per warning, not Python's two
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)

@@ -39,18 +39,27 @@ BELL_BASIS = np.array(
     ],
     dtype=complex,
 )
+# |Phi+><Phi+| and I/4, the two ends of every Werner state; read-only, so shared safely
+PHI_PLUS = np.outer(BELL_BASIS[:, 0], BELL_BASIS[:, 0].conj())
+MAXIMALLY_MIXED = np.eye(4) / 4
+PHI_PLUS.flags.writeable = MAXIMALLY_MIXED.flags.writeable = False
 
 
 class ValidationError(ValueError):
     """Raised when a matrix fails a physicality check."""
 
 
-def _check_density(matrix: np.ndarray) -> np.ndarray:
+def _check_hermitian(matrix: np.ndarray, what: str) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"density matrix must be square, got shape {m.shape}")
+        raise ValidationError(f"{what} must be square, got shape {m.shape}")
     if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-        raise ValidationError("density matrix is not Hermitian within tolerance")
+        raise ValidationError(f"{what} is not Hermitian within tolerance")
+    return m
+
+
+def _check_density(matrix: np.ndarray) -> np.ndarray:
+    m = _check_hermitian(matrix, "density matrix")
     if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
         raise ValidationError(f"density matrix trace is {np.trace(m)}, expected 1")
     eigvals = np.linalg.eigvalsh(m)
@@ -79,11 +88,7 @@ class Observable:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"observable must be square, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ValidationError("observable is not Hermitian within tolerance")
+        m = _check_hermitian(self.matrix, "observable")
         if np.max(np.abs(m @ m - np.eye(m.shape[0]))) > HERMITICITY_TOL:
             raise ValidationError("observable does not square to the identity")
         object.__setattr__(self, "matrix", m)
@@ -185,8 +190,7 @@ def werner_state(xi: float) -> TwoQubitState:
     """(1 - xi)|Phi+><Phi+| + xi I/4 for xi in [0, 1]."""
     if not 0.0 <= xi <= 1.0:
         raise ValidationError(f"xi must lie in [0, 1], got {xi}")
-    phi_plus = np.outer(BELL_BASIS[:, 0], BELL_BASIS[:, 0].conj())
-    return TwoQubitState((1 - xi) * phi_plus + xi * np.eye(4) / 4)
+    return TwoQubitState((1 - xi) * PHI_PLUS + xi * MAXIMALLY_MIXED)
 
 
 def jordan_blocks(obs0: Observable, obs1: Observable) -> list[JordanBlock]:

@@ -35,7 +35,7 @@ import warnings
 from dataclasses import dataclass
 
 from .bounds import g, g_prime
-from .chsh import OMEGA_MAX
+from .chsh import OMEGA_MAX, check_score
 from .quantum import ValidationError
 
 MODES = ("printed", "ceiling")
@@ -73,10 +73,7 @@ class ProtocolParams:
             raise ValidationError(f"gamma={self.gamma} outside [0, 1]")
         if 0 < self.gamma < sys.float_info.min:  # scores times gamma would round away
             raise ValidationError(f"gamma={self.gamma} is subnormal")
-        if not (0.75 - 1e-12 <= self.omega_exp <= OMEGA_MAX + 1e-12):
-            raise ValidationError(
-                f"omega_exp={self.omega_exp} outside [0.75, (2+sqrt(2))/4]"
-            )
+        check_score("omega_exp", self.omega_exp)
         if not (0 <= self.delta_est < 1):
             raise ValidationError(f"delta_est={self.delta_est} outside [0, 1)")
         if self.min_wins <= 0:
@@ -309,7 +306,13 @@ def delta_est_for(n: int, eps_cmp: float) -> float:
     """Confidence width making the honest abort bound equal eps_cmp."""
     if not (0 < eps_cmp < 1):
         raise ValidationError(f"eps_cmp={eps_cmp} outside (0, 1)")
-    return math.sqrt(math.log(1 / eps_cmp) / 2 / n)
+    width = math.sqrt(math.log(1 / eps_cmp) / 2 / n) if n > 0 else math.inf
+    if not width < 1:  # no delta_est in [0, 1) can then meet eps_cmp
+        raise ValidationError(
+            f"n={n} and eps_cmp={eps_cmp} leave no confidence width below 1 "
+            f"(Hoeffding width {width:.6g})"
+        )
+    return width
 
 
 def certified_log_l(

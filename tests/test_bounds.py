@@ -14,7 +14,7 @@ from diecert.bounds import (
     max_total_entropy,
     optimal_spectrum,
 )
-from diecert.chsh import BETA_MAX, OMEGA_CLASSICAL, OMEGA_MAX
+from diecert.chsh import BETA_MAX, OMEGA_CLASSICAL, OMEGA_MAX, beta_from_omega
 from diecert.quantum import ValidationError
 
 from oracles import bell_diagonal_state, von_neumann_entropy
@@ -53,10 +53,11 @@ class TestGCurve:
     def test_quantum_maximum(self):
         assert g(OMEGA_MAX) == pytest.approx(-1, abs=1e-12)
 
-    def test_matches_total_entropy_shift(self):
-        for beta in (2.1, 2.4, 2.7, BETA_MAX):
-            omega = 0.5 + beta / 8
-            assert g(omega) == pytest.approx(max_total_entropy(beta) - 1, abs=1e-12)
+    @given(st.floats(min_value=OMEGA_CLASSICAL, max_value=OMEGA_MAX))
+    def test_matches_total_entropy_shift(self, omega):
+        # bit for bit: 8 omega - 4 and 4 sqrt(2) are 2 omega - 1 and sqrt(2)
+        # times the same power of two, so both homes divide to the same h argument
+        assert g(omega) == max_total_entropy(beta_from_omega(omega)) - 1
 
     def test_monotone_decreasing(self):
         omegas = np.linspace(OMEGA_CLASSICAL, OMEGA_MAX, 200)

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from diecert.chsh import optimal_strategy
 from diecert.cli import main
 from diecert.rates import ProtocolParams
-from diecert.simulate import ClassicalDeterministicDevice, run_trials
+from diecert.simulate import ClassicalDeterministicDevice, MemorySwitcherDevice, run_trials
 from oracles import transcript_text
-from test_simulate import CLI_MODELS, exact_abort
+from test_simulate import CLI_MODELS, exact_abort, werner_source
 
 GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = Path(__file__).parent / "configs"
@@ -302,6 +303,30 @@ class TestSimulate:
         assert peak < kept + 3 * 2**20
         assert target.read_text() == transcript_text(first)
 
+    def test_negative_exponent_value_is_read_as_its_flag_value(self, capsys):
+        argv = ["simulate", "--model", "drift", "--xi", "0.5", "--n", "200",
+                "--omega-exp", "0.8", "--trials", "3"]
+        code, joined, _ = run_cli(capsys, *argv, "--xi-slope=-1e-3")
+        assert code == 0
+        assert run_cli(capsys, *argv, "--xi-slope", "-1e-3") == (0, joined, "")
+
+    _MEMORY = ["simulate", "--model", "memory", "--n", "300", "--gamma", "0.5",
+               "--omega-exp", "0.8", "--delta-est", "0.05", "--trials", "3", "--seed", "4"]
+
+    def test_memory_model_floors_xi_at_one_half(self, capsys):
+        # the range check sees 0.2; the noisy strategy is built at 0.5
+        code, low, _ = run_cli(capsys, *self._MEMORY, "--xi", "0.2")
+        assert code == 0
+        assert run_cli(capsys, *self._MEMORY, "--xi", "0.5") == (0, low, "")
+
+    def test_memory_model_switches_to_the_werner_source(self, capsys):
+        code, out, _ = run_cli(capsys, *self._MEMORY, "--xi", "0.6")
+        assert code == 0
+        params = ProtocolParams(n=300, gamma=0.5, omega_exp=0.8, delta_est=0.05)
+        model = MemorySwitcherDevice(optimal_strategy(), werner_source(0.6))
+        first = run_trials(model, params, 3, 4)[0]
+        assert out.splitlines()[:-1] == list(first.lines())
+
     def test_unknown_model(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--model", "psychic", "--n", "100",
@@ -389,6 +414,13 @@ class TestMalformedInput:
          "--omega-exp", "0.8"],
         # a misspelt key would otherwise leave its option at the default
         ["rate", "--config", str(CONFIGS / "unknown_key.json")],
+        # a negative value in exponent form reaches the range check
+        ["rate", "--n", "1e6", "--omega-exp", "0.84", "--gamma", "0.5", "--eps-smo", "1e-4",
+         "--delta-est", "-1e-3"],
+        # too few rounds or too small an eps_cmp for a confidence width below 1
+        ["simulate", "--n", "2", "--omega-exp", "0.8"],
+        ["rate", "--n", "1", "--omega-exp", "0.8"],
+        ["rate", "--n", "100", "--omega-exp", "0.8", "--eps-cmp", "1e-320"],
     ], ids=["rate-n-inf", "rate-n-abc", "table-two-bits", "simulate-n-1e30",
             "simulate-trials-1e9", "simulate-seed-negative", "entropy-curve-step-1e-12",
             "entropy-curve-nan", "rate-omega-exp-abc",
@@ -400,7 +432,8 @@ class TestMalformedInput:
             "config-omega-values-bool", "entropy-curve-omega-values-empty",
             "config-omega-values-empty", "curve-n-values-empty", "drift-xi-2",
             "drift-xi-negative", "memory-xi-negative", "drift-xi-slope-nan",
-            "config-unknown-key"])
+            "config-unknown-key", "rate-delta-est-negative-exponent", "simulate-width-n-2",
+            "rate-width-n-1", "rate-width-eps-cmp-1e-320"])
     def test_rejected_with_error_line(self, argv):
         code, err = _run_quietly(argv)
         assert code == 1

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from diecert.chsh import optimal_strategy
 from diecert.quantum import (
     BELL_BASIS,
+    MAXIMALLY_MIXED,
     PAULIS,
+    PHI_PLUS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -225,6 +228,12 @@ class TestWerner:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
             werner_state(1.2)
+
+    def test_shared_ends_are_read_only(self):
+        # optimal_strategy's state is PHI_PLUS itself; a write would change every Werner state
+        for shared in (PHI_PLUS, MAXIMALLY_MIXED, optimal_strategy().state):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0, 0] = 0
 
 
 def two_block_observables(angles):

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import pytest
@@ -298,6 +299,11 @@ class TestCompleteness:
     def test_rejects_bad_eps(self):
         with pytest.raises(ValidationError):
             delta_est_for(100, 0.0)
+
+    @pytest.mark.parametrize("n, eps", [(2, 1e-2), (1, 1e-2), (100, 1e-320), (0, 1e-2)])
+    def test_width_of_one_or_more_blames_n_and_eps_cmp(self, n, eps):
+        with pytest.raises(ValidationError, match=re.escape(f"n={n} and eps_cmp={eps} ")):
+            delta_est_for(n, eps)
 
 
 class TestCertificates:

@@ -11,8 +11,11 @@ run implicitly and are always used.
 """
 
 import ast
+import importlib.util
 import pathlib
 import re
+
+import diecert.simulate
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -76,3 +79,16 @@ def unused_definitions(root=ROOT) -> list[str]:
 def test_every_definition_in_src_is_used():
     unused = unused_definitions()
     assert not unused, "reached by nothing that runs: " + ", ".join(unused)
+
+
+def test_every_name_the_tracer_swaps_is_bound():
+    # the traced benchmark run swaps these module attributes; one that a
+    # change unbinds would otherwise fail only there
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    swapped = [*tracing._SPANS, *tracing._COUNTS, *tracing._TIMED_COUNTS,
+               (diecert.simulate, "run_protocol", None)]
+    unbound = [f"{module.__name__}.{attr}" for module, attr, _ in swapped
+               if not hasattr(module, attr)]
+    assert not unbound, "the tracer swaps unbound names: " + ", ".join(unbound)
