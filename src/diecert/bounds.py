@@ -100,40 +100,22 @@ def bell_diag_entropy_bound(beta: float) -> EntropyBoundResult:
     )
 
 
-def _entropy4(lam: tuple[float, float, float, float]) -> float:
-    s = 0.0
-    for p in lam:
-        if p > 1e-12:
-            s -= p * math.log2(p)
-    return s
-
-
-def _lambdas_from_pair(phi_m: float, psi_m: float, beta: float):
-    """Recover (phi+, psi+) from the two free coordinates, or None if infeasible."""
-    if phi_m < 0 or psi_m < 0:
-        return None
-    rad = beta * beta / 8 - (phi_m - psi_m) ** 2
-    if rad < 0:
-        return None
-    root = math.sqrt(rad)
-    rest = 1 - phi_m - psi_m
-    phi_p = 0.5 * (rest + root)
-    psi_p = 0.5 * (rest - root)
-    if phi_p < -1e-15 or psi_p < -1e-15:
-        return None
-    return (max(phi_p, 0.0), phi_m, max(psi_p, 0.0), psi_m)
-
-
 def brute_force_max_entropy(
     beta: float, grid_step: float
 ) -> tuple[BellDiagonalSpectrum, float]:
-    """Grid-plus-refinement maximization of H(lambda) at Bell value beta.
+    """Grid-plus-zoom maximization of H(lambda) at Bell value beta.
 
-    Searches the two free coordinates (lambda_phi_minus, lambda_psi_minus)
-    over the feasible region (nonnegativity, the outside-the-disk condition
-    that keeps lambda_psi_plus >= 0, and a real square root), then refines the
-    best grid point by coordinate descent down to step 1e-8. Deterministic;
-    grid ties resolve to the lexicographically smallest coordinate pair.
+    Scans the two free coordinates (lambda_phi_minus, lambda_psi_minus) over
+    [0, 1/2]^2 in steps of `grid_step`, with lambda_phi_plus and
+    lambda_psi_plus recovered from the Bell value. A point is feasible when
+    all four eigenvalues are nonnegative; a negative radicand gives NaN, which
+    fails that test too. The same scan then runs on a grid 8 times finer
+    within one step of the best point, until the step is below 1e-8 and below
+    a tenth of the least eigenvalue the entropy counts (near 2 sqrt(2) that
+    eigenvalue is tiny, and the entropy's curvature in it is large). A best
+    point on the edge of such a window is scanned around again at the same
+    step first. Deterministic; each grid's ties resolve to the
+    lexicographically smallest coordinate pair.
     """
     if not (2 < beta <= BETA_MAX + 1e-12):
         raise ValidationError(f"beta={beta} outside (2, 2*sqrt(2)]")
@@ -141,49 +123,32 @@ def brute_force_max_entropy(
     if not (5e-4 <= grid_step <= 0.05):  # a finer grid holds over 10^6 cells
         raise ValidationError(f"grid_step={grid_step} outside [5e-4, 0.05]")
 
-    # vectorized grid sweep over the feasible region
-    ticks = np.arange(0.0, 0.5 + grid_step / 2, grid_step)
-    pm, sm = np.meshgrid(ticks, ticks, indexing="ij")
-    rad = beta * beta / 8 - (pm - sm) ** 2
-    rest = 1 - pm - sm
-    with np.errstate(invalid="ignore"):
-        root = np.sqrt(rad)
-    phi_p = 0.5 * (rest + root)
-    psi_p = 0.5 * (rest - root)
-    feasible = (rad >= 0) & (psi_p >= 0) & (phi_p >= 0)
-    if not np.any(feasible):
-        raise ValidationError(f"empty feasible region at beta={beta}")
+    step, zoomed = grid_step, False
+    x = y = np.arange(0.0, 0.5 + grid_step / 2, grid_step)
+    window = np.arange(-8, 9)  # one step either side, in steps 8 times finer
+    with np.errstate(invalid="ignore", divide="ignore"):  # out-of-domain points are masked
+        while True:
+            lam = np.empty((4, x.size, y.size))  # (phi+, phi-, psi+, psi-) over the grid
+            lam[1], lam[3] = x[:, None], y
+            rest = 1 - lam[1] - lam[3]
+            root = np.sqrt(beta * beta / 8 - (lam[1] - lam[3]) ** 2)
+            lam[0], lam[2] = 0.5 * (rest + root), 0.5 * (rest - root)
+            ent = np.where(lam > 1e-12, -lam * np.log2(lam), 0.0).sum(axis=0)
+            ent[~(lam >= 0).all(axis=0)] = -np.inf
+            i, j = divmod(int(ent.argmax()), y.size)
+            if ent[i, j] == -np.inf:
+                raise ValidationError(f"empty feasible region at beta={beta}")
+            # along a thin edge of the region the best point can sit on the
+            # edge of its window with better points beyond: re-centre there
+            if not zoomed or 0 < i < window.size - 1 and 0 < j < window.size - 1:
+                best = lam[:, i, j]
+                if step < min(1e-8, best[best > 1e-12].min() / 10):
+                    break
+                step /= 8
+            x, y = x[i] + window * step, y[j] + window * step
+            zoomed = True
 
-    def plogp(p):
-        out = np.zeros_like(p)
-        mask = p > 1e-12
-        out[mask] = -p[mask] * np.log2(p[mask])
-        return out
-
-    ent = plogp(phi_p) + plogp(pm) + plogp(psi_p) + plogp(sm)
-    ent[~feasible] = -np.inf
-    idx = np.unravel_index(np.argmax(ent), ent.shape)
-    x, y = float(pm[idx]), float(sm[idx])
-
-    def value(px, py):
-        lam = _lambdas_from_pair(px, py, beta)
-        return -math.inf if lam is None else _entropy4(lam)
-
-    # coordinate descent: shrink the stencil until it is below 1e-8
-    step = grid_step
-    best = value(x, y)
-    while step > 1e-8:
-        improved = True
-        while improved:
-            improved = False
-            for dx, dy in ((step, 0), (-step, 0), (0, step), (0, -step)):
-                cand = value(x + dx, y + dy)
-                if cand > best + 1e-15:
-                    x, y, best = x + dx, y + dy, cand
-                    improved = True
-        step /= 2
-
-    lam = list(_lambdas_from_pair(x, y, beta))
+    lam = best.tolist()
     # The parametrization hands the plus square root to the first eigenvalue,
     # but exchanging the two sum-pair entries changes neither the entropy nor
     # the Bell value. Report in the analytic convention (phi+ is the smaller).
@@ -196,4 +161,4 @@ def brute_force_max_entropy(
         lambda_psi_plus=lam[2] / total,
         lambda_psi_minus=lam[3] / total,
     )
-    return spectrum, best
+    return spectrum, float(ent[i, j])

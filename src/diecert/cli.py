@@ -281,12 +281,19 @@ def cmd_entropy_curve(cfg: _Config) -> int:
     return 0
 
 
-_MODELS = ("honest", "classical", "memory", "drift")
+# each model and the options it reads: `_build_model` refuses the others
+_MODELS = {"honest": ("xi",), "classical": ("table",), "memory": ("xi",),
+           "drift": ("xi", "xi_slope")}
 _PROTOCOLS = ("standard", "modified")
 
 
 def _build_model(cfg: _Config) -> simulate.DeviceModel:
-    name = cfg.get("model", "honest")
+    name = cfg.get("model", "honest", str)
+    if name not in _MODELS:
+        raise ValidationError(f"unknown model {name!r}; available: {', '.join(_MODELS)}")
+    for option in ("xi", "xi_slope", "table"):  # one the model never reads would be dropped
+        if option not in _MODELS[name] and cfg.get(option) is not None:
+            raise ValidationError(f"--{option.replace('_', '-')} is not read by --model {name}")
     xi = cfg.get("xi", 0.0, float)
     opt = optimal_strategy()
 
@@ -304,9 +311,7 @@ def _build_model(cfg: _Config) -> simulate.DeviceModel:
         if not 0 <= xi <= 1:  # before the 0.5 floor below hides it
             raise ValidationError(f"--xi={xi} outside [0, 1]")
         return simulate.MemorySwitcherDevice(opt, werner(max(xi, 0.5)))
-    if name == "drift":
-        return simulate.NoisyDriftDevice(xi, cfg.get("xi_slope", 1e-3, float))
-    raise ValidationError(f"unknown model {name!r}; available: {', '.join(_MODELS)}")
+    return simulate.NoisyDriftDevice(xi, cfg.get("xi_slope", 1e-3, float))
 
 
 def cmd_simulate(cfg: _Config) -> int:

@@ -22,11 +22,8 @@ ENTROPY_EIG_CUTOFF = 1e-12
 _JORDAN_TOL = 1e-8  # cos(angle) degeneracy and sin(angle) zero in jordan_blocks
 
 # Pauli matrices
-I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (I2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 # Bell basis column vectors, ordered (Phi+, Phi-, Psi+, Psi-).
 _s = 1 / math.sqrt(2)
@@ -155,17 +152,15 @@ def clean_eigenvalues(eigvals: np.ndarray) -> np.ndarray:
 
 
 def twirl(state: TwoQubitState) -> TwoQubitState:
-    """Average of U (x) U conjugations over the four Paulis.
+    """The Bell-basis diagonal of `state`, as a Bell-diagonal state.
 
-    Projects onto the Bell-diagonal states while preserving the Bell-basis
-    diagonal of the input.
+    This is the average of the U (x) U conjugations over the four Paulis:
+    each Bell state is a common eigenvector of the four U (x) U, with a sign
+    pattern no other Bell state shares, so the average keeps the diagonal and
+    cancels every off-diagonal entry.
     """
-    m = state.matrix
-    out = np.zeros_like(m)
-    for u in PAULIS:
-        uu = np.kron(u, u)
-        out += uu @ m @ uu.conj().T
-    return TwoQubitState(out / 4)
+    diag = np.diag(np.diag(bell_diagonal_entries(state)))
+    return TwoQubitState(BELL_BASIS @ diag @ BELL_BASIS.conj().T)
 
 
 def bell_diagonal_entries(state: TwoQubitState) -> np.ndarray:

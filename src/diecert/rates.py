@@ -96,10 +96,13 @@ class ErrorBudget:
     eps_smo: float
 
     def __post_init__(self):
-        for name in ("eps_dist", "eps_snd", "eps_cmp"):
+        # a zero eps_dist leaves no room for eps_smo, and a zero eps_snd no kappa
+        for name in ("eps_dist", "eps_snd"):
             v = getattr(self, name)
-            if not (0 <= v <= 1):
-                raise ValidationError(f"{name}={v} outside [0, 1]")
+            if not (0 < v <= 1):
+                raise ValidationError(f"{name}={v} outside (0, 1]")
+        if not (0 <= self.eps_cmp <= 1):
+            raise ValidationError(f"eps_cmp={self.eps_cmp} outside [0, 1]")
         if not (0 <= self.eps_smo < math.sqrt(self.eps_dist)):
             raise ValidationError(
                 f"eps_smo={self.eps_smo} must lie in [0, sqrt(eps_dist={self.eps_dist}))"

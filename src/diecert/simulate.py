@@ -536,8 +536,8 @@ def check_statistics_equivalence(
     must agree within 3 sigma (pooled binomial), and the abort frequencies
     must have overlapping Wilson intervals.
     """
-    trials = _whole(trials, "trials", 0)
     seed = _whole(seed, "seed", 0)
+    trials = _whole(trials, "trials", 1)
     c1, ab1 = _register_counts(islice(_transcripts(model, params, seed), trials))
     c2, ab2 = _register_counts(
         islice(_transcripts(model, params, seed, "modified", project_test_rounds=True), trials)

@@ -17,6 +17,10 @@ from diecert.quantum import (
     clean_eigenvalues,
 )
 
+I2 = np.eye(2, dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULIS = (I2, SIGMA_X, SIGMA_Y, SIGMA_Z)
+
 
 def optimal_measurement_strategy(state: TwoQubitState) -> Strategy:
     """The optimal-CHSH observables applied to an arbitrary two-qubit state."""
@@ -33,6 +37,17 @@ def bell_diagonal_state(spectrum) -> TwoQubitState:
     diag = np.clip(spectrum.as_array(), 0.0, 1.0)
     diag = diag / diag.sum()
     return TwoQubitState(BELL_BASIS @ np.diag(diag).astype(complex) @ BELL_BASIS.conj().T)
+
+
+def pauli_twirl(state: TwoQubitState) -> TwoQubitState:
+    """Average of the U (x) U conjugations of `state` over the four Paulis: the
+    reference that `quantum.twirl` is tested against."""
+    m = state.matrix
+    out = np.zeros_like(m)
+    for u in PAULIS:
+        uu = np.kron(u, u)
+        out += uu @ m @ uu.conj().T
+    return TwoQubitState(out / 4)
 
 
 def partial_trace(state: TwoQubitState, keep: str) -> np.ndarray:

@@ -20,14 +20,13 @@ from diecert.chsh import (
 )
 from diecert.quantum import (
     SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
     Observable,
     ValidationError,
     werner_state,
 )
 
-from oracles import optimal_measurement_strategy
+from oracles import SIGMA_Y, optimal_measurement_strategy
 
 
 class TestScoreConversions:

@@ -327,6 +327,26 @@ class TestSimulate:
         first = run_trials(model, params, 3, 4)[0]
         assert out.splitlines()[:-1] == list(first.lines())
 
+    @pytest.mark.parametrize("model, option, value", [
+        ("honest", "xi_slope", "1e-3"), ("honest", "table", "0,0,0,0"),
+        ("classical", "xi", "0.3"), ("classical", "xi_slope", "1e-3"),
+        ("memory", "xi_slope", "1e-3"), ("memory", "table", "0,0,0,0"),
+        ("drift", "table", "0,0,0,0"),
+    ])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_option_the_model_never_reads_is_rejected(self, model, option, value, route,
+                                                      tmp_path):
+        # it would otherwise be dropped without a word
+        argv = ["simulate", "--model", model, "--n", "100", "--omega-exp", "0.8"]
+        flag = "--" + option.replace("_", "-")
+        if route == "flag":
+            argv += [flag, value]
+        else:
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps({option: value}))
+            argv += ["--config", str(cfgfile)]
+        assert _run_quietly(argv) == (1, f"error: {flag} is not read by --model {model}\n")
+
     def test_unknown_model(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--model", "psychic", "--n", "100",
@@ -452,6 +472,18 @@ class TestMalformedInput:
             code, err = _run_quietly(argv)
             assert code == 1
             assert err.startswith("error: --n: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("option, argv", [
+        ("eps_snd", ["rate", "--n", "1e6", "--omega-exp", "0.84", "--eps-snd", "0"]),
+        ("eps_snd", ["curve", "--n-values", "1e6", "--omega-values", "0.84", "--eps-snd", "0"]),
+        ("eps_dist", ["rate", "--n", "1e6", "--omega-exp", "0.84", "--eps-dist", "0"]),
+        ("eps_dist", ["rate", "--n", "1e6", "--omega-exp", "0.84", "--gamma", "0.1",
+                      "--eps-smo", "1e-4", "--eps-dist", "0"]),
+    ], ids=["rate-eps-snd-0", "curve-eps-snd-0", "rate-eps-dist-0", "rate-fixed-eps-dist-0"])
+    def test_zero_budget_entry_is_named(self, option, argv):
+        # not eps_smo, which the search chose and the user never gave
+        code, err = _run_quietly(argv)
+        assert (code, err) == (1, f"error: {option}=0.0 outside (0, 1]\n")
 
     def test_unknown_config_key_is_named(self):
         code, err = _run_quietly(["rate", "--config", str(CONFIGS / "unknown_key.json")])

@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from diecert.chsh import optimal_strategy
 from diecert.quantum import (
     BELL_BASIS,
     MAXIMALLY_MIXED,
-    PAULIS,
     PHI_PLUS,
     SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
     BellDiagonalSpectrum,
     Observable,
@@ -30,6 +30,7 @@ from oracles import (
     conditional_entropy,
     observables_from_blocks,
     partial_trace,
+    pauli_twirl,
     von_neumann_entropy,
 )
 
@@ -141,6 +142,15 @@ class TestEntropies:
 
 
 class TestTwirl:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1, 1), min_size=32, max_size=32))
+    def test_equals_the_pauli_average(self, entries):
+        raw = np.reshape(entries[:16], (4, 4)) + 1j * np.reshape(entries[16:], (4, 4))
+        dens = raw @ raw.conj().T
+        assume(np.trace(dens).real > 1e-3)
+        state = TwoQubitState(dens / np.trace(dens).real)
+        assert np.max(np.abs(twirl(state).matrix - pauli_twirl(state).matrix)) <= 1e-14
+
     def test_bell_states_fixed(self):
         for k in range(4):
             state = bell_state(k)

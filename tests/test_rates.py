@@ -105,6 +105,14 @@ class TestErrorBudget:
         with pytest.raises(ValidationError):
             budget(eps_snd=1.5)
 
+    @pytest.mark.parametrize("name", ["eps_dist", "eps_snd"])
+    def test_rejects_zero_dist_and_snd(self, name):
+        with pytest.raises(ValidationError, match=f"^{name}=0.0 outside \\(0, 1\\]$"):
+            budget(**{name: 0.0})
+
+    def test_admits_zero_cmp(self):
+        assert budget(eps_cmp=0.0).eps_cmp == 0.0
+
 
 class TestFrequencyDistribution:
     def test_from_score(self):
@@ -209,7 +217,7 @@ class TestEta:
 
     @pytest.mark.parametrize("zero", ["eps_snd", "eps_smo"])
     def test_kappa_domain(self, zero):
-        # ErrorBudget admits a zero eps_snd or eps_smo; the kappa factor does not
+        # ErrorBudget rejects a zero eps_snd, and the kappa factor a zero eps_smo
         with pytest.raises(ValidationError):
             eta_at(0.8, 0.008, params(), budget(**{zero: 0.0}))
 

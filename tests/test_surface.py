@@ -1,5 +1,6 @@
-"""`src/diecert` holds what runs: every function, class and method in it is
-read by the package itself, by `perfbench/` or by the README's examples.
+"""`src/diecert` holds what runs: every function, class, method and module
+constant in it is read by the package itself, by `perfbench/` or by the
+README's examples.
 
 A definition is used when its name is read (a name or an attribute) in
 `src/`, in `perfbench/`, whose tracer also names the attributes it wraps in
@@ -23,15 +24,28 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 ALLOWED = {"chsh_value"}
 
 
+def _assigned(node, stack):
+    """The names a module-level assignment binds; none for any other node."""
+    if stack or not isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return []
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
 def _scan(tree, where, defs, reads, strings=False):
     """Append each definition in `tree` to `defs` as (where, name, enclosing
     definitions) and each read to `reads` as (name, enclosing definitions);
-    with `strings`, an identifier in a string constant is a read too."""
+    with `strings`, an identifier in a string constant is a read too. A
+    module-level assignment defines the names it binds, and the reads in it
+    are enclosed by all of them."""
 
     def visit(node, stack):
         if isinstance(node, _DEFS):
             defs.append((where, node.name, stack))
             stack = (*stack, len(defs) - 1)
+        elif names := _assigned(node, stack):
+            defs.extend((where, name, stack) for name in names)
+            stack = (*stack, *range(len(defs) - len(names), len(defs)))
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             reads.append((node.id, stack))
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -46,8 +60,8 @@ def _scan(tree, where, defs, reads, strings=False):
 
 
 def unused_definitions(root=ROOT) -> list[str]:
-    """`module.qualname` of every definition in `src/diecert` that nothing
-    that runs reads, besides `ALLOWED`."""
+    """`module.qualname` of every definition and module constant in
+    `src/diecert` that nothing that runs reads, besides `ALLOWED`."""
     defs, reads, other = [], [], []
     for path in sorted((root / "src" / "diecert").glob("*.py")):
         _scan(ast.parse(path.read_text()), path.stem, defs, reads)
