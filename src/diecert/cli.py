@@ -203,28 +203,38 @@ def _eps_budget(cfg: _Config) -> tuple[float, float, float]:
     )
 
 
+def _protocol(cfg: _Config, n: int, gamma: float) -> tuple[rates.ProtocolParams, float]:
+    """The protocol's parameters and its completeness error eps_cmp, one choice
+    made by either option: --delta-est, whose Hoeffding bound exp(-2 n delta_est^2)
+    is then eps_cmp, or --eps-cmp (default 1e-2), whose width is then delta_est."""
+    omega_exp = cfg.require("omega_exp", float)
+    delta_est = cfg.get("delta_est", kind=float)
+    if delta_est is None:
+        eps_cmp = cfg.get("eps_cmp", 1e-2, float)
+        delta_est = rates.delta_est_for(n, eps_cmp)
+    elif cfg.get("eps_cmp") is not None:
+        raise ValidationError("--delta-est excludes --eps-cmp: it sets eps_cmp = exp(-2 n delta^2)")
+    else:
+        eps_cmp = rates.completeness_bound(n, delta_est)
+    return rates.ProtocolParams(n, gamma, omega_exp, delta_est), eps_cmp
+
+
 def cmd_rate(cfg: _Config) -> int:
     n = cfg.require("n", _count)
-    omega_exp = cfg.require("omega_exp", float)
     eps_dist, eps_snd, eps_cmp = _eps_budget(cfg)
     mode = cfg.get("mode", "printed", _choice(rates.MODES))
     gamma = cfg.get("gamma", kind=float)
     eps_smo = cfg.get("eps_smo", kind=float)
-    delta_est = cfg.get("delta_est", kind=float)
     exact = cfg.get("exact", False, bool)
-    if (gamma is None) != (eps_smo is None) or gamma is None and delta_est is not None:
+    if (gamma is None) != (eps_smo is None) or gamma is None and cfg.get("delta_est") is not None:
         raise ValidationError("--gamma and --eps-smo go together; --delta-est needs both")
 
     if gamma is not None:
-        de = delta_est if delta_est is not None else rates.delta_est_for(n, eps_cmp)
-        params = rates.ProtocolParams(
-            n=n, gamma=gamma, omega_exp=omega_exp, delta_est=de
-        )
-        budget = rates.ErrorBudget(
-            eps_dist=eps_dist, eps_snd=eps_snd, eps_cmp=eps_cmp, eps_smo=eps_smo
-        )
+        params, eps_cmp = _protocol(cfg, n, gamma)
+        budget = rates.ErrorBudget(eps_dist, eps_snd, eps_cmp, eps_smo)
         cert = rates.certified_log_l(params, budget, mode)
     else:
+        omega_exp = cfg.require("omega_exp", float)
         cert = rates.optimize_parameters(n, omega_exp, eps_dist, eps_snd, eps_cmp, mode)
 
     record = _certificate_record(cert)
@@ -255,12 +265,9 @@ def cmd_curve(cfg: _Config) -> int:
     lines = [_CURVE_HEADER]
     for n in sorted(n_list):
         certs = rates.rate_curve(n, omegas, eps_dist, eps_snd, eps_cmp, mode)
-        for w, cert in sorted(zip(omegas, certs), key=lambda p: p[0]):
-            lines.append(
-                f"{n},{_fmt(w)},{_fmt(cert.rate_raw)},{_fmt(cert.rate)},"
-                f"{_fmt(cert.params.gamma)},{_fmt(cert.errors.eps_smo)},"
-                f"{_fmt(cert.params.delta_est)},{_fmt(cert.eta_opt_value)}"
-            )
+        for cert in sorted(certs, key=lambda c: c.params.omega_exp):
+            record = _certificate_record(cert)
+            lines.append(",".join(_fmt(record[k]) for k in _CURVE_HEADER.split(",")))
     if asymptotic:
         for w in sorted(omegas):
             raw = rates.asymptotic_rate(w)
@@ -319,14 +326,7 @@ def cmd_simulate(cfg: _Config) -> int:
     trials = cfg.get("trials", 100, _count)
     if max(n, trials) > _MAX_COUNT:
         raise ValidationError(f"--n and --trials may not exceed {_MAX_COUNT}")
-    gamma = cfg.get("gamma", 1.0, float)
-    omega_exp = cfg.require("omega_exp", float)
-    delta_est = cfg.get("delta_est", kind=float)
-    if delta_est is None:
-        delta_est = rates.delta_est_for(n, cfg.get("eps_cmp", 1e-2, float))
-    params = rates.ProtocolParams(
-        n=n, gamma=gamma, omega_exp=omega_exp, delta_est=delta_est
-    )
+    params, _ = _protocol(cfg, n, cfg.get("gamma", 1.0, float))
     model = _build_model(cfg)
     seed = cfg.get("seed", 0, _natural)
     protocol_mode = cfg.get("protocol", "standard", _choice(_PROTOCOLS))

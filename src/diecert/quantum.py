@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
-EIG_CLIP_TOL = 1e-10
-BELL_DIAG_TOL = 1e-10
+_TOL = 1e-10  # hermiticity, unit trace, PSD, +/-1 eigenvalues, eigenvalue clip, Bell-diagonality
 ENTROPY_EIG_CUTOFF = 1e-12
 _JORDAN_TOL = 1e-8  # cos(angle) degeneracy and sin(angle) zero in jordan_blocks
 
@@ -50,17 +46,17 @@ def _check_hermitian(matrix: np.ndarray, what: str) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"{what} must be square, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+    if np.max(np.abs(m - m.conj().T)) > _TOL:
         raise ValidationError(f"{what} is not Hermitian within tolerance")
     return m
 
 
 def _check_density(matrix: np.ndarray) -> np.ndarray:
     m = _check_hermitian(matrix, "density matrix")
-    if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
+    if abs(np.trace(m).real - 1.0) > _TOL or abs(np.trace(m).imag) > _TOL:
         raise ValidationError(f"density matrix trace is {np.trace(m)}, expected 1")
     eigvals = np.linalg.eigvalsh(m)
-    if eigvals.min() < -PSD_TOL:
+    if eigvals.min() < -_TOL:
         raise ValidationError(f"density matrix has negative eigenvalue {eigvals.min()}")
     return m
 
@@ -86,7 +82,7 @@ class Observable:
 
     def __post_init__(self):
         m = _check_hermitian(self.matrix, "observable")
-        if np.max(np.abs(m @ m - np.eye(m.shape[0]))) > HERMITICITY_TOL:
+        if np.max(np.abs(m @ m - np.eye(m.shape[0]))) > _TOL:
             raise ValidationError("observable does not square to the identity")
         object.__setattr__(self, "matrix", m)
 
@@ -144,10 +140,10 @@ class JordanBlock:
 def clean_eigenvalues(eigvals: np.ndarray) -> np.ndarray:
     """Clamp eigenvalues to [0, 1], rejecting anything beyond tolerance."""
     eigvals = np.asarray(eigvals, dtype=float)
-    if eigvals.min() < -EIG_CLIP_TOL:
-        raise ValidationError(f"eigenvalue {eigvals.min()} below -{EIG_CLIP_TOL}")
-    if eigvals.max() > 1 + EIG_CLIP_TOL:
-        raise ValidationError(f"eigenvalue {eigvals.max()} above 1+{EIG_CLIP_TOL}")
+    if eigvals.min() < -_TOL:
+        raise ValidationError(f"eigenvalue {eigvals.min()} below -{_TOL}")
+    if eigvals.max() > 1 + _TOL:
+        raise ValidationError(f"eigenvalue {eigvals.max()} above 1+{_TOL}")
     return np.clip(eigvals, 0.0, 1.0)
 
 
@@ -173,7 +169,7 @@ def bell_spectrum(state: TwoQubitState) -> BellDiagonalSpectrum:
     in_bell = bell_diagonal_entries(state)
     off = in_bell - np.diag(np.diag(in_bell))
     max_off = float(np.max(np.abs(off)))
-    if max_off > BELL_DIAG_TOL:
+    if max_off > _TOL:
         raise ValidationError(
             f"state is not Bell-diagonal: max off-diagonal magnitude {max_off:.3e}"
         )

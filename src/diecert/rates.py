@@ -32,7 +32,7 @@ import math
 import operator
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bounds import g, g_prime
 from .chsh import OMEGA_MAX, check_score
@@ -392,12 +392,5 @@ def rate_curve(
     ordered = sorted(omegas)
     ref = ordered[len(ordered) // 2]
     at_ref = optimize_parameters(n, ref, eps_dist, eps_snd, eps_cmp, mode)
-    gamma = at_ref.params.gamma
-    budget = at_ref.errors
-    out = []
-    for w in omegas:
-        params = ProtocolParams(
-            n=n, gamma=gamma, omega_exp=w, delta_est=at_ref.params.delta_est
-        )
-        out.append(certified_log_l(params, budget, mode))
-    return out
+    return [certified_log_l(replace(at_ref.params, omega_exp=w), at_ref.errors, mode)
+            for w in omegas]

@@ -159,10 +159,14 @@ class Transcript:
 
     rounds: list[RoundRecord]
     params: ProtocolParams
-    aborted: bool
     win_count: int
     seed: int = 0
     mode: str = "standard"
+
+    @property
+    def aborted(self) -> bool:
+        """The abort rule: fewer wins than `params.min_wins`."""
+        return self.win_count < self.params.min_wins
 
     def lines(self):
         """The CSV text a line at a time, without newlines: the parameters and
@@ -417,7 +421,6 @@ def run_protocol(
     return Transcript(
         rounds=rounds,
         params=params,
-        aborted=win_count < params.min_wins,
         win_count=win_count,
         seed=seed,
         mode=mode,

@@ -99,7 +99,7 @@ class TestRate:
         code, out, _ = run_cli(
             capsys, "rate", "--n", "1e8", "--omega-exp", "0.84",
             "--gamma", "0.01", "--eps-smo", "1e-4", "--eps-dist", "1e-6",
-            "--eps-snd", "1e-6", "--eps-cmp", "1e-6", "--delta-est", "1e-5",
+            "--eps-snd", "1e-6", "--delta-est", "1e-5",
         )
         assert code == 0
         assert out == (GOLDEN / "rate_fixed.txt").read_text()
@@ -108,7 +108,7 @@ class TestRate:
         _, out, _ = run_cli(
             capsys, "rate", "--n", "1e6", "--omega-exp", "0.84",
             "--gamma", "0.1", "--eps-smo", "1e-4", "--eps-dist", "1e-6",
-            "--eps-snd", "1e-6", "--eps-cmp", "1e-6", "--delta-est", "1e-4",
+            "--eps-snd", "1e-6", "--delta-est", "1e-4",
             "--exact",
         )
         exact = json.loads(out.strip().splitlines()[-1])
@@ -120,13 +120,22 @@ class TestRate:
         code, _, _ = run_cli(
             capsys, "rate", "--n", "1e6", "--omega-exp", "0.84",
             "--gamma", "0.1", "--eps-smo", "1e-4", "--eps-dist", "1e-6",
-            "--eps-snd", "1e-6", "--eps-cmp", "1e-6", "--delta-est", "1e-4",
+            "--eps-snd", "1e-6", "--delta-est", "1e-4",
             "--out", str(target),
         )
         assert code == 0
         record = json.loads(target.read_text())
         assert record["n"] == 10**6
         assert record["rate"] == max(record["rate_raw"], 0.0)
+
+    def test_delta_est_sets_eps_cmp(self, capsys):
+        # the record states the completeness error its delta_est has, exp(-2)
+        code, out, _ = run_cli(
+            capsys, "rate", "--n", "1e6", "--omega-exp", "0.84", "--gamma", "0.1",
+            "--eps-smo", "1e-4", "--delta-est", "1e-3",
+        )
+        assert code == 0
+        assert "eps_cmp = 0.135335\n" in out
 
     def test_optimizing_path(self, capsys):
         point = ["rate", "--n", "1e6", "--omega-exp", "0.83225", "--mode", "ceiling"]
@@ -140,7 +149,7 @@ class TestRate:
         exact = out.strip().splitlines()[-1]
         found = json.loads(exact)
         fixed = [
-            f"--{k.replace('_', '-')}={found[k]!r}" for k in ("gamma", "eps_smo", "delta_est")
+            f"--{k.replace('_', '-')}={found[k]!r}" for k in ("gamma", "eps_smo")
         ]
         code, again, _ = run_cli(capsys, *point, *fixed, "--exact")
         assert code == 0
@@ -151,7 +160,7 @@ class TestRate:
         code, out, _ = run_cli(
             capsys, "rate", "--n", "1e8", "--omega-exp", "0.76", "--gamma", "0.5",
             "--eps-smo", "1e-4", "--eps-dist", "1e-6", "--eps-snd", "1e-6",
-            "--eps-cmp", "1e-6", "--delta-est", "0.3", "--mode", "ceiling",
+            "--delta-est", "0.3", "--mode", "ceiling",
         )
         assert code == 0
         assert "rate = 0\n" in out
@@ -195,8 +204,7 @@ class TestConfigFile:
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({
             "n": 1e6, "omega_exp": 0.84, "gamma": 0.1, "eps_smo": 1e-4,
-            "eps_dist": 1e-6, "eps_snd": 1e-6, "eps_cmp": 1e-6,
-            "delta_est": 1e-4,
+            "eps_dist": 1e-6, "eps_snd": 1e-6, "delta_est": 1e-4,
         }))
         code, out, _ = run_cli(capsys, "rate", "--config", str(cfgfile))
         assert code == 0
@@ -206,8 +214,7 @@ class TestConfigFile:
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({
             "n": 1e6, "omega_exp": 0.80, "gamma": 0.1, "eps_smo": 1e-4,
-            "eps_dist": 1e-6, "eps_snd": 1e-6, "eps_cmp": 1e-6,
-            "delta_est": 1e-4,
+            "eps_dist": 1e-6, "eps_snd": 1e-6, "delta_est": 1e-4,
         }))
         code, out, _ = run_cli(
             capsys, "rate", "--config", str(cfgfile), "--omega-exp", "0.84"
@@ -488,6 +495,22 @@ class TestMalformedInput:
     def test_unknown_config_key_is_named(self):
         code, err = _run_quietly(["rate", "--config", str(CONFIGS / "unknown_key.json")])
         assert (code, err) == (1, "error: unknown config keys: eps_sound\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--n", "1e6", "--omega-exp", "0.84", "--gamma", "0.1", "--eps-smo", "1e-4"],
+        ["simulate", "--n", "100", "--omega-exp", "0.8", "--trials", "1"],
+    ], ids=["rate", "simulate"])
+    @pytest.mark.parametrize("by_flag", [("delta_est", "eps_cmp"), ("delta_est",), ()],
+                             ids=["flags", "mixed", "config"])
+    def test_delta_est_excludes_eps_cmp(self, argv, by_flag, tmp_path):
+        # one choice: Hoeffding ties them by eps_cmp = exp(-2 n delta_est^2)
+        values = {"delta_est": 1e-3, "eps_cmp": 1e-6}
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({k: v for k, v in values.items() if k not in by_flag}))
+        flags = [a for k in by_flag for a in (f"--{k.replace('_', '-')}", str(values[k]))]
+        code, err = _run_quietly([*argv, *flags, "--config", str(cfgfile)])
+        assert (code, err) == (
+            1, "error: --delta-est excludes --eps-cmp: it sets eps_cmp = exp(-2 n delta^2)\n")
 
     @pytest.mark.filterwarnings("ignore:omega_exp")  # the threshold is vacuous
     @pytest.mark.parametrize("mode", ["printed", "ceiling"])
