@@ -40,7 +40,7 @@ def _round6(v: float) -> float:
 
 
 _MAX_COUNT = 10**7  # largest simulate --n and --trials: bounds the allocations
-_MAX_GRID = 10**5  # most points in one score grid
+_MAX_GRID = 10**5  # most points in one score grid, and values in one list option
 
 
 def _count(v) -> int:
@@ -91,15 +91,16 @@ def _convert(kind, v):
 
 
 def _list(kind):
-    """Parser of a comma-separated string or a JSON list of at least one `kind` value."""
+    """Parser of a comma-separated string or a JSON list of 1 to `_MAX_GRID`
+    `kind` values."""
 
     def parse(v):
         if isinstance(v, str):
             v = [x for x in v.split(",") if x.strip()]
         if not isinstance(v, list):
             raise ValueError(f"{v!r} is not a list")
-        if not v:
-            raise ValueError("needs at least one value")
+        if not 0 < len(v) <= _MAX_GRID:
+            raise ValueError(f"needs 1 to {_MAX_GRID} values, got {len(v)}")
         return [_convert(kind, x) for x in v]
 
     return parse
@@ -121,7 +122,10 @@ class _Config:
         path = self.args.get("config")
         if path:
             with open(path, encoding="utf-8") as fh:
-                self.file = json.load(fh, parse_float=_Number)
+                try:
+                    self.file = json.load(fh, parse_float=_Number)
+                except RecursionError:
+                    raise ValidationError("config file nests too deeply") from None
             if not isinstance(self.file, dict):
                 raise ValidationError("config file must contain a JSON object")
             flags = _COMMANDS[self.args["command"]][2].replace("-", "_").split()

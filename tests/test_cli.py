@@ -240,6 +240,17 @@ class TestConfigFile:
         assert code == 1
         assert "error: config file must contain a JSON object" in err
 
+    @pytest.mark.parametrize("argv, text", [
+        (["rate"], '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}"),
+        (["simulate"], "[" * 50_000),
+    ], ids=["rate-100000", "simulate-50000"])
+    def test_deep_nesting_fails_cleanly(self, argv, text, tmp_path):
+        # json's decoder recurses once per level and would end in a RecursionError
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(text)
+        assert _run_quietly([*argv, "--config", str(cfgfile)]) == (
+            1, "error: config file nests too deeply\n")
+
 
 def _exact_abort(table, **params) -> float:
     """The exact abort probability of a classical table, as simulate prints it."""
@@ -589,6 +600,29 @@ class TestMalformedInput:
         code, err = _run_quietly([*argv, "--config", str(CONFIGS / f"{config}.json")])
         assert code == 1
         assert f"error: --{option}: " in err and "is not a list" in err
+
+    @pytest.mark.parametrize("option, argv", [
+        ("omega-values", ["entropy-curve"]),
+        ("omega-values", ["curve", "--n-values", "1e6"]),
+        ("n-values", ["curve", "--omega-values", "0.84"]),
+        ("table", ["simulate", "--model", "classical", "--n", "100", "--omega-exp", "0.8"]),
+    ], ids=["entropy-curve-omega-values", "curve-omega-values", "curve-n-values",
+            "simulate-table"])
+    def test_list_option_holds_at_most_a_grid_of_values(self, option, argv, tmp_path):
+        # a list would otherwise skip the cap a min/max/step grid has
+        value = {"omega-values": 0.8, "n-values": 1e6, "table": 0}[option]
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({option.replace("-", "_"): [value] * 100_001}))
+        flag = ",".join([str(value)] * 100_001)
+        cap = f"error: --{option}: needs 1 to 100000 values, got 100001\n"
+        assert _run_quietly([*argv, "--config", str(cfgfile)]) == (1, cap)
+        assert _run_quietly([*argv, f"--{option}", flag]) == (1, cap)
+
+    def test_list_of_a_grid_of_values_passes_the_cap(self):
+        # 10^5 bits reach the table's own check, past the list cap
+        flag = ",".join(["0"] * 100_000)
+        assert _run_quietly(["simulate", "--model", "classical", "--n", "100", "--omega-exp",
+                             "0.8", "--table", flag])[1].startswith("error: --table needs four bits")
 
     @pytest.mark.parametrize("argv, config, err", [
         (["entropy-curve"], '{"omega_values": 0.84}', "--omega-values: 0.84 is not a list"),

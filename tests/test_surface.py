@@ -1,6 +1,7 @@
 """`src/diecert` holds what runs: every function, class, method and module
 constant in it is read by the package itself, by `perfbench/` or by the
-README's examples.
+README's examples, and every name `diecert/__init__` re-exports is read
+through the package there, so no name has a second import path for nothing.
 
 A definition is used when its name is read (a name or an attribute) in
 `src/`, in `perfbench/`, whose tracer also names the attributes it wraps in
@@ -90,9 +91,32 @@ def unused_definitions(root=ROOT) -> list[str]:
     )
 
 
+def unread_exports(root=ROOT) -> list[str]:
+    """Each name `diecert/__init__` imports that the README, `src/` and
+    `perfbench/` never read as `diecert.<name>` or `from diecert import <name>`."""
+    init = ast.parse((root / "src" / "diecert" / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in ast.walk(init)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    texts = [(root / "README.md").read_text()]
+    texts += [path.read_text() for where in ("src", "perfbench")
+              for path in sorted((root / where).rglob("*.py"))]
+    read = set()
+    for text in texts:
+        read.update(re.findall(r"\bdiecert\.(\w+)", text))
+        for names in re.findall(r"\bfrom diecert import (\([^)]*\)|[^\n]*)", text):
+            read.update(name.split()[0] for name in names.strip("()").split(",") if name.strip())
+    return sorted(exported - read)
+
+
 def test_every_definition_in_src_is_used():
     unused = unused_definitions()
     assert not unused, "reached by nothing that runs: " + ", ".join(unused)
+
+
+def test_every_export_is_read_through_the_package():
+    # a name read only from its module needs no second path through diecert
+    unread = unread_exports()
+    assert not unread, "re-exported but read only from its module: " + ", ".join(unread)
 
 
 def test_every_name_the_tracer_swaps_is_bound():
