@@ -100,15 +100,6 @@ def bell_diag_entropy_bound(beta: float) -> EntropyBoundResult:
     )
 
 
-def _eigenvalues(rest, root, phi_minus, psi_minus):
-    """The eigenvalues (phi+, phi-, psi+, psi-) in turn, the sum pair phi+ and
-    psi+ built from `rest` = 1 - phi- - psi- and the Bell value's `root`."""
-    yield 0.5 * (rest + root)
-    yield phi_minus
-    yield 0.5 * (rest - root)
-    yield psi_minus
-
-
 def brute_force_max_entropy(
     beta: float, grid_step: float
 ) -> tuple[BellDiagonalSpectrum, float]:
@@ -137,24 +128,20 @@ def brute_force_max_entropy(
     window = np.arange(-8, 9)  # one step either side, in steps 8 times finer
     with np.errstate(invalid="ignore", divide="ignore"):  # out-of-domain points are masked
         while True:
-            phi, psi = x[:, None], y  # phi- and psi-, broadcast over the grid
-            rest = 1 - phi - psi
-            root = np.sqrt(beta * beta / 8 - (phi - psi) ** 2)
-            # one eigenvalue plane at a time, added in (phi+, phi-, psi+,
-            # psi-) order, so the finest grid holds a few planes, not four more
-            ent = np.zeros(rest.shape)
-            feasible = np.ones(rest.shape, dtype=bool)
-            for lam in _eigenvalues(rest, root, phi, psi):
-                ent += np.where(lam > 1e-12, -lam * np.log2(lam), 0.0)
-                feasible &= lam >= 0
-            ent[~feasible] = -np.inf
+            lam = np.empty((4, x.size, y.size))  # (phi+, phi-, psi+, psi-) over the grid
+            lam[1], lam[3] = x[:, None], y
+            rest = 1 - lam[1] - lam[3]
+            root = np.sqrt(beta * beta / 8 - (lam[1] - lam[3]) ** 2)
+            lam[0], lam[2] = 0.5 * (rest + root), 0.5 * (rest - root)
+            ent = np.where(lam > 1e-12, -lam * np.log2(lam), 0.0).sum(axis=0)
+            ent[~(lam >= 0).all(axis=0)] = -np.inf
             i, j = divmod(int(ent.argmax()), y.size)
             if ent[i, j] == -np.inf:
                 raise ValidationError(f"empty feasible region at beta={beta}")
             # along a thin edge of the region the best point can sit on the
             # edge of its window with better points beyond: re-centre there
             if not zoomed or 0 < i < window.size - 1 and 0 < j < window.size - 1:
-                best = np.array([*_eigenvalues(rest[i, j], root[i, j], x[i], y[j])])
+                best = lam[:, i, j]
                 if step < min(1e-8, best[best > 1e-12].min() / 10):
                     break
                 step /= 8

@@ -40,7 +40,7 @@ def _round6(v: float) -> float:
 
 
 _MAX_COUNT = 10**7  # largest simulate --n and --trials: bounds the allocations
-_MAX_GRID = 10**5  # most points in one score grid, and values in one list option
+_MAX_GRID = 10**5  # most points in one score grid or curve, and values in one list option
 
 
 def _count(v) -> int:
@@ -262,6 +262,9 @@ _CURVE_HEADER = "n,omega_exp,rate_raw,rate,gamma,eps_smo,delta_est,eta_opt"
 def cmd_curve(cfg: _Config) -> int:
     n_list = cfg.get("n_values", "1e6,1e7,1e8,1e10,1e12", _list(_count))
     omegas = _omega_grid(cfg, 0.78, 0.853, 0.00365)
+    if len(n_list) * len(omegas) > _MAX_GRID:
+        raise ValidationError(f"curve of more than {_MAX_GRID} points: "
+                              f"{len(n_list)} n values times {len(omegas)} scores")
     asymptotic = cfg.get("asymptotic", False, bool)
     eps_dist, eps_snd, eps_cmp = _eps_budget(cfg)
     mode = cfg.get("mode", "printed", _choice(rates.MODES))

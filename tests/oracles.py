@@ -6,10 +6,9 @@ import math
 
 import numpy as np
 
-from diecert.chsh import BETA_MAX, Strategy, optimal_strategy
+from diecert.chsh import Strategy, optimal_strategy
 from diecert.quantum import (
     BELL_BASIS,
-    BellDiagonalSpectrum,
     ENTROPY_EIG_CUTOFF,
     SIGMA_X,
     SIGMA_Z,
@@ -99,35 +98,3 @@ def observables_from_blocks(blocks) -> tuple[np.ndarray, np.ndarray]:
 def transcript_text(transcript) -> str:
     """The CSV text that `simulate --out` writes for a transcript."""
     return "\n".join(transcript.lines()) + "\n"
-
-
-def stacked_brute_force_max_entropy(beta: float, grid_step: float):
-    """`bounds.brute_force_max_entropy` as one stacked (4, x, y) array of the
-    eigenvalues per grid, summed over axis 0: the reference that its
-    plane-by-plane scan is tested against, bit for bit. Valid inputs only."""
-    beta = min(beta, BETA_MAX)
-    step, zoomed = grid_step, False
-    x = y = np.arange(0.0, 0.5 + grid_step / 2, grid_step)
-    window = np.arange(-8, 9)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        while True:
-            lam = np.empty((4, x.size, y.size))  # (phi+, phi-, psi+, psi-) over the grid
-            lam[1], lam[3] = x[:, None], y
-            rest = 1 - lam[1] - lam[3]
-            root = np.sqrt(beta * beta / 8 - (lam[1] - lam[3]) ** 2)
-            lam[0], lam[2] = 0.5 * (rest + root), 0.5 * (rest - root)
-            ent = np.where(lam > 1e-12, -lam * np.log2(lam), 0.0).sum(axis=0)
-            ent[~(lam >= 0).all(axis=0)] = -np.inf
-            i, j = divmod(int(ent.argmax()), y.size)
-            if not zoomed or 0 < i < window.size - 1 and 0 < j < window.size - 1:
-                best = lam[:, i, j]
-                if step < min(1e-8, best[best > 1e-12].min() / 10):
-                    break
-                step /= 8
-            x, y = x[i] + window * step, y[j] + window * step
-            zoomed = True
-    lam = best.tolist()
-    if lam[0] > lam[2]:
-        lam[0], lam[2] = lam[2], lam[0]
-    total = sum(lam)
-    return BellDiagonalSpectrum(*(v / total for v in lam)), float(ent[i, j])

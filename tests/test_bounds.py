@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diecert.bounds import (
@@ -17,7 +17,7 @@ from diecert.bounds import (
 from diecert.chsh import BETA_MAX, OMEGA_CLASSICAL, OMEGA_MAX, beta_from_omega
 from diecert.quantum import ValidationError
 
-from oracles import bell_diagonal_state, stacked_brute_force_max_entropy, von_neumann_entropy
+from oracles import bell_diagonal_state, von_neumann_entropy
 from reference_data import ENTROPY_CURVE
 
 # independently derived to full precision at beta = 2.5
@@ -172,21 +172,6 @@ class TestBruteForce:
             brute_force_max_entropy(2.5, grid_step=0.2)
         with pytest.raises(ValidationError):
             brute_force_max_entropy(2.5, grid_step=1e-9)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.one_of(st.floats(min_value=2, max_value=BETA_MAX, exclude_min=True),
-                     st.floats(min_value=1e-15, max_value=0.3).map(lambda d: BETA_MAX - d)),
-           st.floats(min_value=0.005, max_value=0.05))
-    @example(2.6, 5e-4)
-    @example(2.736556031499937, 0.02)
-    @example(BETA_MAX, 0.01)
-    def test_plane_by_plane_scan_equals_the_stacked_scan(self, beta, grid_step):
-        # one eigenvalue plane at a time, summed in the stacked scan's axis-0
-        # order, so every grid point's entropy and the argmax are the same bits
-        spectrum, value = brute_force_max_entropy(beta, grid_step)
-        ref_spectrum, ref_value = stacked_brute_force_max_entropy(beta, grid_step)
-        assert value == ref_value
-        assert spectrum == ref_spectrum
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=2.05, max_value=BETA_MAX))

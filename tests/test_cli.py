@@ -618,6 +618,16 @@ class TestMalformedInput:
         assert _run_quietly([*argv, "--config", str(cfgfile)]) == (1, cap)
         assert _run_quietly([*argv, f"--{option}", flag]) == (1, cap)
 
+    @pytest.mark.parametrize("argv, n_count, score_count", [
+        (["--omega-values", ",".join(["0.8"] * 20_001)], 5, 20_001),
+        (["--n-values", ",".join(["1e6"] * 333), "--omega-min", "0.8", "--omega-max", "0.83",
+          "--omega-step", "1e-4"], 333, 301),
+    ], ids=["default-n-values", "n-values-by-grid"])
+    def test_curve_certifies_at_most_a_grid_of_points(self, argv, n_count, score_count):
+        # each list is within the cap, but curve certifies every (n, score) pair
+        assert _run_quietly(["curve", *argv]) == (1, f"error: curve of more than 100000 points: "
+                                                     f"{n_count} n values times {score_count} scores\n")
+
     def test_list_of_a_grid_of_values_passes_the_cap(self):
         # 10^5 bits reach the table's own check, past the list cap
         flag = ",".join(["0"] * 100_000)
