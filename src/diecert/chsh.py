@@ -119,6 +119,8 @@ def deterministic_strategy(a0: int, a1: int, b0: int, b1: int) -> Strategy:
     has a 2x2 Jordan block for the modified protocol to resolve.
     """
     sign = {0: SIGMA_Z, 1: -SIGMA_Z}
+    if not {a0, a1, b0, b1} <= sign.keys():
+        raise ValidationError(f"table bits {a0},{a1},{b0},{b1} are not all 0 or 1")
     state = np.zeros((4, 4), dtype=complex)
     state[0, 0] = 1.0
     return Strategy(

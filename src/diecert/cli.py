@@ -41,6 +41,7 @@ def _round6(v: float) -> float:
 
 _MAX_COUNT = 10**7  # largest simulate --n and --trials: bounds the allocations
 _MAX_GRID = 10**5  # most points in one score grid or curve, and values in one list option
+_MAX_ERROR = 240  # characters of an error message that main prints in full
 
 
 def _count(v) -> int:
@@ -126,6 +127,8 @@ class _Config:
                     self.file = json.load(fh, parse_float=_Number)
                 except RecursionError:
                     raise ValidationError("config file nests too deeply") from None
+                except ValueError as exc:  # not UTF-8, not JSON or an int past 4,300 digits
+                    raise ValidationError(f"config file: {exc}") from None
             if not isinstance(self.file, dict):
                 raise ValidationError("config file must contain a JSON object")
             flags = _COMMANDS[self.args["command"]][2].replace("-", "_").split()
@@ -230,6 +233,7 @@ def cmd_rate(cfg: _Config) -> int:
     gamma = cfg.get("gamma", kind=float)
     eps_smo = cfg.get("eps_smo", kind=float)
     exact = cfg.get("exact", False, bool)
+    out = cfg.get("out", kind=str)
     if (gamma is None) != (eps_smo is None) or gamma is None and cfg.get("delta_est") is not None:
         raise ValidationError("--gamma and --eps-smo go together; --delta-est needs both")
 
@@ -242,17 +246,15 @@ def cmd_rate(cfg: _Config) -> int:
         cert = rates.optimize_parameters(n, omega_exp, eps_dist, eps_snd, eps_cmp, mode)
 
     record = _certificate_record(cert)
+    dump = {k: (_round6(v) if isinstance(v, float) else v) for k, v in record.items()}
+    if exact:
+        dump["exact"] = {k: v for k, v in record.items() if isinstance(v, float)}
+    if out:  # before stdout, so a path that cannot be written leaves stdout empty
+        _write_text(out, [json.dumps(dump, indent=2, sort_keys=True)])
     for key, value in record.items():
         print(f"{key} = {_fmt(value)}")
-    out = cfg.get("out", kind=str)
-    if out or exact:
-        dump = {k: (_round6(v) if isinstance(v, float) else v) for k, v in record.items()}
-        if exact:
-            dump["exact"] = {k: v for k, v in record.items() if isinstance(v, float)}
-            if not out:
-                print(json.dumps(dump["exact"], sort_keys=True))
-        if out:
-            _write_text(out, [json.dumps(dump, indent=2, sort_keys=True)])
+    if exact and not out:
+        print(json.dumps(dump["exact"], sort_keys=True))
     return 0
 
 
@@ -298,7 +300,6 @@ def cmd_entropy_curve(cfg: _Config) -> int:
 # each model and the options it reads: `_build_model` refuses the others
 _MODELS = {"honest": ("xi",), "classical": ("table",), "memory": ("xi",),
            "drift": ("xi", "xi_slope")}
-_PROTOCOLS = ("standard", "modified")
 
 
 def _build_model(cfg: _Config) -> simulate.DeviceModel:
@@ -316,14 +317,13 @@ def _build_model(cfg: _Config) -> simulate.DeviceModel:
 
     if name == "honest":
         return simulate.HonestIIDDevice(werner(xi))
-    if name == "classical":
+    if name == "classical":  # deterministic_strategy checks each bit
         table = cfg.get("table", "0,0,0,0", _list(_natural))
-        if len(table) != 4 or not set(table) <= {0, 1}:
-            raise ValidationError(f"--table needs four bits a0,a1,b0,b1, got {table}")
+        if len(table) != 4:
+            raise ValidationError(f"--table needs four bits a0,a1,b0,b1, got {len(table)}")
         return simulate.ClassicalDeterministicDevice(*table)
     if name == "memory":
-        if not 0 <= xi <= 1:  # before the 0.5 floor below hides it
-            raise ValidationError(f"--xi={xi} outside [0, 1]")
+        werner_state(xi)  # the range check, before the 0.5 floor below hides it
         return simulate.MemorySwitcherDevice(opt, werner(max(xi, 0.5)))
     return simulate.NoisyDriftDevice(xi, cfg.get("xi_slope", 1e-3, float))
 
@@ -336,7 +336,7 @@ def cmd_simulate(cfg: _Config) -> int:
     params, _ = _protocol(cfg, n, cfg.get("gamma", 1.0, float))
     model = _build_model(cfg)
     seed = cfg.get("seed", 0, _natural)
-    protocol_mode = cfg.get("protocol", "standard", _choice(_PROTOCOLS))
+    protocol_mode = cfg.get("protocol", "standard", _choice(simulate.MODES))
 
     first, estimate, interval = simulate.run_trials(model, params, trials, seed, protocol_mode)
     _write_text(cfg.get("out", kind=str), first.lines())
@@ -373,7 +373,7 @@ _HELP = {
     "exact": "also emit full-precision JSON",
     "asymptotic": "append the many-round limit curve",
     "model": f"one of: {', '.join(_MODELS)}",
-    "protocol": f"one of: {', '.join(_PROTOCOLS)}",
+    "protocol": f"one of: {', '.join(simulate.MODES)}",
     "xi": "Werner noise parameter",
     "table": "a0,a1,b0,b1 for the classical model",
 }
@@ -420,8 +420,12 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():  # one line per warning, not Python's two
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             return args.func(_Config(args))
-    except (ValidationError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValidationError, OSError) as exc:
+        # one line, whose middle gives way when an echoed value makes it long
+        text = " ".join(str(exc).splitlines())
+        if len(text) > _MAX_ERROR:
+            text = f"{text[:_MAX_ERROR // 2]} ... {text[-_MAX_ERROR // 2:]}"
+        print(f"error: {text}", file=sys.stderr)
         return 1
 
 

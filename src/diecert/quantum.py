@@ -178,9 +178,9 @@ def bell_spectrum(state: TwoQubitState) -> BellDiagonalSpectrum:
 
 
 def werner_state(xi: float) -> TwoQubitState:
-    """(1 - xi)|Phi+><Phi+| + xi I/4 for xi in [0, 1]."""
+    """(1 - xi)|Phi+><Phi+| + xi I/4: the one check that xi lies in [0, 1]."""
     if not 0.0 <= xi <= 1.0:
-        raise ValidationError(f"xi must lie in [0, 1], got {xi}")
+        raise ValidationError(f"xi={xi} outside [0, 1]")
     return TwoQubitState((1 - xi) * PHI_PLUS + xi * MAXIMALLY_MIXED)
 
 

@@ -35,7 +35,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 from .bounds import g, g_prime
-from .chsh import OMEGA_MAX, check_score
+from .chsh import OMEGA_CLASSICAL, OMEGA_MAX, check_score
 from .quantum import ValidationError
 
 MODES = ("printed", "ceiling")
@@ -172,7 +172,7 @@ def _f(w: float, gamma: float) -> float:
     """
     if w >= OMEGA_MAX:
         return gamma - 1
-    return (1 - gamma) * g(max(w, 0.75))
+    return (1 - gamma) * g(max(w, OMEGA_CLASSICAL))
 
 
 def _kappa(eps_smo: float, eps_snd: float) -> float:
@@ -253,7 +253,7 @@ def eta_opt(
         raise ValidationError("gamma must be positive")
     kappa = _kappa(budget.eps_smo, budget.eps_snd)
     p1_obs = params.omega_exp * gamma - params.delta_est
-    lo, hi = 0.75 + _EDGE, OMEGA_MAX - _EDGE
+    lo, hi = OMEGA_CLASSICAL + _EDGE, OMEGA_MAX - _EDGE
 
     def item(wt):
         return _eta_scalar(wt, p1_obs, gamma, n, kappa, mode), wt
@@ -354,7 +354,7 @@ def optimize_parameters(
     @functools.cache
     def best_over_smo(gamma):
         """The best certificate at gamma, or None unless its observed score beats 3/4."""
-        if not omega_exp * gamma - delta_est > 0.75 * gamma + 1e-15:
+        if not omega_exp * gamma - delta_est > OMEGA_CLASSICAL * gamma + 1e-15:
             return None
         top = math.log10(sqrt_dist * 0.9999)
         lgs = [top - 3 + 3 * i / 19 for i in range(20)]

@@ -37,7 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chsh import Strategy, born_probabilities, winning_probability
+from .chsh import (Strategy, born_probabilities, deterministic_strategy, optimal_strategy,
+                   winning_probability)
 from .quantum import (
     TwoQubitState,
     ValidationError,
@@ -56,6 +57,7 @@ _STREAM_BLOCK = 4
 _STREAM_TRIAL = 6
 
 _Z95 = 1.959963984540054
+MODES = ("standard", "modified")  # of run_protocol; the CLI's --protocol reads them too
 
 
 class DeviceModel:
@@ -95,8 +97,6 @@ class ClassicalDeterministicDevice(HonestIIDDevice):
     """Local deterministic table: outputs a_x and b_y regardless of inputs' partner."""
 
     def __init__(self, a0: int, a1: int, b0: int, b1: int):
-        from .chsh import deterministic_strategy
-
         super().__init__(deterministic_strategy(a0, a1, b0, b1))
 
 
@@ -118,15 +118,12 @@ class NoisyDriftDevice(DeviceModel):
     per round, clamped to [0, 1]."""
 
     def __init__(self, xi_start: float, xi_slope: float):
-        from .chsh import optimal_strategy
-
-        if not 0 <= xi_start <= 1:
-            raise ValidationError(f"xi_start={xi_start} outside [0, 1]")
+        # round 0's source, whose werner_state checks xi_start
+        self._source = Source.of(optimal_strategy()).with_state(werner_state(xi_start).matrix)
         if not math.isfinite(xi_slope):
             raise ValidationError(f"xi_slope={xi_slope} is not finite")
         self.xi_start = xi_start
         self.xi_slope = xi_slope
-        self._source = Source.of(optimal_strategy())
 
     def prepare_round(self, i, history):
         xi = min(max(self.xi_start + self.xi_slope * i, 0.0), 1.0)
@@ -232,30 +229,36 @@ def _seed_words(entropy: list[int], words: int) -> list[int]:
 
 @cache
 def _jump_sums():
-    """1 + M + ... + M^(j-1) mod 2**128 for j = 1.._TILE, as a read-only
-    uint64 array whose rows are the high and low words. Since
-    (M - 1)(1 + ... + M^(j-1)) = M^j - 1, the state j steps after s is
-    M^j s + inc (1 + ... + M^(j-1)) = s + (s' - s)(1 + ... + M^(j-1)), where
-    s' = M s + inc is the state one step after s."""
-    power, total, totals = 1, 0, []
-    for _ in range(_TILE):
-        power, total = power * _PCG_MULT & _M128, total + power & _M128
-        totals.append(total)
-    words = np.array([[v >> 64 for v in totals], [v & _M64 for v in totals]], np.uint64)
+    """T[i] = 1 + M + ... + M^i mod 2**128 for i < _TILE, as a read-only
+    uint64 array whose rows are the high and low words, built by doubling:
+    T[k + i] = T[k - 1] + M^k T[i] for i < k. Since (M - 1) T[j - 1] = M^j - 1,
+    the state j steps after s is M^j s + inc T[j - 1] = s + (s' - s) T[j - 1],
+    where s' = M s + inc is the state one step after s."""
+    words, power, k = np.zeros((2, _TILE), np.uint64), _PCG_MULT, 1
+    words[1, 0] = 1
+    while k < _TILE:
+        last = int(words[0, k - 1]) << 64 | int(words[1, k - 1])
+        words[:, k:2 * k] = _mul_add128(words, power, last, k)
+        power, k = power * power & _M128, 2 * k
     words.setflags(write=False)
     return words
 
 
-def _mul128(x, y: int, k: int):
-    """The first k columns of the word rows x times y, mod 2**128, as (high,
-    low) uint64 words; the words wrap as arrays, so no overflow warns."""
+def _mul_add128(x, y: int, z: int, k: int):
+    """The first k columns of the word rows x times y plus z, mod 2**128, as
+    (high, low) uint64 words; the words wrap as arrays, so no overflow warns."""
     xh, xl = x[:, :k]
     x1, x0 = xl >> 32, xl & _M32
     yh, yl, y1, y0 = map(np.uint64, (y >> 64, y & _M64, y >> 32 & _M32, y & _M32))
     # the high word of xl * yl from 32-bit halves; neither sum reaches 2**64
     t = x0 * y1 + (x0 * y0 >> 32)
     u = x1 * y0 + (t & _M32)
-    return x1 * y1 + (t >> 32) + (u >> 32) + xl * yh + xh * yl, xl * yl
+    hi, lo = x1 * y1 + (t >> 32) + (u >> 32) + xl * yh + xh * yl, xl * yl
+    low = np.uint64(z & _M64)
+    lo += low
+    hi += np.uint64(z >> 64)
+    hi += lo < low  # the carry out of each low word
+    return hi, lo
 
 
 def _draw(seed: int, purpose: int, n: int, convert):
@@ -271,11 +274,7 @@ def _draw(seed: int, purpose: int, n: int, convert):
     sums = _jump_sums()
     for start in range(0, n, _TILE):
         k = min(n - start, _TILE)
-        hi, lo = _mul128(sums, (s * (_PCG_MULT - 1) + inc) & _M128, k)
-        low = np.uint64(s & _M64)
-        lo += low
-        hi += np.uint64(s >> 64)
-        hi += lo < low
+        hi, lo = _mul_add128(sums, (s * (_PCG_MULT - 1) + inc) & _M128, s, k)
         s = int(hi[-1]) << 64 | int(lo[-1])
         x, r = hi ^ lo, hi >> 58  # XSL-RR: fold, rotate by the top six bits
         yield convert(x >> r | x << (64 - r & 63)).tolist()
@@ -389,7 +388,7 @@ def run_protocol(
     `project_test_rounds` the projection is also applied before test-round
     measurements, which must leave the classical statistics unchanged.
     """
-    if mode not in ("standard", "modified"):
+    if mode not in MODES:
         raise ValidationError(f"unknown protocol mode {mode!r}")
     seed = _whole(seed, "seed", 0)
     n = params.n

@@ -176,6 +176,12 @@ class TestStrategyValidation:
                 bob_observables=(Observable(SIGMA_X), Observable(SIGMA_X)),
             )
 
+    @pytest.mark.parametrize("table", [(0, 0, 2, 0), (-1, 0, 0, 0), (0, 1, 0, 10**20)])
+    def test_deterministic_table_takes_bits_only(self, table):
+        # not a KeyError from the table of signs
+        with pytest.raises(ValidationError, match="are not all 0 or 1"):
+            deterministic_strategy(*table)
+
     def test_state_dimension_must_factor(self):
         state = np.zeros((8, 8), dtype=complex)
         state[0, 0] = 1.0

@@ -1,18 +1,23 @@
 import contextlib
 import io
 import json
+import math
+import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from diecert import rates, simulate
 from diecert.chsh import optimal_strategy
-from diecert.cli import main
-from diecert.rates import ProtocolParams
+from diecert.cli import _COMMANDS, _MODELS, _SWITCHES, main
+from diecert.rates import ErrorBudget, ProtocolParams, certified_log_l, delta_est_for
 from diecert.simulate import ClassicalDeterministicDevice, MemorySwitcherDevice, run_trials
 from oracles import transcript_text
 from test_simulate import CLI_MODELS, exact_abort, werner_source
@@ -345,6 +350,13 @@ class TestSimulate:
         first = run_trials(model, params, 3, 4)[0]
         assert out.splitlines()[:-1] == list(first.lines())
 
+    @pytest.mark.parametrize("xi", ["nan", "-0.5", "1.5"])
+    def test_xi_outside_the_unit_interval_reads_alike_for_every_model(self, xi):
+        # werner_state is the one check, whichever model reads --xi
+        for model in ("honest", "memory", "drift"):
+            argv = ["simulate", "--model", model, "--n", "100", "--omega-exp", "0.8", f"--xi={xi}"]
+            assert _run(argv) == (1, "", f"error: xi={float(xi)} outside [0, 1]\n")
+
     @pytest.mark.parametrize("model, option, value", [
         ("honest", "xi_slope", "1e-3"), ("honest", "table", "0,0,0,0"),
         ("classical", "xi", "0.3"), ("classical", "xi_slope", "1e-3"),
@@ -374,15 +386,21 @@ class TestSimulate:
         assert "unknown model" in err
 
 
-def _run_quietly(argv):
-    """Exit code and stderr of cli.main, counting argparse's exit as a code."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def _run(argv):
+    """Exit code, stdout and stderr of cli.main, counting argparse's exit as a code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run_quietly(argv):
+    """Exit code and stderr of cli.main, counting argparse's exit as a code."""
+    code, _, err = _run(argv)
+    return code, err
 
 
 def _number(text):
@@ -629,10 +647,23 @@ class TestMalformedInput:
                                                      f"{n_count} n values times {score_count} scores\n")
 
     def test_list_of_a_grid_of_values_passes_the_cap(self):
-        # 10^5 bits reach the table's own check, past the list cap
+        # 10^5 bits reach the table's own check, past the list cap, which names
+        # their count and does not echo them
         flag = ",".join(["0"] * 100_000)
         assert _run_quietly(["simulate", "--model", "classical", "--n", "100", "--omega-exp",
-                             "0.8", "--table", flag])[1].startswith("error: --table needs four bits")
+                             "0.8", "--table", flag]) == (
+            1, "error: --table needs four bits a0,a1,b0,b1, got 100000\n")
+
+    def test_table_bit_other_than_0_or_1_is_named(self):
+        argv = ["simulate", "--model", "classical", "--n", "100", "--omega-exp", "0.8"]
+        assert _run_quietly([*argv, "--table", "0,1,2,0"]) == (
+            1, "error: table bits 0,1,2,0 are not all 0 or 1\n")
+
+    def test_long_echo_is_cut_in_its_middle(self):
+        code, err = _run_quietly(["rate", "--n", "1" + "0" * 5000, "--omega-exp", "0.84"])
+        assert code == 1 and len(err) < 300 and err.count("\n") == 1
+        assert err.startswith("error: --n: '1000") and " ... " in err
+        assert err.endswith("000' is not a positive integer\n")
 
     @pytest.mark.parametrize("argv, config, err", [
         (["entropy-curve"], '{"omega_values": 0.84}', "--omega-values: 0.84 is not a list"),
@@ -698,6 +729,102 @@ class TestMalformedInput:
              f"--omega-step={text}"]
         )
         assert code in (0, 1, 2) and "Traceback" not in err
+
+
+# for each flag a value that passes, so that a drawn invocation can also run
+# to its end; counts stay small (simulate --n 100 --trials 2), so a run is quick
+_PASSING = {
+    "n": ["100"], "omega-exp": ["0.8"], "eps-dist": ["1e-5"], "eps-snd": ["1e-5"],
+    "eps-cmp": ["1e-2"], "gamma": ["0.5"], "eps-smo": ["1e-4"], "delta-est": ["0.05"],
+    "mode": list(rates.MODES), "out": ["out.txt"], "n-values": ["1e6"], "omega-min": ["0.8"],
+    "omega-max": ["0.81"], "omega-step": ["0.005"], "omega-values": ["0.8,0.83"],
+    "model": list(_MODELS), "trials": ["2"], "protocol": list(simulate.MODES), "xi": ["0.1"],
+    "xi-slope": ["1e-3"], "table": ["1,0,1,1"], "seed": ["3"],
+}
+_DIGITS = "1" + "0" * 5000  # past int's 4,300-digit limit
+_ZEROS = ",".join(["0"] * 100_000)  # a list of 10^5 values, within the cap
+_HOSTILE_TEXT = ["nan", "inf", "-inf", "-0", "5e-324", "1e308", _DIGITS, _ZEROS, "true", ""]
+_HOSTILE_JSON = ["NaN", "Infinity", "-Infinity", "-0.0", "5e-324", "1e308", _DIGITS,
+                 f"[{_ZEROS}]", "true", "false", "[" * 100_000 + "]" * 100_000]
+
+
+@st.composite
+def _invocations(draw):
+    """A subcommand with some of its flags on the command line and some as
+    keys of a config file (the JSON text of each value). In half the draws
+    every value passes; in the others, a quarter of them are hostile."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv, config, calm = [command], [], draw(st.booleans())
+    for flag in _COMMANDS[command][2].split():
+        route = draw(st.sampled_from(["none", "none", "flag", "config"]))
+        hostile = not calm and draw(st.integers(0, 3)) == 0
+        if route == "flag" and flag in _SWITCHES:
+            argv.append(f"--{flag}")
+        elif route == "flag":
+            values = _HOSTILE_TEXT if hostile else _PASSING[flag]
+            argv += [f"--{flag}", draw(st.sampled_from(values))]
+        elif route == "config":
+            passing = ["true", "false"] if flag in _SWITCHES else map(json.dumps, _PASSING[flag])
+            values = _HOSTILE_JSON if hostile else list(passing)
+            config.append((flag.replace("-", "_"), draw(st.sampled_from(values))))
+    return argv, config
+
+
+def _without_search(n, omega_exp, eps_dist, eps_snd, eps_cmp, mode="printed"):
+    """What `optimize_parameters` returns when nothing certifies, after the
+    same input checks, but without its search of about 2 s."""
+    delta_est = delta_est_for(n, eps_cmp)
+    ErrorBudget(eps_dist, eps_snd, eps_cmp, eps_smo=0.0)
+    params = ProtocolParams(n, 1.0, omega_exp, delta_est)
+    return certified_log_l(params, ErrorBudget(eps_dist, eps_snd, eps_cmp,
+                                               math.sqrt(eps_dist) / 2), mode)
+
+
+@contextlib.contextmanager
+def _inside(path):
+    cwd = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(cwd)
+
+
+class TestContract:
+    """Every invocation drawn from the subcommands' flags and a hostile pool
+    (NaN, infinities, -0, a subnormal, 1e308, a 5,001-digit integer, 10^5
+    values, booleans, JSON nested 10^5 deep) exits 0, 1 or, for an argparse
+    structure error alone, 2, with no traceback; on 1, stdout is empty and
+    stderr ends in one error line of at most 1 KB after any warning lines."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_invocations())
+    # holes that ended in a traceback, or in a record on stdout before the
+    # --out write failed
+    @example((["rate"], [("n", _DIGITS)]))
+    @example((["rate", "--n", "1e6", "--omega-exp", "0.84", "--gamma", "0.1", "--eps-smo",
+               "1e-4", "--out", "/nonexistent/x.json"], []))
+    def test_exit_code_and_error_line(self, invocation):
+        argv, config = invocation
+        # in a directory of its own, since --out nan writes a file named nan;
+        # curve and rate with no --gamma certify without the search
+        with tempfile.TemporaryDirectory() as tmp, _inside(tmp), \
+                mock.patch.object(rates, "optimize_parameters", _without_search):
+            if config:
+                Path("cfg.json").write_text(
+                    "{" + ", ".join(f'"{key}": {text}' for key, text in config) + "}")
+                argv = [*argv, "--config", "cfg.json"]
+            code, out, err = _run(argv)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("usage: ")  # argparse's own message
+        else:
+            assert code in (0, 1)
+        if code == 1:
+            *warned, last = err.splitlines()
+            assert out == "" and err.endswith("\n")
+            assert last.startswith("error: ") and len(last.encode()) < 1024
+            assert all(line.startswith("warning: ") for line in warned)
 
 
 _REMOVED_FLAGS = [

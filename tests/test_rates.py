@@ -355,9 +355,9 @@ class TestMonotoneCertificates:
     that does not beat 3/4 certifies nothing."""
 
     @staticmethod
-    def _rate(n, gamma, omega, delta, mode):
+    def _cert(n, gamma, omega, delta, mode):
         p = ProtocolParams(n=n, gamma=gamma, omega_exp=omega, delta_est=delta)
-        return certified_log_l(p, budget(), mode).rate
+        return certified_log_l(p, budget(), mode)
 
     @given(
         _log_uniform(1e6, 1e12), _log_uniform(1e-2, 1), _score, _unit, _unit,
@@ -368,7 +368,7 @@ class TestMonotoneCertificates:
         scale = min(gamma * omega, 0.999)
         lo, hi = sorted((scale * u, scale * v))
         args = int(n), gamma, omega
-        assert self._rate(*args, hi, mode) <= self._rate(*args, lo, mode)
+        assert self._cert(*args, hi, mode).rate <= self._cert(*args, lo, mode).rate
 
     @given(
         _log_uniform(1e6, 1e12), _log_uniform(1e-2, 1), _score, _score, _unit,
@@ -378,7 +378,31 @@ class TestMonotoneCertificates:
         lo, hi = sorted((w1, w2))
         delta = min(gamma * lo, 0.999) * u
         args = int(n), gamma
-        assert self._rate(*args, lo, delta, mode) <= self._rate(*args, hi, delta, mode)
+        assert self._cert(*args, lo, delta, mode).rate <= self._cert(*args, hi, delta, mode).rate
+
+    # rate_raw, unclipped, over steps of 1e-9 to 1e-3, compared exactly: the
+    # clip at 0 and wide pairs would hide a search that misses by a little
+    _STEP = _log_uniform(1e-9, 1e-3)
+
+    @given(
+        _log_uniform(1e4, 1e12), _log_uniform(1e-3, 1), st.floats(0.75, OMEGA_MAX - 1e-3),
+        _STEP, _unit, st.sampled_from(MODES),
+    )
+    def test_raw_rate_non_decreasing_in_a_score_step(self, n, gamma, omega, step, u, mode):
+        args = int(n), gamma
+        delta = min(gamma * omega, 0.99) * u
+        at, past = (self._cert(*args, w, delta, mode).rate_raw for w in (omega, omega + step))
+        assert at <= past
+
+    @given(
+        _log_uniform(1e4, 1e12), _log_uniform(1e-3, 1), st.floats(0.75, OMEGA_MAX), _STEP,
+        _unit, st.sampled_from(MODES),
+    )
+    def test_raw_rate_non_increasing_in_a_delta_est_step(self, n, gamma, omega, step, u, mode):
+        args = int(n), gamma, omega
+        delta = min(gamma * omega, 0.99) * u
+        at, past = (self._cert(*args, d, mode).rate_raw for d in (delta, delta + step))
+        assert past <= at
 
     @given(
         _log_uniform(1e6, 1e12), _log_uniform(1e-2, 1), st.floats(0.75, OMEGA_MAX),
@@ -387,7 +411,7 @@ class TestMonotoneCertificates:
     def test_zero_without_a_quantum_score(self, n, gamma, omega, u, mode):
         # delta_est from gamma (omega - 3/4) up to 0.999: observed score <= 3/4
         delta = min(gamma * (omega - 0.75) + u, 0.999)
-        assert self._rate(int(n), gamma, omega, delta, mode) == 0.0
+        assert self._cert(int(n), gamma, omega, delta, mode).rate == 0.0
 
 
 class TestOptimizeParameters:
