@@ -399,14 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _join_negatives(argv) -> list[str]:
-    """Each token of a minus sign then a digit or point, such as -1e-3, joined
-    to the value flag before it: argparse reads only a plain decimal such as
-    -0.001 as a value and would take -1e-3 for a flag."""
+    """Each token of a minus sign then a digit, a point, inf or nan, as every
+    negative number `float` reads begins, joined to the value flag before it:
+    argparse reads only a plain decimal such as -0.001 as a value."""
     flags = {f"--{f}" for _, _, names in _COMMANDS.values()
              for f in ["config", *names.split()] if f not in _SWITCHES}
     joined = []
     for token in argv:
-        if joined and joined[-1] in flags and re.match(r"-[\d.]", token):
+        if joined and joined[-1] in flags and re.match(r"-(?i:[\d.]|inf|nan)", token):
             joined[-1] += "=" + token
         else:
             joined.append(token)

@@ -12,7 +12,8 @@ protocol leaves the classical statistics unchanged.
 rows: a test row from a fixed table of 16, an untested row one per block pair.
 A source fills lazily: its cumulative tables, all `chsh.born_probabilities`
 (test outcomes, block pairs and test outcomes given a pair), and the kept
-states, which `kept_states` reads. Only whether a round draws a block pair
+states, which `kept_states` reads. Every model builds its sources once: a
+drift round mixes the tables of two. Only whether a round draws a block pair
 depends on the mode. All trials run on one seed schedule.
 
 Randomness: every draw comes from a stream derived from the master seed and a
@@ -31,7 +32,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate, chain, count, islice, product, repeat
+from itertools import accumulate, chain, product, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -40,6 +41,7 @@ import numpy as np
 from .chsh import (Strategy, born_probabilities, deterministic_strategy, optimal_strategy,
                    winning_probability)
 from .quantum import (
+    MAXIMALLY_MIXED,
     TwoQubitState,
     ValidationError,
     block_projectors,
@@ -69,10 +71,10 @@ class DeviceModel:
     unmeasured states are out of the devices' reach.
 
     `run_protocol` and `kept_states` call `prepare_round` once per round, in
-    order, from round 0, so it may count incrementally. A model that returns
-    the same `Source` again reuses its cached tables. A model that defines
-    `exact_score()` declares that it wins each round independently with
-    probability gamma * score, which gives it an exact abort probability.
+    order, from round 0, so it may count incrementally. Build each source once
+    and return it again, so its cached tables serve every round. A model that
+    defines `exact_score()` declares that it wins each round independently
+    with probability gamma * score, which gives it an exact abort probability.
     """
 
     def prepare_round(self, i, history) -> Source:
@@ -115,20 +117,20 @@ class MemorySwitcherDevice(DeviceModel):
 
 class NoisyDriftDevice(DeviceModel):
     """Werner source whose noise xi_start in [0, 1] moves by a finite xi_slope
-    per round, clamped to [0, 1]."""
+    per round, clamped to [0, 1]. Each round mixes two sources built once, of
+    |Phi+><Phi+| and I/4 under the optimal observables, as `werner_state` does."""
 
     def __init__(self, xi_start: float, xi_slope: float):
-        # round 0's source, whose werner_state checks xi_start
-        self._source = Source.of(optimal_strategy()).with_state(werner_state(xi_start).matrix)
+        werner_state(xi_start)  # the one check of xi_start
         if not math.isfinite(xi_slope):
             raise ValidationError(f"xi_slope={xi_slope} is not finite")
         self.xi_start = xi_start
         self.xi_slope = xi_slope
+        pure = Source.of(optimal_strategy())
+        self._ends = (pure, Source(MAXIMALLY_MIXED, *pure.obs))
 
     def prepare_round(self, i, history):
-        xi = min(max(self.xi_start + self.xi_slope * i, 0.0), 1.0)
-        self._source = self._source.with_state(werner_state(xi).matrix)
-        return self._source
+        return _Mixture(min(max(self.xi_start + self.xi_slope * i, 0.0), 1.0), *self._ends)
 
 
 class RoundRecord(NamedTuple):
@@ -314,14 +316,6 @@ class Source:
     def of(cls, strategy: Strategy) -> Source:
         return cls(strategy.state, strategy.alice_observables, strategy.bob_observables)
 
-    def with_state(self, state) -> Source:
-        """A source of `state` with the same observables. The Jordan geometry
-        depends on the observables only, so it is shared once built."""
-        source = Source(state, *self.obs)
-        if "geometry" in vars(self):
-            source.geometry = self.geometry
-        return source
-
     @cached_property
     def geometry(self):
         """Jordan blocks and block projectors per party."""
@@ -372,6 +366,25 @@ class Source:
                     raise ValidationError(f"block pair {pair} has vanishing probability")
                 self._kept[pair] = twirl(TwoQubitState(m / tr))
         return self._kept[pair]
+
+
+class _Mixture(Source):
+    """The source (1 - xi) a + xi b of two sources with the same observables:
+    a's Jordan geometry, tables that mix the ends' cached cumulative ones (the
+    last entry kept infinite), and a state mixed when a kept state reads it."""
+
+    def __init__(self, xi, a, b):
+        self.xi, self.a, self.b, self.obs, self._kept = xi, a, b, a.obs, {}
+
+    geometry = property(lambda self: self.a.geometry)
+    pair_cdf = property(lambda self: self._mix(self.a.pair_cdf, self.b.pair_cdf))
+    state = property(lambda self: (1 - self.xi) * self.a.state + self.xi * self.b.state)
+
+    def outcome_cdf(self, x, y, pair=None):
+        return self._mix(self.a.outcome_cdf(x, y, pair), self.b.outcome_cdf(x, y, pair))
+
+    def _mix(self, p, q):
+        return [*((1 - self.xi) * s + self.xi * t for s, t in zip(p[:-1], q)), math.inf]
 
 
 def run_protocol(
@@ -442,14 +455,6 @@ def _trial_seed(seed: int, trial: int) -> int:
     return _seed_words([seed, _STREAM_TRIAL, trial], 1)[0]
 
 
-def _transcripts(model, params, seed, mode="standard", **options):
-    """The trial schedule, run on demand: trial k = 0, 1, ... is `run_protocol`
-    in `mode` with seed `_trial_seed(seed, k)`, looked up at each trial so
-    that a wrapper on the module attribute sees every run."""
-    for trial in count():
-        yield run_protocol(model, params, mode, _trial_seed(seed, trial), **options)
-
-
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% score interval for a binomial proportion. At 0 successes its lower
     end is 0 and at `trials` its upper end is 1, exactly, as rounding would
@@ -485,7 +490,8 @@ def estimate_abort_probability(
     if hasattr(model, "exact_score"):
         p = binomial_tail(params.n, params.gamma * model.exact_score(), params.min_wins)
         return p, (p, p)
-    aborts = sum(tr.aborted for tr in islice(_transcripts(model, params, seed), trials))
+    runs = (run_protocol(model, params, "standard", _trial_seed(seed, k)) for k in range(trials))
+    aborts = sum(tr.aborted for tr in runs)
     return aborts / trials, wilson_interval(aborts, trials)
 
 
@@ -497,17 +503,11 @@ def run_trials(
     mode: str = "standard",
 ) -> tuple[Transcript, float, tuple[float, float]]:
     """Trial 0 of the schedule that `estimate_abort_probability` runs, in `mode`,
-    then that function's estimate and interval. A standard-mode trial 0 is
-    also the estimate's first trial and is run once; a model with an exact
-    abort probability runs trial 0 alone."""
+    then that function's estimate and interval."""
     seed = _whole(seed, "seed", 0)
     trials = _whole(trials, "trials", 1)
-    runs = _transcripts(model, params, seed, mode)
-    first = next(runs)
-    if mode != "standard" or hasattr(model, "exact_score"):
-        return first, *estimate_abort_probability(model, params, trials, seed)
-    aborts = sum((tr.aborted for tr in islice(runs, trials - 1)), first.aborted)
-    return first, aborts / trials, wilson_interval(aborts, trials)
+    first = run_protocol(model, params, mode, _trial_seed(seed, 0))
+    return first, *estimate_abort_probability(model, params, trials, seed)
 
 
 _REGISTERS = RoundRecord._fields[:6]
@@ -540,10 +540,10 @@ def check_statistics_equivalence(
     """
     seed = _whole(seed, "seed", 0)
     trials = _whole(trials, "trials", 1)
-    c1, ab1 = _register_counts(islice(_transcripts(model, params, seed), trials))
-    c2, ab2 = _register_counts(
-        islice(_transcripts(model, params, seed, "modified", project_test_rounds=True), trials)
-    )
+    c1, ab1 = _register_counts(run_protocol(model, params, "standard", _trial_seed(seed, k))
+                               for k in range(trials))
+    c2, ab2 = _register_counts(run_protocol(model, params, "modified", _trial_seed(seed, k),
+                                            project_test_rounds=True) for k in range(trials))
     n1 = n2 = trials * params.n
     registers = {}
     for name in _REGISTERS:

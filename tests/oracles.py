@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from diecert.bounds import binary_entropy
 from diecert.chsh import Strategy, optimal_strategy
 from diecert.quantum import (
     BELL_BASIS,
@@ -37,6 +38,15 @@ def bell_diagonal_state(spectrum) -> TwoQubitState:
     diag = np.clip(spectrum.as_array(), 0.0, 1.0)
     diag = diag / diag.sum()
     return TwoQubitState(BELL_BASIS @ np.diag(diag).astype(complex) @ BELL_BASIS.conj().T)
+
+
+def relative_entropy_of_entanglement(spectrum) -> float:
+    """E_R, in bits, of the Bell-diagonal state of a `BellDiagonalSpectrum`:
+    1 - h(lambda_max) when lambda_max >= 1/2, else 0, as the state is then
+    separable. No distillation beats it (Vedral and Plenio, PRA 57, 1619
+    (1998); Rains, PRA 60, 179 (1999)), so it is a ceiling on every rate."""
+    top = float(spectrum.as_array().max())
+    return 1 - binary_entropy(top) if top >= 0.5 else 0.0
 
 
 def pauli_twirl(state: TwoQubitState) -> TwoQubitState:

@@ -333,6 +333,14 @@ class TestSimulate:
         assert code == 0
         assert run_cli(capsys, *argv, "--xi-slope", "-1e-3") == (0, joined, "")
 
+    @pytest.mark.parametrize("token", ["-inf", "-nan", "-Infinity", "-INF"])
+    def test_negative_non_finite_value_is_read_as_its_flag_value(self, capsys, token):
+        argv = ["simulate", "--model", "drift", "--n", "200", "--omega-exp", "0.8",
+                "--trials", "3", "--xi-slope"]
+        error = f"error: xi_slope={float(token)} is not finite\n"
+        assert run_cli(capsys, *argv, token) == (1, "", error)
+        assert run_cli(capsys, *argv[:-1], f"--xi-slope={token}") == (1, "", error)
+
     _MEMORY = ["simulate", "--model", "memory", "--n", "300", "--gamma", "0.5",
                "--omega-exp", "0.8", "--delta-est", "0.05", "--trials", "3", "--seed", "4"]
 
@@ -804,6 +812,16 @@ class TestContract:
     @example((["rate"], [("n", _DIGITS)]))
     @example((["rate", "--n", "1e6", "--omega-exp", "0.84", "--gamma", "0.1", "--eps-smo",
                "1e-4", "--out", "/nonexistent/x.json"], []))
+    # a negative value in any form float reads, after its flag, which argparse
+    # alone takes for a flag when it is -inf, -nan or -Infinity (exit 2)
+    @example((["simulate", "--model", "drift", "--n", "100", "--omega-exp", "0.8",
+               "--trials", "2", "--xi-slope", "-inf"], []))
+    @example((["simulate", "--model", "drift", "--n", "100", "--omega-exp", "0.8",
+               "--trials", "2", "--xi-slope", "-nan"], []))
+    @example((["simulate", "--model", "drift", "--n", "100", "--omega-exp", "0.8",
+               "--trials", "2", "--xi-slope", "-Infinity"], []))
+    @example((["simulate", "--model", "drift", "--n", "100", "--omega-exp", "0.8",
+               "--trials", "2", "--xi-slope", "-1e-3"], []))
     def test_exit_code_and_error_line(self, invocation):
         argv, config = invocation
         # in a directory of its own, since --out nan writes a file named nan;
@@ -818,6 +836,7 @@ class TestContract:
         assert "Traceback" not in err
         if code == 2:
             assert err.startswith("usage: ")  # argparse's own message
+            assert "expected one argument" not in err  # every drawn flag has its value
         else:
             assert code in (0, 1)
         if code == 1:

@@ -431,6 +431,15 @@ class TestOptimizeParameters:
         cert = optimize_parameters(10**4, 0.76, EPS_DIST, EPS_SND, EPS_CMP)
         assert cert.rate == 0
 
+    def test_optimized_rate_monotone_in_score_and_n(self):
+        # printed mode, four searches of about 2 s: a higher score and a larger
+        # n never lower the rate the search finds
+        def rate(n, omega):
+            return optimize_parameters(n, omega, EPS_DIST, EPS_SND, EPS_CMP).rate_raw
+
+        assert rate(10**8, 0.830) <= rate(10**8, 0.8375)
+        assert rate(10**6, 0.8447) <= rate(10**8, 0.8447)
+
     def test_budget_propagated(self):
         cert = optimize_parameters(
             10**6, 0.84, EPS_DIST, EPS_SND, EPS_CMP, mode="ceiling"

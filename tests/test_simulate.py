@@ -11,7 +11,7 @@ from itertools import accumulate, chain, product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diecert.chsh import (
@@ -24,6 +24,8 @@ from diecert.chsh import (
     winning_probability,
 )
 from diecert.quantum import (
+    MAXIMALLY_MIXED,
+    PHI_PLUS,
     Observable,
     SIGMA_X,
     SIGMA_Z,
@@ -34,6 +36,7 @@ from diecert.quantum import (
 )
 from diecert.rates import ProtocolParams, binomial_tail, completeness_bound
 from diecert.simulate import (
+    MODES,
     ClassicalDeterministicDevice,
     DeviceModel,
     HonestIIDDevice,
@@ -187,6 +190,36 @@ class BlockPairDevice(DeviceModel):
         return self.source
 
 
+class RebuiltDrift(DeviceModel):
+    """Drift that builds a new source of `werner_state(xi).matrix` under the
+    optimal observables every round, so every table comes from the Born
+    rule: the reference for `NoisyDriftDevice`, whose rounds mix two end
+    sources built once."""
+
+    def __init__(self, xi_start, xi_slope):
+        self.xi_start, self.xi_slope = xi_start, xi_slope
+        self.obs = Source.of(optimal_strategy()).obs
+
+    def prepare_round(self, i, history):
+        xi = min(max(self.xi_start + self.xi_slope * i, 0.0), 1.0)
+        return Source(werner_state(xi).matrix, *self.obs)
+
+
+def counting(monkeypatch, name):
+    """Replace `simulate.<name>` by a wrapper that records each call's
+    arguments in the returned list."""
+    import diecert.simulate as sim
+
+    calls, real = [], getattr(sim, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sim, name, counted)
+    return calls
+
+
 class TestRunProtocol:
     def test_deterministic_replay(self):
         p = make_params(n=400)
@@ -327,31 +360,16 @@ class TestRunProtocol:
         assert not run_protocol(honest(), generous, seed=1).aborted
 
     def test_drift_device_builds_jordan_geometry_once(self, monkeypatch):
-        # a new Werner state every round, the same observables throughout
-        import diecert.simulate as sim
-
-        calls = []
-        real = sim.jordan_blocks
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(sim, "jordan_blocks", counted)
-        run_protocol(NoisyDriftDevice(0.0, 1e-3), make_params(n=200), "modified", seed=6)
-        assert len(calls) == 2  # one per party
+        # a new noise every round, two end sources built once: each end builds
+        # its geometry, one jordan_blocks call per party, and no round does
+        calls = counting(monkeypatch, "jordan_blocks")
+        for n in (200, 400):
+            calls.clear()
+            run_protocol(NoisyDriftDevice(0.0, 1e-3), make_params(n=n), "modified", seed=6)
+            assert len(calls) == 4
 
     def test_memory_switcher_builds_born_tables_once_per_strategy(self, monkeypatch):
-        import diecert.simulate as sim
-
-        calls = []
-        real = sim.born_probabilities
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(sim, "born_probabilities", counted)
+        calls = counting(monkeypatch, "born_probabilities")
         dev = MemorySwitcherDevice(
             optimal_strategy(), optimal_measurement_strategy(werner_state(1.0))
         )
@@ -518,6 +536,63 @@ class TestProjectedTables:
         self._check(BlockPairDevice((weight, 1 - weight), (xi0, xi1)).source)
 
 
+class TestDriftMixture:
+    """Each drift round mixes two end sources built once, |Phi+><Phi+| and I/4
+    under the optimal observables; `RebuiltDrift`, a new source every round,
+    is the reference."""
+
+    @staticmethod
+    def _tables(source):
+        """The block-pair table, then every test-outcome table, pair or none."""
+        (ba, bb), _ = source.geometry
+        pairs = [None, *product(range(len(ba)), range(len(bb)))]
+        return [source.pair_cdf, *(source.outcome_cdf(x, y, pair)
+                                   for x, y in product((0, 1), repeat=2) for pair in pairs)]
+
+    @given(st.floats(0, 1))
+    @example(0.0)
+    @example(1.0)
+    def test_round_source_matches_a_rebuild(self, xi):
+        mixed = NoisyDriftDevice(xi, 0.0).prepare_round(0, [])
+        rebuilt = RebuiltDrift(xi, 0.0).prepare_round(0, [])
+        for got, want in zip(self._tables(mixed), self._tables(rebuilt), strict=True):
+            assert len(got) == len(want) and got[-1] == want[-1] == math.inf
+            assert all(abs(a - b) <= 1e-15 for a, b in zip(got[:-1], want[:-1]))
+        assert np.array_equal(mixed.state, werner_state(xi).matrix)
+        for pair in (None, (0, 0)):
+            assert np.array_equal(mixed.kept(pair).matrix, rebuilt.kept(pair).matrix)
+
+    @pytest.mark.parametrize("xi, end", [(0.0, PHI_PLUS), (1.0, MAXIMALLY_MIXED)])
+    def test_end_noise_reads_the_end_tables_exactly(self, xi, end):
+        mixed = NoisyDriftDevice(xi, 0.0).prepare_round(0, [])
+        assert self._tables(mixed) == self._tables(Source(end, *mixed.obs))
+
+    # the second and third settings clamp at 0 after 300 rounds and at 1 after 100
+    @pytest.mark.parametrize("xi_start, xi_slope", [(0.01, 2e-4), (0.3, -1e-3), (0.9, 1e-3)])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_run_matches_a_rebuild(self, mode, xi_start, xi_slope):
+        p = make_params(n=400, gamma=0.5, omega_exp=0.8, delta_est=0.02)
+        run = run_protocol(NoisyDriftDevice(xi_start, xi_slope), p, mode, seed=3)
+        assert run == run_protocol(RebuiltDrift(xi_start, xi_slope), p, mode, seed=3)
+        got = kept_states(NoisyDriftDevice(xi_start, xi_slope), run)
+        want = kept_states(RebuiltDrift(xi_start, xi_slope), run)
+        for a, b in zip(got, want, strict=True):
+            assert a is b is None or np.array_equal(a.matrix, b.matrix)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_born_rule_calls_do_not_grow_with_n(self, mode, monkeypatch):
+        born = counting(monkeypatch, "born_probabilities")
+        werner = counting(monkeypatch, "werner_state")
+        counts = []
+        for n in (200, 400):
+            born.clear()
+            werner.clear()
+            run_protocol(NoisyDriftDevice(0.0, 1e-3), make_params(n=n), mode, seed=6)
+            counts.append((len(born), len(werner)))
+        assert counts[0] == counts[1]
+        assert counts[0][1] == 1  # the check of xi_start
+
+
 class TestWilsonInterval:
     def test_reference_value(self):
         lo, hi = wilson_interval(5, 10)
@@ -617,22 +692,15 @@ class TestAbortEstimation:
         b = estimate_abort_probability(honest(), p, trials=100, seed=5)
         assert a == b
 
-    @pytest.mark.parametrize("mode, runs", [("standard", 3), ("modified", 4)])
-    def test_run_trials_runs_standard_trial_zero_once(self, mode, runs, monkeypatch):
-        import diecert.simulate as sim
-
-        calls = []
-        real = sim.run_protocol
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
+    @pytest.mark.parametrize("mode, trials", [("standard", 3), ("modified", 4)])
+    def test_run_trials_runs_standard_trial_zero_once(self, mode, trials, monkeypatch):
+        # trial 0 in `mode`, then the estimate's own `trials` runs: a
+        # standard-mode trial 0 is not shared with the estimate
         model, p = NoisyDriftDevice(0.0, 1e-3), make_params(n=200)
-        expected = estimate_abort_probability(model, p, trials=3, seed=9)
-        monkeypatch.setattr(sim, "run_protocol", counted)
-        first, *estimate = run_trials(model, p, trials=3, seed=9, mode=mode)
-        assert len(calls) == runs
+        expected = estimate_abort_probability(model, p, trials, seed=9)
+        calls = counting(monkeypatch, "run_protocol")
+        first, *estimate = run_trials(model, p, trials, seed=9, mode=mode)
+        assert len(calls) == 1 + trials
         assert tuple(estimate) == expected
         assert first.mode == mode
 
