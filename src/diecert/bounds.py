@@ -1,8 +1,8 @@
 """Single-round entropy bounds for Bell-diagonal states under a CHSH constraint.
 
 Analytic side: the maximal total entropy S(beta) of a Bell-diagonal state
-achieving Bell value beta, the conditional-entropy bound S(beta) - 1, the
-spectrum attaining it, and the curve g(omega) used by the rate pipeline.
+achieving Bell value beta, the conditional-entropy bound S(beta) - 1 and the
+curve g(omega) used by the rate pipeline.
 
 Numerical side: an independent brute-force maximizer over the two-variable
 constraint region, used as an oracle against the closed forms.
@@ -59,25 +59,12 @@ def max_total_entropy(beta: float) -> float:
     return 2 * binary_entropy(0.5 - beta / (4 * _SQRT2))
 
 
-def optimal_spectrum(beta: float) -> BellDiagonalSpectrum:
-    """The Bell-diagonal spectrum maximizing total entropy at Bell value beta."""
-    lo = 0.5 - beta / (4 * _SQRT2)
-    hi = 0.5 + beta / (4 * _SQRT2)
-    return BellDiagonalSpectrum(
-        lambda_phi_plus=lo * lo,
-        lambda_phi_minus=lo * hi,
-        lambda_psi_plus=hi * hi,
-        lambda_psi_minus=lo * hi,
-    )
-
-
 @dataclass(frozen=True)
 class EntropyBoundResult:
     """The bound at Bell value beta; H(A|B) derives from H(AB)."""
 
     beta: float
     max_total_entropy: float
-    optimal_spectrum: BellDiagonalSpectrum
 
     @property
     def conditional_bound(self) -> float:
@@ -93,11 +80,7 @@ def bell_diag_entropy_bound(beta: float) -> EntropyBoundResult:
     if beta < 2 - 1e-12 or beta > BETA_MAX + 1e-12:
         raise ValidationError(f"beta={beta} outside [2, 2*sqrt(2)]")
     beta = min(max(beta, 2.0), BETA_MAX)
-    return EntropyBoundResult(
-        beta=beta,
-        max_total_entropy=max_total_entropy(beta),
-        optimal_spectrum=optimal_spectrum(beta),
-    )
+    return EntropyBoundResult(beta=beta, max_total_entropy=max_total_entropy(beta))
 
 
 def brute_force_max_entropy(

@@ -2,8 +2,7 @@
 
 `born_probabilities` is the one home of the Born rule, exact and never
 sampled; `winning_probability` sums its tables and :mod:`diecert.simulate`
-samples every round from them. `chsh_value` works from the four correlators
-instead and so checks it independently. Inputs (x, y) are always uniform.
+samples every round from them. Inputs (x, y) are always uniform.
 """
 
 from __future__ import annotations
@@ -86,16 +85,6 @@ def winning_probability(strategy: Strategy) -> float:
             if (a ^ b) == (x & y):
                 omega += probs[2 * a + b] / 4
     return float(omega)
-
-
-def chsh_value(strategy: Strategy) -> float:
-    """Bell value beta computed from the four correlators."""
-    beta = 0.0
-    for x, y in product((0, 1), repeat=2):
-        op = np.kron(strategy.alice_observables[x].matrix, strategy.bob_observables[y].matrix)
-        corr = np.trace(op @ strategy.state).real
-        beta += (-1) ** (x * y) * corr
-    return float(beta)
 
 
 def optimal_strategy() -> Strategy:

@@ -309,23 +309,23 @@ def _build_model(cfg: _Config) -> simulate.DeviceModel:
     for option in ("xi", "xi_slope", "table"):  # one the model never reads would be dropped
         if option not in _MODELS[name] and cfg.get(option) is not None:
             raise ValidationError(f"--{option.replace('_', '-')} is not read by --model {name}")
-    xi = cfg.get("xi", 0.0, float)
-    opt = optimal_strategy()
-
-    def werner(xi):  # the Werner state under the optimal observables
-        return Strategy(werner_state(xi).matrix, opt.alice_observables, opt.bob_observables)
-
-    if name == "honest":
-        return simulate.HonestIIDDevice(werner(xi))
     if name == "classical":  # deterministic_strategy checks each bit
         table = cfg.get("table", "0,0,0,0", _list(_natural))
         if len(table) != 4:
             raise ValidationError(f"--table needs four bits a0,a1,b0,b1, got {len(table)}")
         return simulate.ClassicalDeterministicDevice(*table)
-    if name == "memory":
-        werner_state(xi)  # the range check, before the 0.5 floor below hides it
-        return simulate.MemorySwitcherDevice(opt, werner(max(xi, 0.5)))
-    return simulate.NoisyDriftDevice(xi, cfg.get("xi_slope", 1e-3, float))
+    xi = cfg.get("xi", 0.0, float)
+    if name == "drift":  # builds its own optimal strategy
+        return simulate.NoisyDriftDevice(xi, cfg.get("xi_slope", 1e-3, float))
+    opt = optimal_strategy()
+
+    def werner(xi):  # the Werner state under the optimal observables, shared by every source
+        return Strategy(werner_state(xi).matrix, opt.alice_observables, opt.bob_observables)
+
+    if name == "honest":
+        return simulate.HonestIIDDevice(werner(xi))
+    werner_state(xi)  # memory: the range check, before the 0.5 floor below hides it
+    return simulate.MemorySwitcherDevice(opt, werner(max(xi, 0.5)))
 
 
 def cmd_simulate(cfg: _Config) -> int:

@@ -74,9 +74,10 @@ class TwoQubitState:
         object.__setattr__(self, "matrix", m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observable:
-    """A d x d Hermitian matrix with eigenvalues in {-1, +1} (a reflection)."""
+    """A d x d Hermitian matrix with eigenvalues in {-1, +1} (a reflection),
+    compared and hashed by identity, so it can key a cache."""
 
     matrix: np.ndarray
 

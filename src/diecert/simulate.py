@@ -31,7 +31,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import accumulate, chain, product, repeat
 from operator import itemgetter
 from typing import NamedTuple
@@ -302,6 +302,14 @@ def _cumulative(probs) -> list[float]:
     return table
 
 
+@lru_cache(maxsize=1)
+def _geometry(obs):
+    """Jordan blocks and block projectors per party of `obs`, which alone fix
+    them: sources on one set of observables share them; the last set's is kept."""
+    blocks = [jordan_blocks(*pair) for pair in obs]
+    return blocks, tuple(block_projectors(b) for b in blocks)
+
+
 class Source:
     """A state and the two parties' pairs of observables. What a round reads
     from them (cumulative Born tables, block-pair distribution, kept states)
@@ -309,18 +317,14 @@ class Source:
 
     def __init__(self, state, alice_obs, bob_obs):
         self.state = np.asarray(state, dtype=complex)
-        self.obs = (alice_obs, bob_obs)
+        self.obs = (tuple(alice_obs), tuple(bob_obs))  # hashable: `_geometry` keys on it
         self._cdfs, self._kept = {}, {}
 
     @classmethod
     def of(cls, strategy: Strategy) -> Source:
         return cls(strategy.state, strategy.alice_observables, strategy.bob_observables)
 
-    @cached_property
-    def geometry(self):
-        """Jordan blocks and block projectors per party."""
-        blocks = [jordan_blocks(*obs) for obs in self.obs]
-        return blocks, tuple(block_projectors(b) for b in blocks)
+    geometry = cached_property(lambda self: _geometry(self.obs))
 
     @cached_property
     def pair_cdf(self) -> list[float]:

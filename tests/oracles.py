@@ -3,6 +3,7 @@ against. No command or simulation needs them, so they live here, not in
 `diecert`."""
 
 import math
+from itertools import product
 
 import numpy as np
 
@@ -13,6 +14,7 @@ from diecert.quantum import (
     ENTROPY_EIG_CUTOFF,
     SIGMA_X,
     SIGMA_Z,
+    BellDiagonalSpectrum,
     TwoQubitState,
     _check_density,
     clean_eigenvalues,
@@ -30,6 +32,30 @@ def optimal_measurement_strategy(state: TwoQubitState) -> Strategy:
         state=state.matrix,
         alice_observables=opt.alice_observables,
         bob_observables=opt.bob_observables,
+    )
+
+
+def chsh_value(strategy: Strategy) -> float:
+    """Bell value beta computed from the four correlators: the independent
+    check of `chsh.born_probabilities` and `chsh.winning_probability`."""
+    beta = 0.0
+    for x, y in product((0, 1), repeat=2):
+        op = np.kron(strategy.alice_observables[x].matrix, strategy.bob_observables[y].matrix)
+        corr = np.trace(op @ strategy.state).real
+        beta += (-1) ** (x * y) * corr
+    return float(beta)
+
+
+def optimal_spectrum(beta: float) -> BellDiagonalSpectrum:
+    """The Bell-diagonal spectrum maximizing total entropy at Bell value beta,
+    the product (lo, hi) x (lo, hi) whose entropy is `bounds.max_total_entropy`."""
+    lo = 0.5 - beta / (4 * math.sqrt(2))
+    hi = 0.5 + beta / (4 * math.sqrt(2))
+    return BellDiagonalSpectrum(
+        lambda_phi_plus=lo * lo,
+        lambda_phi_minus=lo * hi,
+        lambda_psi_plus=hi * hi,
+        lambda_psi_minus=lo * hi,
     )
 
 

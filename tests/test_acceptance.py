@@ -17,7 +17,6 @@ from diecert.bounds import (
     g,
     g_prime,
     max_total_entropy,
-    optimal_spectrum,
 )
 from diecert.chsh import (
     BETA_MAX,
@@ -45,7 +44,7 @@ from diecert.simulate import (
     estimate_abort_probability,
 )
 
-from oracles import optimal_measurement_strategy
+from oracles import optimal_measurement_strategy, optimal_spectrum
 from reference_data import ASYMPTOTIC_CURVE, ENTROPY_CURVE, RATE_CURVES
 
 

@@ -12,12 +12,11 @@ from diecert.bounds import (
     g,
     g_prime,
     max_total_entropy,
-    optimal_spectrum,
 )
 from diecert.chsh import BETA_MAX, OMEGA_CLASSICAL, OMEGA_MAX, beta_from_omega
 from diecert.quantum import ValidationError
 
-from oracles import bell_diagonal_state, von_neumann_entropy
+from oracles import bell_diagonal_state, optimal_spectrum, von_neumann_entropy
 from reference_data import ENTROPY_CURVE
 
 # independently derived to full precision at beta = 2.5
@@ -90,13 +89,13 @@ class TestAnalyticBound:
         assert res.max_total_entropy == pytest.approx(ORACLE_TOTAL, abs=1e-12)
         assert res.conditional_bound == pytest.approx(ORACLE_CONDITIONAL, abs=1e-12)
         assert np.allclose(
-            res.optimal_spectrum.as_array(), ORACLE_SPECTRUM, atol=1e-12
+            optimal_spectrum(res.beta).as_array(), ORACLE_SPECTRUM, atol=1e-12
         )
 
     def test_maximal_violation_pins_bell_state(self):
         res = bell_diag_entropy_bound(BETA_MAX)
         assert res.conditional_bound == pytest.approx(-1, abs=1e-12)
-        assert np.allclose(res.optimal_spectrum.as_array(), [0, 0, 1, 0], atol=1e-12)
+        assert np.allclose(optimal_spectrum(res.beta).as_array(), [0, 0, 1, 0], atol=1e-12)
 
     def test_classical_value(self):
         res = bell_diag_entropy_bound(2.0)
@@ -105,7 +104,7 @@ class TestAnalyticBound:
     def test_spectrum_attains_the_bound(self):
         for beta in (2.05, 2.5, 2.8):
             res = bell_diag_entropy_bound(beta)
-            state = bell_diagonal_state(res.optimal_spectrum)
+            state = bell_diagonal_state(optimal_spectrum(res.beta))
             assert von_neumann_entropy(state.matrix) == pytest.approx(
                 res.max_total_entropy, abs=1e-10
             )

@@ -13,7 +13,6 @@ from diecert.chsh import (
     Strategy,
     beta_from_omega,
     born_probabilities,
-    chsh_value,
     deterministic_strategy,
     optimal_strategy,
     winning_probability,
@@ -26,7 +25,7 @@ from diecert.quantum import (
     werner_state,
 )
 
-from oracles import SIGMA_Y, optimal_measurement_strategy
+from oracles import SIGMA_Y, chsh_value, optimal_measurement_strategy
 
 
 class TestScoreConversions:

@@ -20,7 +20,7 @@ from diecert.cli import _COMMANDS, _MODELS, _SWITCHES, main
 from diecert.rates import ErrorBudget, ProtocolParams, certified_log_l, delta_est_for
 from diecert.simulate import ClassicalDeterministicDevice, MemorySwitcherDevice, run_trials
 from oracles import transcript_text
-from test_simulate import CLI_MODELS, exact_abort, werner_source
+from test_simulate import CLI_MODELS, counting, exact_abort, werner_source
 
 GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = Path(__file__).parent / "configs"
@@ -79,24 +79,6 @@ class TestCurve:
         )
         assert code == 0
         assert out == (GOLDEN / "curve_small.csv").read_text()
-
-    def test_asymptotic_rows_have_empty_fields(self, capsys):
-        _, out, _ = run_cli(
-            capsys, "curve", "--n-values", "1e6", "--omega-values", "0.83",
-            "--mode", "ceiling", "--asymptotic",
-        )
-        last = out.strip().splitlines()[-1]
-        assert last.startswith("asymptotic,0.83,")
-        assert last.endswith(",,,,")
-
-    def test_shared_parameters_across_grid(self, capsys):
-        _, out, _ = run_cli(
-            capsys, "curve", "--n-values", "1e6",
-            "--omega-values", "0.82,0.83,0.84", "--mode", "ceiling",
-        )
-        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-        assert len({r[4] for r in rows}) == 1  # gamma column
-        assert len({r[5] for r in rows}) == 1  # eps_smo column
 
 
 class TestRate:
@@ -274,6 +256,19 @@ class TestSimulate:
         assert code == 0
         assert out == (GOLDEN / "simulate_summary.json").read_text()
         assert target.read_text() == (GOLDEN / "simulate_transcript.csv").read_text()
+
+    @pytest.mark.parametrize("model", list(_MODELS))
+    def test_every_model_builds_one_jordan_geometry(self, capsys, monkeypatch, model):
+        # memory's two strategies share one optimal strategy's observables,
+        # as drift's two ends do; the standard protocol needs no geometry
+        calls = counting(monkeypatch, "jordan_blocks")
+        for protocol, want in (("standard", 0), ("modified", 2)):
+            calls.clear()
+            code, _, _ = run_cli(
+                capsys, "simulate", "--model", model, "--n", "300", "--gamma", "0.5",
+                "--omega-exp", "0.8", "--trials", "2", "--seed", "6", "--protocol", protocol,
+            )
+            assert code == 0 and len(calls) == want
 
     def test_classical_model_aborts(self, capsys):
         code, out, _ = run_cli(

@@ -66,6 +66,12 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Observable(np.diag([1.0, 0.5]).astype(complex))
 
+    def test_observable_compares_by_identity(self):
+        # simulate's geometry cache keys on observables; comparing the
+        # ndarray fields by value would raise
+        a, b = Observable(SIGMA_Z), Observable(SIGMA_Z)
+        assert a == a and a != b and len({a, b, a}) == 2
+
     def test_spectrum_must_normalize(self):
         with pytest.raises(ValidationError):
             BellDiagonalSpectrum(0.5, 0.5, 0.5, 0.5)

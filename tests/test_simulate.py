@@ -61,7 +61,7 @@ from diecert.simulate import (
     _uniform,
 )
 
-from oracles import optimal_measurement_strategy, transcript_text
+from oracles import observables_from_blocks, optimal_measurement_strategy, transcript_text
 
 
 def make_params(n=5000, gamma=0.5, omega_exp=0.8, delta_est=0.05):
@@ -360,13 +360,39 @@ class TestRunProtocol:
         assert not run_protocol(honest(), generous, seed=1).aborted
 
     def test_drift_device_builds_jordan_geometry_once(self, monkeypatch):
-        # a new noise every round, two end sources built once: each end builds
-        # its geometry, one jordan_blocks call per party, and no round does
+        # a new noise every round, two end sources on one set of observables:
+        # one jordan_blocks call per party, and no round makes another
         calls = counting(monkeypatch, "jordan_blocks")
         for n in (200, 400):
             calls.clear()
             run_protocol(NoisyDriftDevice(0.0, 1e-3), make_params(n=n), "modified", seed=6)
-            assert len(calls) == 4
+            assert len(calls) == 2
+
+    def test_sources_rebuilt_every_round_share_one_jordan_geometry(self, monkeypatch):
+        # a new source every round, all on the observables built in __init__
+        calls = counting(monkeypatch, "jordan_blocks")
+        for n in (200, 400):
+            calls.clear()
+            run_protocol(RebuiltDrift(0.0, 1e-3), make_params(n=n), "modified", seed=6)
+            assert len(calls) == 2
+
+    def test_geometry_cache_keeps_one_set_of_observables(self):
+        import diecert.simulate as sim
+
+        for model in (honest(), RebuiltDrift(0.0, 1e-3), ClassicalDeterministicDevice(1, 0, 1, 1)):
+            run_protocol(model, make_params(n=100), "modified", seed=6)
+            assert sim._geometry.cache_info().currsize == 1
+        assert sim._geometry.cache_info().maxsize == 1
+
+    def test_sources_on_other_observables_keep_their_own_geometry(self):
+        # the cache keeps one set of observables, so sources that alternate
+        # between two sets each hold the geometry of their own
+        sources = [Source.of(optimal_strategy()), Source.of(deterministic_strategy(1, 0, 1, 1))]
+        for source in [*sources, *sources]:
+            (ba, bb), _ = source.geometry
+            for blocks, pair in zip((ba, bb), source.obs):
+                for got, want in zip(observables_from_blocks(blocks), pair):
+                    assert np.allclose(got, want.matrix, atol=1e-10)
 
     def test_memory_switcher_builds_born_tables_once_per_strategy(self, monkeypatch):
         calls = counting(monkeypatch, "born_probabilities")

@@ -7,7 +7,7 @@ omega, theory orders
 
 the many-round certified rate, the hashing yield and the relative entropy of
 entanglement (an upper bound on distillable entanglement). The first step is
-an equality on `bounds.optimal_spectrum`. A finite-n certificate is at most
+an equality on `oracles.optimal_spectrum`. A finite-n certificate is at most
 the many-round rate. The scores come from the package's own Born rule, with
 the spectrum ordered so that the optimal-CHSH observables reach its largest
 score. H is summed over every positive entry: `oracles.shannon_entropy` drops
@@ -22,7 +22,6 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from diecert.bounds import optimal_spectrum
 from diecert.chsh import (
     BETA_MAX,
     Strategy,
@@ -44,6 +43,7 @@ from diecert.simulate import HonestIIDDevice, Source, kept_states, run_protocol
 from oracles import (
     bell_diagonal_state,
     optimal_measurement_strategy,
+    optimal_spectrum,
     relative_entropy_of_entanglement,
     transcript_text,
 )

@@ -21,8 +21,6 @@ import diecert.simulate
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-# the independent oracle that the Born tables are property-tested against
-ALLOWED = {"chsh_value"}
 
 
 def _assigned(node, stack):
@@ -62,7 +60,7 @@ def _scan(tree, where, defs, reads, strings=False):
 
 def unused_definitions(root=ROOT) -> list[str]:
     """`module.qualname` of every definition and module constant in
-    `src/diecert` that nothing that runs reads, besides `ALLOWED`."""
+    `src/diecert` that nothing that runs reads."""
     defs, reads, other = [], [], []
     for path in sorted((root / "src" / "diecert").glob("*.py")):
         _scan(ast.parse(path.read_text()), path.stem, defs, reads)
@@ -87,7 +85,7 @@ def unused_definitions(root=ROOT) -> list[str]:
     return sorted(
         ".".join((where, *(defs[i][1] for i in stack), name))
         for k, (where, name, stack) in enumerate(defs)
-        if k not in live and name not in ALLOWED
+        if k not in live
     )
 
 
