@@ -37,8 +37,8 @@ def check_score(name: str, omega: float) -> None:
 class Strategy:
     """A shared state plus a pair of +/-1 observables per party.
 
-    The state lives on dim(alice) x dim(bob); for the common two-qubit
-    case this is a TwoQubitState's matrix.
+    The state lives on dim(alice) x dim(bob). This is the one check of what a
+    simulated device plays: every `simulate.Source` is built from one.
     """
 
     state: np.ndarray
@@ -48,14 +48,17 @@ class Strategy:
     def __post_init__(self):
         state = _check_density(self.state)
         object.__setattr__(self, "state", state)
-        da = self.alice_observables[0].dim
-        db = self.bob_observables[0].dim
-        if self.alice_observables[1].dim != da or self.bob_observables[1].dim != db:
-            raise ValidationError("observable dimensions differ within a party")
+        for party in ("alice_observables", "bob_observables"):  # tuples: `_geometry` keys on them
+            pair = getattr(self, party)
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(isinstance(o, Observable) for o in pair)):
+                raise ValidationError(f"{party} must be a pair of Observables")
+            if pair[0].dim != pair[1].dim:
+                raise ValidationError("observable dimensions differ within a party")
+            object.__setattr__(self, party, tuple(pair))
+        da, db = self.alice_observables[0].dim, self.bob_observables[0].dim
         if state.shape[0] != da * db:
-            raise ValidationError(
-                f"state dimension {state.shape[0]} does not match {da}x{db}"
-            )
+            raise ValidationError(f"state dimension {state.shape[0]} does not match {da}x{db}")
 
 
 def beta_from_omega(omega: float) -> float:

@@ -25,7 +25,8 @@ from fractions import Fraction
 from itertools import islice
 
 from . import bounds, rates, simulate
-from .chsh import OMEGA_MAX, beta_from_omega, check_score, optimal_strategy, Strategy
+from .chsh import (OMEGA_CLASSICAL, OMEGA_MAX, beta_from_omega, check_score, optimal_strategy,
+                   Strategy)
 from .quantum import ValidationError, werner_state
 
 
@@ -289,8 +290,8 @@ def cmd_entropy_curve(cfg: _Config) -> int:
     omegas = _omega_grid(cfg, 0.75, OMEGA_MAX, 0.0025)
     lines = ["omega,beta,conditional_bound"]
     for w in omegas:
-        check_score("omega", w)
-        beta = beta_from_omega(min(w, OMEGA_MAX))
+        check_score("omega", w)  # allows rounding past either end, which the clamp undoes
+        beta = beta_from_omega(min(max(w, OMEGA_CLASSICAL), OMEGA_MAX))
         result = bounds.bell_diag_entropy_bound(beta)
         lines.append(f"{_fmt(w)},{_fmt(beta)},{_fmt(result.conditional_bound)}")
     _write_text(cfg.get("out", kind=str), lines)

@@ -39,7 +39,7 @@ PHI_PLUS.flags.writeable = MAXIMALLY_MIXED.flags.writeable = False
 
 
 class ValidationError(ValueError):
-    """Raised when a matrix fails a physicality check."""
+    """Raised when an input fails a check: a matrix, a parameter or an option."""
 
 
 def _check_hermitian(matrix: np.ndarray, what: str) -> np.ndarray:

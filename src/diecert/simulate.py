@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property, lru_cache
 from itertools import accumulate, chain, product, repeat
 from operator import itemgetter
@@ -85,14 +85,13 @@ class HonestIIDDevice(DeviceModel):
     """Plays a fixed strategy every round, so its `exact_score` is the strategy's."""
 
     def __init__(self, strategy: Strategy):
-        self.strategy = strategy
-        self._source = Source.of(strategy)
+        self._source = Source(strategy)
 
     def prepare_round(self, i, history):
         return self._source
 
     def exact_score(self) -> float:
-        return winning_probability(self.strategy)
+        return winning_probability(self._source.strategy)
 
 
 class ClassicalDeterministicDevice(HonestIIDDevice):
@@ -106,7 +105,7 @@ class MemorySwitcherDevice(DeviceModel):
     """Alternates two strategies based on the parity of past test rounds."""
 
     def __init__(self, even_strategy: Strategy, odd_strategy: Strategy):
-        self._sources = (Source.of(even_strategy), Source.of(odd_strategy))
+        self._sources = (Source(even_strategy), Source(odd_strategy))
         self._tests_so_far = 0
 
     def prepare_round(self, i, history):
@@ -126,8 +125,8 @@ class NoisyDriftDevice(DeviceModel):
             raise ValidationError(f"xi_slope={xi_slope} is not finite")
         self.xi_start = xi_start
         self.xi_slope = xi_slope
-        pure = Source.of(optimal_strategy())
-        self._ends = (pure, Source(MAXIMALLY_MIXED, *pure.obs))
+        pure = Source(optimal_strategy())
+        self._ends = (pure, Source(replace(pure.strategy, state=MAXIMALLY_MIXED)))
 
     def prepare_round(self, i, history):
         return _Mixture(min(max(self.xi_start + self.xi_slope * i, 0.0), 1.0), *self._ends)
@@ -311,18 +310,13 @@ def _geometry(obs):
 
 
 class Source:
-    """A state and the two parties' pairs of observables. What a round reads
-    from them (cumulative Born tables, block-pair distribution, kept states)
-    is computed on first use and cached for the life of the source."""
+    """A checked `Strategy` and what a round reads from it (cumulative Born tables,
+    block-pair distribution, kept states), each computed on first use and cached."""
 
-    def __init__(self, state, alice_obs, bob_obs):
-        self.state = np.asarray(state, dtype=complex)
-        self.obs = (tuple(alice_obs), tuple(bob_obs))  # hashable: `_geometry` keys on it
+    def __init__(self, strategy: Strategy):
+        self.strategy, self.state = strategy, strategy.state
+        self.obs = (strategy.alice_observables, strategy.bob_observables)
         self._cdfs, self._kept = {}, {}
-
-    @classmethod
-    def of(cls, strategy: Strategy) -> Source:
-        return cls(strategy.state, strategy.alice_observables, strategy.bob_observables)
 
     geometry = cached_property(lambda self: _geometry(self.obs))
 

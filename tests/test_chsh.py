@@ -113,21 +113,24 @@ def _reflection(v):
     return Observable(n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)
 
 
+def random_density(entries):
+    """The two-qubit density matrix G G^dagger / tr, G from 32 real `entries`."""
+    re, im = np.array(entries).reshape(2, 4, 4)
+    g = re + 1j * im
+    rho = g @ g.conj().T
+    assume(np.trace(rho).real > 1e-3)
+    rho = rho / np.trace(rho).real
+    return (rho + rho.conj().T) / 2
+
+
 _unit = st.floats(min_value=-1, max_value=1, allow_nan=False)
 _direction = st.tuples(_unit, _unit, _unit).filter(lambda v: np.linalg.norm(v) > 1e-3)
+ENTRIES = st.lists(_unit, min_size=32, max_size=32)
+DIRECTIONS = st.lists(_direction, min_size=4, max_size=4)
 
 
 class TestBornRuleAgainstCorrelators:
     """The Born tables against the independent correlator oracle chsh_value."""
-
-    @staticmethod
-    def _state(entries):
-        re, im = np.array(entries).reshape(2, 4, 4)
-        g = re + 1j * im
-        rho = g @ g.conj().T
-        assume(np.trace(rho).real > 1e-3)
-        rho = rho / np.trace(rho).real
-        return (rho + rho.conj().T) / 2
 
     @staticmethod
     def _check(strategy):
@@ -138,26 +141,23 @@ class TestBornRuleAgainstCorrelators:
         beta = 8 * winning_probability(strategy) - 4
         assert abs(beta - chsh_value(strategy)) <= 1e-12
 
-    @given(st.lists(_unit, min_size=32, max_size=32))
+    @given(ENTRIES)
     def test_optimal_observables(self, entries):
         opt = optimal_strategy()
         self._check(
             Strategy(
-                state=self._state(entries),
+                state=random_density(entries),
                 alice_observables=opt.alice_observables,
                 bob_observables=opt.bob_observables,
             )
         )
 
-    @given(
-        st.lists(_unit, min_size=32, max_size=32),
-        st.lists(_direction, min_size=4, max_size=4),
-    )
+    @given(ENTRIES, DIRECTIONS)
     def test_random_reflections(self, entries, directions):
         a0, a1, b0, b1 = (_reflection(v) for v in directions)
         self._check(
             Strategy(
-                state=self._state(entries),
+                state=random_density(entries),
                 alice_observables=(a0, a1),
                 bob_observables=(b0, b1),
             )
@@ -190,3 +190,26 @@ class TestStrategyValidation:
                 alice_observables=(Observable(SIGMA_Z), Observable(SIGMA_X)),
                 bob_observables=(Observable(SIGMA_Z), Observable(SIGMA_X)),
             )
+
+    @pytest.mark.parametrize("pair", [
+        (Observable(SIGMA_Z),),
+        (SIGMA_Z, SIGMA_X),
+        np.array([SIGMA_Z, SIGMA_X]),
+        Observable(SIGMA_Z),
+        (Observable(SIGMA_Z), Observable(SIGMA_X), Observable(SIGMA_Z)),
+    ], ids=["one-observable", "bare-arrays", "array-stack", "bare-observable", "three"])
+    @pytest.mark.parametrize("party", ["alice_observables", "bob_observables"])
+    def test_observables_must_be_a_pair_of_observables(self, party, pair):
+        # not an IndexError or AttributeError from the dimension check
+        opt = optimal_strategy()
+        fields = {"alice_observables": opt.alice_observables,
+                  "bob_observables": opt.bob_observables, party: pair}
+        with pytest.raises(ValidationError, match=f"{party} must be a pair of Observables"):
+            Strategy(opt.state, **fields)
+
+    def test_a_list_pair_is_stored_as_a_tuple(self):
+        opt = optimal_strategy()
+        strategy = Strategy(opt.state, list(opt.alice_observables), list(opt.bob_observables))
+        assert strategy.alice_observables == opt.alice_observables
+        assert strategy.bob_observables == opt.bob_observables
+        assert hash(strategy.alice_observables) == hash(opt.alice_observables)

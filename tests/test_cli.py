@@ -52,6 +52,12 @@ class TestEntropyCurve:
         assert code == 0
         assert target.read_text().splitlines()[1].startswith("0.8,")
 
+    def test_score_rounded_below_the_classical_point_reads_as_it(self, capsys):
+        # check_score allows 1e-12 below 3/4; the bound must not refuse what it allowed
+        code, out, _ = run_cli(capsys, "entropy-curve", "--omega-values", "0.7499999999995,0.75")
+        assert code == 0
+        assert out.splitlines()[1:] == ["0.75,2,0.201752"] * 2
+
     def test_rejects_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "entropy-curve", "--omega-values", "0.9")
         assert code == 1

@@ -62,6 +62,7 @@ from diecert.simulate import (
 )
 
 from oracles import observables_from_blocks, optimal_measurement_strategy, transcript_text
+from test_chsh import DIRECTIONS, ENTRIES, _reflection, random_density
 
 
 def make_params(n=5000, gamma=0.5, omega_exp=0.8, delta_est=0.05):
@@ -178,7 +179,7 @@ class BlockPairDevice(DeviceModel):
         obs0 = self._lift([SIGMA_Z, SIGMA_Z], embeds)
         obs1 = self._lift(second, embeds)
         both = (Observable(obs0), Observable(obs1))
-        self.source = Source(state, both, both)
+        self.source = Source(Strategy(state, both, both))
         self.weights = weights
         self.noises = noises
 
@@ -191,18 +192,18 @@ class BlockPairDevice(DeviceModel):
 
 
 class RebuiltDrift(DeviceModel):
-    """Drift that builds a new source of `werner_state(xi).matrix` under the
-    optimal observables every round, so every table comes from the Born
-    rule: the reference for `NoisyDriftDevice`, whose rounds mix two end
+    """Drift that builds a new, checked source of `werner_state(xi).matrix`
+    under the optimal observables every round, so every table comes from the
+    Born rule: the reference for `NoisyDriftDevice`, whose rounds mix two end
     sources built once."""
 
     def __init__(self, xi_start, xi_slope):
         self.xi_start, self.xi_slope = xi_start, xi_slope
-        self.obs = Source.of(optimal_strategy()).obs
+        self.strategy = optimal_strategy()
 
     def prepare_round(self, i, history):
         xi = min(max(self.xi_start + self.xi_slope * i, 0.0), 1.0)
-        return Source(werner_state(xi).matrix, *self.obs)
+        return Source(dataclasses.replace(self.strategy, state=werner_state(xi).matrix))
 
 
 def counting(monkeypatch, name):
@@ -316,7 +317,7 @@ class TestRunProtocol:
         tables = ((0, 0, 0, 0), (1, 0, 1, 1))
 
         class Alternating(HonestIIDDevice):
-            odd = Source.of(deterministic_strategy(*tables[1]))
+            odd = Source(deterministic_strategy(*tables[1]))
 
             def prepare_round(self, i, history):
                 return self.odd if i % 2 else super().prepare_round(i, history)
@@ -387,7 +388,7 @@ class TestRunProtocol:
     def test_sources_on_other_observables_keep_their_own_geometry(self):
         # the cache keeps one set of observables, so sources that alternate
         # between two sets each hold the geometry of their own
-        sources = [Source.of(optimal_strategy()), Source.of(deterministic_strategy(1, 0, 1, 1))]
+        sources = [Source(optimal_strategy()), Source(deterministic_strategy(1, 0, 1, 1))]
         for source in [*sources, *sources]:
             (ba, bb), _ = source.geometry
             for blocks, pair in zip((ba, bb), source.obs):
@@ -551,11 +552,11 @@ class TestProjectedTables:
 
     @given(st.floats(0, 1))
     def test_werner_source(self, xi):
-        self._check(Source.of(werner_source(xi)))
+        self._check(Source(werner_source(xi)))
 
     @pytest.mark.parametrize("table", list(product((0, 1), repeat=4)))
     def test_classical_table(self, table):
-        self._check(Source.of(deterministic_strategy(*table)))
+        self._check(Source(deterministic_strategy(*table)))
 
     @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
     def test_block_pair_source(self, weight, xi0, xi1):
@@ -591,7 +592,7 @@ class TestDriftMixture:
     @pytest.mark.parametrize("xi, end", [(0.0, PHI_PLUS), (1.0, MAXIMALLY_MIXED)])
     def test_end_noise_reads_the_end_tables_exactly(self, xi, end):
         mixed = NoisyDriftDevice(xi, 0.0).prepare_round(0, [])
-        assert self._tables(mixed) == self._tables(Source(end, *mixed.obs))
+        assert self._tables(mixed) == self._tables(Source(Strategy(end, *mixed.obs)))
 
     # the second and third settings clamp at 0 after 300 rounds and at 1 after 100
     @pytest.mark.parametrize("xi_start, xi_slope", [(0.01, 2e-4), (0.3, -1e-3), (0.9, 1e-3)])
@@ -617,6 +618,48 @@ class TestDriftMixture:
             counts.append((len(born), len(werner)))
         assert counts[0] == counts[1]
         assert counts[0][1] == 1  # the check of xi_start
+
+
+# Hermitian with trace 1 but eigenvalue 1/4 - 1/sqrt(2) < 0: played as a
+# source it would be a Popescu-Rohrlich box, winning every round
+PR_BOX = (np.eye(4) + math.sqrt(2) * (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Z, SIGMA_Z))) / 4
+NON_STATES = {"pr-box": (PR_BOX, "negative eigenvalue"), "trace-12": (3 * np.eye(4), "trace")}
+
+
+class TestSourcesAreStates:
+    """A source is a checked `Strategy`, so no route plays a non-state and
+    none wins CHSH above Tsirelson's bound."""
+
+    @pytest.mark.parametrize("route", [
+        lambda opt, m: Source(Strategy(m, opt.alice_observables, opt.bob_observables)),
+        lambda opt, m: Source(dataclasses.replace(opt, state=m)),
+        lambda opt, m: HonestIIDDevice(dataclasses.replace(opt, state=m)),
+        lambda opt, m: MemorySwitcherDevice(opt, dataclasses.replace(opt, state=m)),
+    ], ids=["source", "replace", "honest", "memory"])
+    @pytest.mark.parametrize("matrix, message", NON_STATES.values(), ids=NON_STATES)
+    def test_every_route_refuses_a_non_state(self, route, matrix, message):
+        with pytest.raises(ValidationError, match=message):
+            route(optimal_strategy(), matrix)
+
+    def test_a_source_takes_only_a_strategy(self):
+        # the route from a bare matrix and observables, which played PR_BOX, is gone
+        opt = optimal_strategy()
+        with pytest.raises(TypeError):
+            Source(PR_BOX, opt.alice_observables, opt.bob_observables)
+
+    def test_a_source_reads_its_strategy(self):
+        opt = optimal_strategy()
+        source = Source(opt)
+        assert source.strategy is opt and source.state is opt.state
+        assert source.obs == (opt.alice_observables, opt.bob_observables)
+
+    @given(ENTRIES, DIRECTIONS)
+    def test_no_source_beats_tsirelson(self, entries, directions):
+        a0, a1, b0, b1 = (_reflection(v) for v in directions)
+        source = Source(Strategy(random_density(entries), (a0, a1), (b0, b1)))
+        score = sum(_table(source.outcome_cdf(x, y))[2 * a + b] / 4
+                    for x, y, a, b in product((0, 1), repeat=4) if a ^ b == x & y)
+        assert score <= OMEGA_MAX + 1e-12
 
 
 class TestWilsonInterval:
@@ -704,7 +747,7 @@ class TestAbortEstimation:
         class SlowHonest(DeviceModel):
             """The honest source, with no `exact_score` to declare its law."""
 
-            source = Source.of(optimal_strategy())
+            source = Source(optimal_strategy())
 
             def prepare_round(self, i, history):
                 return self.source

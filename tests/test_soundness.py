@@ -122,7 +122,7 @@ class TestKeptStateCeiling:
     def test_werner_source(self, xi):
         strategy = optimal_measurement_strategy(werner_state(xi))
         # qubit observables: one Jordan block per party, so one block pair
-        kept = bell_spectrum(Source.of(strategy).kept((0, 0)))
+        kept = bell_spectrum(Source(strategy).kept((0, 0)))
         rate = asymptotic_rate(winning_probability(strategy))
         assert rate <= relative_entropy_of_entanglement(kept)
 
