@@ -4,6 +4,10 @@ Density matrices, binary (+/-1) observables, the Bell basis, twirling,
 Jordan-block decomposition of observable pairs and Bell spectra.
 Everything here is deterministic linear algebra; all randomness lives in
 the simulation layer.
+
+Jordan blocks have one pairing rule: in each eigenspace of the symmetrised
+product, one SVD pairs obs0's +1 vectors with its -1 vectors, so that every
+block, at any angle, is a singular pair.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 _TOL = 1e-10  # hermiticity, unit trace, PSD, +/-1 eigenvalues, eigenvalue clip, Bell-diagonality
 ENTROPY_EIG_CUTOFF = 1e-12
-_JORDAN_TOL = 1e-8  # cos(angle) degeneracy and sin(angle) zero in jordan_blocks
+_JORDAN_TOL = 1e-8  # cos(angle) degeneracy in jordan_blocks
 
 # Pauli matrices
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -188,21 +192,20 @@ def werner_state(xi: float) -> TwoQubitState:
 def jordan_blocks(obs0: Observable, obs1: Observable) -> list[JordanBlock]:
     """Decompose a pair of reflections into common 2x2 blocks.
 
-    Uses the spectral decomposition of the symmetrised product
-    (obs0 obs1 + obs1 obs0)/2, which commutes with both observables and
-    whose eigenvalues are cos(angle), each doubly degenerate per block.
-    Returns d/2 blocks with angles in [0, pi].
+    The symmetrised product (obs0 obs1 + obs1 obs0)/2 commutes with both
+    observables and has eigenvalue cos(angle) on each block, so its
+    eigenspaces group the blocks by angle. Each eigenspace splits into
+    obs0's +1 and -1 vectors, equal in number, and one SVD of
+    plus^dagger obs1 minus pairs them: each singular pair (u, w) has
+    <u|obs1|w> = sin(angle) >= 0, and at angle 0 or pi any pairing is a
+    block. Returns d/2 blocks with angles in [0, pi].
     """
     a0, a1 = obs0.matrix, obs1.matrix
     d = obs0.dim
     if obs1.dim != d:
         raise ValidationError(f"observable dimensions differ: {d} vs {obs1.dim}")
-    if d % 2 != 0:
-        raise ValidationError(f"observable dimension must be even, got {d}")
 
-    sym = (a0 @ a1 + a1 @ a0) / 2
-    cos_vals, vecs = np.linalg.eigh(sym)
-
+    cos_vals, vecs = np.linalg.eigh((a0 @ a1 + a1 @ a0) / 2)
     blocks: list[JordanBlock] = []
     i = 0
     while i < d:
@@ -210,47 +213,22 @@ def jordan_blocks(obs0: Observable, obs1: Observable) -> list[JordanBlock]:
         j = i + 1
         while j < d and cos_vals[j] - cos_vals[i] < _JORDAN_TOL:
             j += 1
-        c = float(np.clip(np.mean(cos_vals[i:j]), -1.0, 1.0))
-        angle = math.acos(c)
-        space = vecs[:, i:j]  # columns span the eigenspace, dimension 2m
-        blocks.extend(_split_eigenspace(a0, a1, space, angle))
+        angle = math.acos(float(np.clip(np.mean(cos_vals[i:j]), -1.0, 1.0)))
+        space = vecs[:, i:j]
+        vals, v = np.linalg.eigh(space.conj().T @ a0 @ space)
+        plus, minus = space @ v[:, vals > 0], space @ v[:, vals < 0]
+        if plus.shape[1] != minus.shape[1]:
+            # e.g. an odd dimension or a pair of +/-identities: no 2x2 block
+            # pairs a +1 with a -1 vector
+            raise ValidationError(
+                f"Jordan eigenspace at angle {angle:.6g} has {plus.shape[1]} +1 and "
+                f"{minus.shape[1]} -1 vectors; the pair has no 2x2 block decomposition"
+            )
+        left, _, right = np.linalg.svd(plus.conj().T @ a1 @ minus)
+        for u, w in zip((plus @ left).T, (minus @ right.conj().T).T):
+            blocks.append(JordanBlock(angle=angle, block_basis=np.vstack([u, w])))
         i = j
     blocks.sort(key=lambda b: b.angle)
-    return blocks
-
-
-def _split_eigenspace(a0, a1, space, angle):
-    """Split one cos-eigenspace of the symmetrised product into 2x2 blocks."""
-    dim = space.shape[1]
-    if dim % 2 != 0:
-        raise ValidationError("odd-dimensional Jordan eigenspace; input is not a reflection pair")
-    c, s = math.cos(angle), math.sin(angle)
-    # diagonalise obs0 restricted to the eigenspace
-    a0_r = space.conj().T @ a0 @ space
-    vals, v = np.linalg.eigh(a0_r)
-    plus = space @ v[:, vals > 0]
-    minus = space @ v[:, vals < 0]
-    if plus.shape[1] != minus.shape[1]:
-        # e.g. a pair of +/-identities: no 2x2 block pairs a +1 with a -1 vector
-        raise ValidationError(
-            f"Jordan eigenspace at angle {angle:.6g} has {plus.shape[1]} +1 and "
-            f"{minus.shape[1]} -1 vectors; the pair has no 2x2 block decomposition"
-        )
-
-    blocks = []
-    if abs(s) > _JORDAN_TOL:
-        # pair each +1 vector u with w = (a1 u - c u)/s, automatically orthonormal
-        for k in range(plus.shape[1]):
-            u = plus[:, k]
-            w = (a1 @ u - c * u) / s
-            w = w / np.linalg.norm(w)
-            blocks.append(JordanBlock(angle=angle, block_basis=np.vstack([u, w])))
-    else:
-        # degenerate (angle 0 or pi): obs1 = +/- obs0 on the block, any pairing works
-        for k in range(plus.shape[1]):
-            blocks.append(
-                JordanBlock(angle=angle, block_basis=np.vstack([plus[:, k], minus[:, k]]))
-            )
     return blocks
 
 

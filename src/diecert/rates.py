@@ -190,10 +190,11 @@ def _budget_term(eps_dist: float, eps_smo: float) -> float:
 def _minimize(make, key, grid, tol):
     """Scan `grid`, bracket the first best point, golden-section to width `tol`.
 
-    Builds the item `make(x)` at every point visited: the grid, each
-    golden-section pair and the final bracket midpoint. Returns the first
-    item of least `key`; callers that maximize pass a negated key.
+    Builds the item `make(x)` once per distinct point visited: the grid,
+    each golden-section pair and the final bracket midpoint. Returns the
+    first item of least `key`; callers that maximize pass a negated key.
     """
+    make = functools.cache(make)
     items = [make(x) for x in grid]
     best = min(range(len(grid)), key=lambda i: key(items[i]))
     a = grid[max(best - 1, 0)]
@@ -351,7 +352,6 @@ def optimize_parameters(
     def rank(cert):
         return math.inf if cert is None else -cert.rate_raw
 
-    @functools.cache
     def best_over_smo(gamma):
         """The best certificate at gamma, or None unless its observed score beats 3/4."""
         if not omega_exp * gamma - delta_est > OMEGA_CLASSICAL * gamma + 1e-15:

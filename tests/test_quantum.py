@@ -252,8 +252,9 @@ class TestWerner:
                 shared[0, 0] = 0
 
 
-def two_block_observables(angles):
-    """Build a pair of reflections with the given Jordan angles, in a scrambled basis."""
+def two_block_observables(angles, seed=7):
+    """Build a pair of reflections with the given Jordan angles, in a basis
+    scrambled by a random unitary drawn from `seed`."""
     blocks0 = []
     blocks1 = []
     for angle in angles:
@@ -265,7 +266,7 @@ def two_block_observables(angles):
     for k in range(len(angles)):
         m0[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = blocks0[k]
         m1[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = blocks1[k]
-    rng = np.random.default_rng(7)
+    rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     return Observable(q @ m0 @ q.conj().T), Observable(q @ m1 @ q.conj().T)
 
@@ -319,8 +320,40 @@ class TestJordanBlocks:
         )
 
     def test_odd_dimension_rejected(self):
-        with pytest.raises(ValidationError):
+        # an odd dimension leaves some eigenspace with unequal +1 and -1 counts
+        with pytest.raises(ValidationError, match="no 2x2 block"):
             jordan_blocks(Observable(np.eye(3)), Observable(np.eye(3)))
+
+    @given(
+        st.lists(st.sampled_from((0.0, 0.6, math.pi / 2, 2.3, math.pi)), min_size=2, max_size=5)
+        .filter(lambda angles: len(set(angles)) < len(angles)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_sharing_an_angle(self, angles, seed):
+        # a repeated angle puts two or more blocks in one eigenspace, which
+        # the SVD must pair into blocks of the documented frame
+        obs0, obs1 = two_block_observables(angles, seed)
+        d = 2 * len(angles)
+        blocks = jordan_blocks(obs0, obs1)
+        assert len(blocks) == d // 2
+        # acos turns a 1e-15 error in cos(angle) at angle 0 or pi into up to
+        # about 1e-7 in the angle and its sine, so cosines are compared at
+        # 1e-10 and whatever reads the sine at 1e-6
+        cosines = [math.cos(b.angle) for b in blocks]
+        assert cosines == pytest.approx([math.cos(a) for a in sorted(angles)], abs=1e-10)
+        basis = np.vstack([b.block_basis for b in blocks])
+        assert np.max(np.abs(basis.conj() @ basis.T - np.eye(d))) < 1e-10
+        assert np.max(np.abs(sum(block_projectors(blocks)) - np.eye(d))) < 1e-10
+        r0, r1 = observables_from_blocks(blocks)
+        assert np.max(np.abs(r0 - obs0.matrix)) < 1e-10
+        assert np.max(np.abs(r1 - obs1.matrix)) < 1e-6
+        for b in blocks:
+            u, w = b.block_basis
+            assert u.conj() @ obs0.matrix @ u == pytest.approx(1, abs=1e-10)
+            assert u.conj() @ obs1.matrix @ u == pytest.approx(math.cos(b.angle), abs=1e-10)
+            sine = u.conj() @ obs1.matrix @ w
+            assert sine == pytest.approx(math.sin(b.angle), abs=1e-6)
+            assert sine.real >= -1e-12
 
     @pytest.mark.parametrize("s0, s1", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
     def test_signed_identities_rejected(self, s0, s1):
