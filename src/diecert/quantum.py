@@ -7,7 +7,8 @@ the simulation layer.
 
 Jordan blocks have one pairing rule: in each eigenspace of the symmetrised
 product, one SVD pairs obs0's +1 vectors with its -1 vectors, so that every
-block, at any angle, is a singular pair.
+block, at any angle, is a singular pair, and its angle is atan2 of the sine
+and cosine that pairing measures, exact to rounding at 0 and pi.
 """
 
 from __future__ import annotations
@@ -198,7 +199,8 @@ def jordan_blocks(obs0: Observable, obs1: Observable) -> list[JordanBlock]:
     obs0's +1 and -1 vectors, equal in number, and one SVD of
     plus^dagger obs1 minus pairs them: each singular pair (u, w) has
     <u|obs1|w> = sin(angle) >= 0, and at angle 0 or pi any pairing is a
-    block. Returns d/2 blocks with angles in [0, pi].
+    block. The angle is atan2(mean singular value, mean eigenvalue).
+    Returns d/2 blocks with angles in [0, pi].
     """
     a0, a1 = obs0.matrix, obs1.matrix
     d = obs0.dim
@@ -213,7 +215,7 @@ def jordan_blocks(obs0: Observable, obs1: Observable) -> list[JordanBlock]:
         j = i + 1
         while j < d and cos_vals[j] - cos_vals[i] < _JORDAN_TOL:
             j += 1
-        angle = math.acos(float(np.clip(np.mean(cos_vals[i:j]), -1.0, 1.0)))
+        cos = float(np.mean(cos_vals[i:j]))
         space = vecs[:, i:j]
         vals, v = np.linalg.eigh(space.conj().T @ a0 @ space)
         plus, minus = space @ v[:, vals > 0], space @ v[:, vals < 0]
@@ -221,10 +223,11 @@ def jordan_blocks(obs0: Observable, obs1: Observable) -> list[JordanBlock]:
             # e.g. an odd dimension or a pair of +/-identities: no 2x2 block
             # pairs a +1 with a -1 vector
             raise ValidationError(
-                f"Jordan eigenspace at angle {angle:.6g} has {plus.shape[1]} +1 and "
+                f"Jordan eigenspace at cos(angle) {cos:.6g} has {plus.shape[1]} +1 and "
                 f"{minus.shape[1]} -1 vectors; the pair has no 2x2 block decomposition"
             )
-        left, _, right = np.linalg.svd(plus.conj().T @ a1 @ minus)
+        left, sines, right = np.linalg.svd(plus.conj().T @ a1 @ minus)
+        angle = math.atan2(float(np.mean(sines)), cos)
         for u, w in zip((plus @ left).T, (minus @ right.conj().T).T):
             blocks.append(JordanBlock(angle=angle, block_basis=np.vstack([u, w])))
         i = j

@@ -231,24 +231,20 @@ def _seed_words(entropy: list[int], words: int) -> list[int]:
 @cache
 def _jump_sums():
     """T[i] = 1 + M + ... + M^i mod 2**128 for i < _TILE, as a read-only
-    uint64 array whose rows are the high and low words, built by doubling:
-    T[k + i] = T[k - 1] + M^k T[i] for i < k. Since (M - 1) T[j - 1] = M^j - 1,
-    the state j steps after s is M^j s + inc T[j - 1] = s + (s' - s) T[j - 1],
-    where s' = M s + inc is the state one step after s."""
-    words, power, k = np.zeros((2, _TILE), np.uint64), _PCG_MULT, 1
-    words[1, 0] = 1
-    while k < _TILE:
-        last = int(words[0, k - 1]) << 64 | int(words[1, k - 1])
-        words[:, k:2 * k] = _mul_add128(words, power, last, k)
-        power, k = power * power & _M128, 2 * k
+    uint64 array whose rows are the high and low words, built on the first
+    draw by the recurrence T[0] = 1, T[i] = M T[i - 1] + 1. Since (M - 1)
+    T[j - 1] = M^j - 1, the state j steps after s is M^j s + inc T[j - 1] =
+    s + (s' - s) T[j - 1], where s' = M s + inc is the state one step after s."""
+    sums = list(accumulate(range(1, _TILE), lambda t, _: t * _PCG_MULT + 1 & _M128, initial=1))
+    words = np.array([[t >> 64 for t in sums], [t & _M64 for t in sums]], np.uint64)
     words.setflags(write=False)
     return words
 
 
-def _mul_add128(x, y: int, z: int, k: int):
-    """The first k columns of the word rows x times y plus z, mod 2**128, as
-    (high, low) uint64 words; the words wrap as arrays, so no overflow warns."""
-    xh, xl = x[:, :k]
+def _mul_add128(x, y: int, z: int):
+    """The word rows x times y plus z, mod 2**128, as (high, low) uint64
+    words; the words wrap as arrays, so no overflow warns."""
+    xh, xl = x
     x1, x0 = xl >> 32, xl & _M32
     yh, yl, y1, y0 = map(np.uint64, (y >> 64, y & _M64, y >> 32 & _M32, y & _M32))
     # the high word of xl * yl from 32-bit halves; neither sum reaches 2**64
@@ -275,7 +271,7 @@ def _draw(seed: int, purpose: int, n: int, convert):
     sums = _jump_sums()
     for start in range(0, n, _TILE):
         k = min(n - start, _TILE)
-        hi, lo = _mul_add128(sums, (s * (_PCG_MULT - 1) + inc) & _M128, s, k)
+        hi, lo = _mul_add128(sums[:, :k], (s * (_PCG_MULT - 1) + inc) & _M128, s)
         s = int(hi[-1]) << 64 | int(lo[-1])
         x, r = hi ^ lo, hi >> 58  # XSL-RR: fold, rotate by the top six bits
         yield convert(x >> r | x << (64 - r & 63)).tolist()

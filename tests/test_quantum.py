@@ -336,23 +336,22 @@ class TestJordanBlocks:
         d = 2 * len(angles)
         blocks = jordan_blocks(obs0, obs1)
         assert len(blocks) == d // 2
-        # acos turns a 1e-15 error in cos(angle) at angle 0 or pi into up to
-        # about 1e-7 in the angle and its sine, so cosines are compared at
-        # 1e-10 and whatever reads the sine at 1e-6
-        cosines = [math.cos(b.angle) for b in blocks]
-        assert cosines == pytest.approx([math.cos(a) for a in sorted(angles)], abs=1e-10)
+        # each angle is atan2 of the sine and cosine the pairing measures, so
+        # it is exact to rounding at 0 and pi as elsewhere: the angles are
+        # compared at 1e-12 and whatever reads the sine at 1e-10
+        assert [b.angle for b in blocks] == pytest.approx(sorted(angles), abs=1e-12)
         basis = np.vstack([b.block_basis for b in blocks])
         assert np.max(np.abs(basis.conj() @ basis.T - np.eye(d))) < 1e-10
         assert np.max(np.abs(sum(block_projectors(blocks)) - np.eye(d))) < 1e-10
         r0, r1 = observables_from_blocks(blocks)
         assert np.max(np.abs(r0 - obs0.matrix)) < 1e-10
-        assert np.max(np.abs(r1 - obs1.matrix)) < 1e-6
+        assert np.max(np.abs(r1 - obs1.matrix)) < 1e-10
         for b in blocks:
             u, w = b.block_basis
             assert u.conj() @ obs0.matrix @ u == pytest.approx(1, abs=1e-10)
             assert u.conj() @ obs1.matrix @ u == pytest.approx(math.cos(b.angle), abs=1e-10)
             sine = u.conj() @ obs1.matrix @ w
-            assert sine == pytest.approx(math.sin(b.angle), abs=1e-6)
+            assert sine == pytest.approx(math.sin(b.angle), abs=1e-10)
             assert sine.real >= -1e-12
 
     @pytest.mark.parametrize("s0, s1", [(1, 1), (1, -1), (-1, 1), (-1, -1)])

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -64,6 +65,16 @@ class TestProtocolParams:
         threshold = (omega * gamma - delta) * n
         for wins in range(max(p.min_wins - 1, 0), p.min_wins + 1):
             assert (wins < p.min_wins) == (wins < threshold)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 10: min_wins takes the ceiling of a rounded float product, "
+        "which here lands on 24,366 below the exact 24,366 + 3.9e-12"))
+    def test_min_wins_is_the_exact_ceiling(self):
+        # the literal rule: the ceiling of the stored floats' exact product
+        p = params(n=681499, gamma=0.09926059101414278, omega_exp=0.774116619007204,
+                   delta_est=0.04108573569387293)
+        exact = (Fraction(p.omega_exp) * Fraction(p.gamma) - Fraction(p.delta_est)) * p.n
+        assert p.min_wins == math.ceil(exact)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValidationError):

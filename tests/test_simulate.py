@@ -155,14 +155,21 @@ CLI_MODELS = {
 }
 
 
+_DIAGONAL = (SIGMA_Z + SIGMA_X) / math.sqrt(2)
+# (first, second) observable of each block: angles pi/4 and pi/2
+BLOCK_OBSERVABLES = ((SIGMA_Z, _DIAGONAL), (SIGMA_Z, SIGMA_X))
+
+
 class BlockPairDevice(DeviceModel):
     """Two 4-dimensional devices sharing a mixture over two Jordan blocks.
 
-    Each block carries an embedded two-qubit state measured with the optimal
-    observables, so the modified protocol should resolve the block pair and
-    keep a Bell-diagonal two-qubit state."""
+    Each block carries an embedded two-qubit state. Alice always measures it
+    with the block's (first, second) observables in `BLOCK_OBSERVABLES`; only
+    Bob's per-block pairs, `bob`, can vary, and by default they are the same.
+    The modified protocol should resolve the block pair and keep a
+    Bell-diagonal two-qubit state."""
 
-    def __init__(self, weights=(0.3, 0.7), noises=(0.0, 0.4)):
+    def __init__(self, weights=(0.3, 0.7), noises=(0.0, 0.4), bob=BLOCK_OBSERVABLES):
         embeds = [np.zeros((4, 2), dtype=complex) for _ in range(2)]
         for k in range(2):
             embeds[k][2 * k : 2 * k + 2] = np.eye(2)
@@ -171,21 +178,19 @@ class BlockPairDevice(DeviceModel):
             iso = np.kron(embeds[k], embeds[k])
             state += wgt * iso @ werner_state(xi).matrix @ iso.conj().T
         # per-block angles differ so the blocks stay spectrally separated;
-        # the first observable is sigma_z on each block, which pins the
-        # reduction frame to the embedding itself. Block indices come out
-        # sorted by angle, so give block 0 the smaller angle.
-        s = 1 / math.sqrt(2)
-        second = [s * (SIGMA_Z + SIGMA_X), SIGMA_X]
-        obs0 = self._lift([SIGMA_Z, SIGMA_Z], embeds)
-        obs1 = self._lift(second, embeds)
-        both = (Observable(obs0), Observable(obs1))
-        self.source = Source(Strategy(state, both, both))
+        # a first observable of sigma_z on each block pins the reduction
+        # frame to the embedding itself. Block indices come out sorted by
+        # angle, so give block 0 the smaller angle.
+        self.source = Source(Strategy(state, self._lift(BLOCK_OBSERVABLES, embeds),
+                                      self._lift(bob, embeds)))
         self.weights = weights
         self.noises = noises
 
     @staticmethod
-    def _lift(blocks2, embeds):
-        return sum(e @ m @ e.conj().T for m, e in zip(blocks2, embeds))
+    def _lift(blocks, embeds):
+        """The party's two observables, each the sum of its embedded blocks."""
+        return tuple(Observable(sum(e @ pair[k] @ e.conj().T for pair, e in zip(blocks, embeds)))
+                     for k in range(2))
 
     def prepare_round(self, i, history):
         return self.source

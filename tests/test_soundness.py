@@ -31,7 +31,14 @@ from diecert.chsh import (
     winning_probability,
 )
 from diecert.cli import main
-from diecert.quantum import BellDiagonalSpectrum, TwoQubitState, bell_spectrum, werner_state
+from diecert.quantum import (
+    SIGMA_X,
+    SIGMA_Z,
+    BellDiagonalSpectrum,
+    TwoQubitState,
+    bell_spectrum,
+    werner_state,
+)
 from diecert.rates import (
     MODES,
     ErrorBudget,
@@ -49,7 +56,7 @@ from oracles import (
     relative_entropy_of_entanglement,
     transcript_text,
 )
-from test_simulate import BlockPairDevice
+from test_simulate import BLOCK_OBSERVABLES, BlockPairDevice
 
 
 def _hashing(spectrum):
@@ -109,15 +116,37 @@ class TestEntanglementOrder:
         assert hashing <= relative_entropy_of_entanglement(spectrum) + 1e-12
 
 
+def _block_pair_score(source, c, d):
+    """The weight of block pair (c, d) in the source's state and the score of
+    the state it conditions."""
+    _, (qa, qb) = source.geometry
+    block = np.kron(qa[c], qb[d])
+    conditioned = block @ source.state @ block
+    weight = np.trace(conditioned).real
+    if weight < 1e-13:
+        return weight, None
+    conditioned_strategy = dataclasses.replace(source.strategy, state=conditioned / weight)
+    return weight, winning_probability(conditioned_strategy)
+
+
+# Bob's optimal CHSH pair, (sigma_z + sigma_x)/sqrt 2 and (sigma_z - sigma_x)/sqrt 2,
+# on block 1, whose Alice pair is (sigma_z, sigma_x): block pair (1, 1) then
+# scores 1/2 + sqrt(2)(1 - xi)/4, above 3/4
+_CHSH_BOB = (BLOCK_OBSERVABLES[0], ((SIGMA_Z + SIGMA_X) / math.sqrt(2),
+                                    (SIGMA_Z - SIGMA_X) / math.sqrt(2)))
+_CHSH_CASES = [((0.5, 0.5), (0.0, 0.0)), ((0.3, 0.7), (0.2, 0.05))]
+_ITEM_2 = (
+    "ROADMAP item 2: Source.kept twirls in the Jordan-block frame, which zeroes "
+    "the cross correlators that carry part of the score; 1 against 0.3991 at "
+    "xi = 0 and 0.6627 against 0.3274 at xi = 0.05")
+
+
 class TestKeptStateCeiling:
     """The many-round rate at a source's score never exceeds the E_R of the
     state `Source.kept` leaves for a block pair: no protocol distils more
     than the states it keeps hold."""
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 2: Source.kept twirls in the Jordan-block frame, which zeroes "
-        "the cross correlators that carry part of the score; 1 against 0.3991 at "
-        "xi = 0 and 0.6627 against 0.3274 at xi = 0.05"))
+    @pytest.mark.xfail(strict=True, reason=_ITEM_2)
     @given(st.floats(0.0, 0.29))  # scores from OMEGA_MAX down to just above 3/4
     @example(0.0)
     @example(0.05)
@@ -140,21 +169,39 @@ class TestKeptStateCeiling:
         # both below 3/4, so ROADMAP item 2's fault cannot show here and no
         # case is marked. The kept spectra pin the block frames of jordan_blocks.
         source = BlockPairDevice(weights, noises).source
-        _, (qa, qb) = source.geometry
         for c, d in product(range(2), repeat=2):
-            block = np.kron(qa[c], qb[d])
-            conditioned = block @ source.state @ block
-            weight = np.trace(conditioned).real
+            weight, score = _block_pair_score(source, c, d)
             if c != d:  # the source never mixes blocks across parties
                 assert weight < 1e-13
                 continue
-            score = winning_probability(
-                dataclasses.replace(source.strategy, state=conditioned / weight))
             xi = noises[c]
             assert score == pytest.approx(0.5 + (c == 0) * math.sqrt(2) * (1 - xi) / 8)
             kept = bell_spectrum(source.kept((c, d)))
             assert kept.as_array() == pytest.approx([1 - 3 * xi / 4, xi / 4, xi / 4, xi / 4])
             assert asymptotic_rate(score) <= relative_entropy_of_entanglement(kept)
+
+    @pytest.mark.parametrize("weights, noises", _CHSH_CASES)
+    def test_chsh_block_pair_scores(self, weights, noises):
+        # the source the next test holds to its kept states: its CHSH block
+        # pair beats 3/4, and its cross pairs carry no weight
+        source = BlockPairDevice(weights, noises, bob=_CHSH_BOB).source
+        assert _block_pair_score(source, 0, 1)[0] < 1e-13
+        assert _block_pair_score(source, 1, 0)[0] < 1e-13
+        weight, score = _block_pair_score(source, 1, 1)
+        assert weight == pytest.approx(weights[1])
+        assert score == pytest.approx(0.5 + math.sqrt(2) * (1 - noises[1]) / 4)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=_ITEM_2)
+    @pytest.mark.parametrize("weights, noises", _CHSH_CASES)
+    def test_chsh_block_pair_source(self, weights, noises):
+        # Block 0 plays pi/4 on each side, block 1 the optimal CHSH pairs
+        # (Alice sigma_z, sigma_x; Bob (sigma_z +/- sigma_x)/sqrt 2): block
+        # pair (1, 1) scores 0.8536 and 0.8359 here, and its kept state loses
+        # the cross correlators, as the Werner source's does
+        source = BlockPairDevice(weights, noises, bob=_CHSH_BOB).source
+        _, score = _block_pair_score(source, 1, 1)
+        kept = bell_spectrum(source.kept((1, 1)))
+        assert asymptotic_rate(score) <= relative_entropy_of_entanglement(kept)
 
 
 @pytest.mark.filterwarnings("ignore:omega_exp")  # small gamma: a vacuous abort threshold
