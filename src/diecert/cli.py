@@ -43,6 +43,7 @@ def _round6(v: float) -> float:
 _MAX_COUNT = 10**7  # largest simulate --n and --trials: bounds the allocations
 _MAX_GRID = 10**5  # most points in one score grid or curve, and values in one list option
 _MAX_ERROR = 240  # characters of an error message that main prints in full
+_EPS_CMP = 1e-2  # eps_cmp where neither --eps-cmp nor --delta-est sets it
 
 
 def _count(v) -> int:
@@ -203,22 +204,22 @@ def _certificate_record(cert: rates.RateCertificate) -> dict:
 
 
 def _eps_budget(cfg: _Config) -> tuple[float, float, float]:
-    """(eps_dist, eps_snd, eps_cmp), defaulting to 1e-5, 1e-5 and 1e-2."""
+    """(eps_dist, eps_snd, eps_cmp), defaulting to 1e-5, 1e-5 and _EPS_CMP."""
     return (
         cfg.get("eps_dist", 1e-5, float),
         cfg.get("eps_snd", 1e-5, float),
-        cfg.get("eps_cmp", 1e-2, float),
+        cfg.get("eps_cmp", _EPS_CMP, float),
     )
 
 
 def _protocol(cfg: _Config, n: int, gamma: float) -> tuple[rates.ProtocolParams, float]:
     """The protocol's parameters and its completeness error eps_cmp, one choice
     made by either option: --delta-est, whose Hoeffding bound exp(-2 n delta_est^2)
-    is then eps_cmp, or --eps-cmp (default 1e-2), whose width is then delta_est."""
+    is then eps_cmp, or --eps-cmp (default _EPS_CMP), whose width is then delta_est."""
     omega_exp = cfg.require("omega_exp", float)
     delta_est = cfg.get("delta_est", kind=float)
     if delta_est is None:
-        eps_cmp = cfg.get("eps_cmp", 1e-2, float)
+        eps_cmp = cfg.get("eps_cmp", _EPS_CMP, float)
         delta_est = rates.delta_est_for(n, eps_cmp)
     elif cfg.get("eps_cmp") is not None:
         raise ValidationError("--delta-est excludes --eps-cmp: it sets eps_cmp = exp(-2 n delta^2)")

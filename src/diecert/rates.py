@@ -11,15 +11,16 @@ The second-order gradient term has two conventions, selectable via `mode`:
 ceiling of the tangent slope magnitude. The curves produced with "ceiling"
 match the published finite-n rate plots; "printed" is the literal formula.
 
-Each rule has one home: `_f` is the only piecewise f, `_fmax` its tangent
-completion and `_eta_scalar` eta, all at a scalar cutoff score that eta_opt
-alone picks from (3/4, (2+sqrt(2))/4); `_v_half` is v/2, `_kappa` the
-smoothing factor and its domain, `_budget_term` the log(1/eps) term and
-`ErrorBudget` the budget's ranges, checked before any search. `RateCertificate`
-keeps what eta_opt found and derives p_t, v, log L and the rate from it, so log L
-has one formula. `_minimize` is the only search: a fixed scan grid plus golden
-section returning the best item it built: (eta, cutoff) pairs in eta_opt, and
-the certificates optimize_parameters returns, by rate. Runs are bit-identical.
+Each rule has one home: `_f` is the only piecewise f, `_cutoff_terms` its
+tangent completion f_max and v/2 from one g', and `_eta_scalar` eta, all at a
+scalar cutoff score that eta_opt alone picks from (3/4, (2+sqrt(2))/4);
+`ProtocolParams.p1_obs` is the observed win frequency, `_kappa` the smoothing
+factor and its domain, `_budget_term` the log(1/eps) term and `ErrorBudget`
+the budget's ranges, checked before any search. `RateCertificate` keeps what
+eta_opt found and derives p_t, v, log L and the rate from it, so log L has one
+formula. `_minimize` is the only search: a fixed scan grid plus golden section
+returning the best item it built: (eta, cutoff) pairs in eta_opt, and the
+certificates optimize_parameters returns, by rate. Runs are bit-identical.
 On the completeness side, `binomial_tail` is the exact abort probability of a
 device that wins each round independently, and `completeness_bound` its
 Hoeffding bound.
@@ -82,10 +83,14 @@ class ProtocolParams:
             )
 
     @property
+    def p1_obs(self) -> float:
+        """The observed win frequency omega_exp * gamma - delta_est."""
+        return self.omega_exp * self.gamma - self.delta_est
+
+    @property
     def min_wins(self) -> int:
-        """The fewest wins that pass: the protocol aborts on fewer than
-        (omega_exp * gamma - delta_est) * n."""
-        return max(math.ceil((self.omega_exp * self.gamma - self.delta_est) * self.n), 0)
+        """The fewest wins that pass: the protocol aborts on fewer than p1_obs * n."""
+        return max(math.ceil(self.p1_obs * self.n), 0)
 
 
 @dataclass(frozen=True)
@@ -148,7 +153,7 @@ class RateCertificate:
     @property
     def second_order_v(self) -> float:
         """v at the cutoff score that eta_opt was computed at."""
-        return 2 * _v_half(self.cutoff, self.params.gamma, self.mode)
+        return 2 * _cutoff_terms(self.params.p1_obs, self.cutoff, self.params.gamma, self.mode)[1]
 
     @property
     def log_l(self) -> float:
@@ -209,37 +214,30 @@ def _minimize(make, key, grid, tol):
     return min([*items, make((a + b) / 2)], key=key)
 
 
-def _tangent_slope(wt: float, gamma: float) -> float:
-    """d f / d p(1) at the cutoff point: ((1-gamma)/gamma) g'(p_t(1)/gamma)."""
-    return (1 - gamma) / gamma * g_prime(wt)
-
-
-def _fmax(p1: float, wt: float, gamma: float) -> float:
-    """f_max at p(1) = p1: f up to the cutoff p_t(1) = wt gamma, its tangent past it."""
-    pt1 = wt * gamma
-    if p1 <= pt1:
-        return _f(p1 / gamma, gamma)
-    return _tangent_slope(wt, gamma) * (p1 - pt1) + _f(wt, gamma)
-
-
-def _v_half(wt: float, gamma: float, mode: str) -> float:
-    """v/2 = log2 5 + the gradient term of `mode`, at cutoff score wt."""
+def _cutoff_terms(p1: float, wt: float, gamma: float, mode: str) -> tuple[float, float]:
+    """f_max at p(1) = p1 and v/2 at cutoff score wt, from one g'(wt): f_max is f
+    up to the cutoff p_t(1) = wt gamma and its tangent past it, and v/2 is
+    log2 5 + the gradient term of `mode`."""
+    dg = g_prime(wt)
+    slope = (1 - gamma) / gamma * dg  # d f / d p(1) at the cutoff point
     if mode == "printed":
-        return _LOG2_5 + abs(g_prime(wt)) / gamma
-    if mode == "ceiling":
-        slope = abs(_tangent_slope(wt, gamma))  # infinite at a tiny gamma
-        return _LOG2_5 + (math.ceil(slope) if slope < math.inf else slope)
-    raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
+        v_half = _LOG2_5 + abs(dg) / gamma
+    elif mode == "ceiling":
+        grad = abs(slope)  # infinite at a tiny gamma
+        v_half = _LOG2_5 + (math.ceil(grad) if grad < math.inf else grad)
+    else:
+        raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
+    pt1 = wt * gamma
+    f_max = _f(p1 / gamma, gamma) if p1 <= pt1 else slope * (p1 - pt1) + _f(wt, gamma)
+    return f_max, v_half
 
 
-def _eta_scalar(
-    wt: float, p1_obs: float, gamma: float, n: int, kappa: float, mode: str
-) -> float:
+def _eta_scalar(wt: float, p1_obs: float, gamma: float, n: int, kappa: float, mode: str) -> float:
     """eta at cutoff score wt, with kappa from `_kappa`; +inf wherever v is infinite."""
-    v_half = _v_half(wt, gamma, mode)
+    f_max, v_half = _cutoff_terms(p1_obs, wt, gamma, mode)
     if v_half == math.inf:
         return math.inf
-    return _fmax(p1_obs, wt, gamma) + (2 / math.sqrt(n)) * v_half * kappa
+    return f_max + (2 / math.sqrt(n)) * v_half * kappa
 
 
 def eta_opt(
@@ -252,8 +250,7 @@ def eta_opt(
     n, gamma = params.n, params.gamma
     if gamma <= 0:
         raise ValidationError("gamma must be positive")
-    kappa = _kappa(budget.eps_smo, budget.eps_snd)
-    p1_obs = params.omega_exp * gamma - params.delta_est
+    kappa, p1_obs = _kappa(budget.eps_smo, budget.eps_snd), params.p1_obs
     lo, hi = OMEGA_CLASSICAL + _EDGE, OMEGA_MAX - _EDGE
 
     def item(wt):
@@ -344,26 +341,27 @@ def optimize_parameters(
     # check the budget before building any grid (eps_smo = 0 needs eps_dist > 0)
     ErrorBudget(eps_dist, eps_snd, eps_cmp, eps_smo=0.0)
     sqrt_dist = math.sqrt(eps_dist)
+    top = math.log10(sqrt_dist * 0.9999)
+    smo_lgs = [top - 3 + 3 * i / 19 for i in range(20)]
 
-    def certificate(gamma, smo):
-        params = ProtocolParams(n, gamma, omega_exp, delta_est)
+    def certificate(params, smo):
         return certified_log_l(params, ErrorBudget(eps_dist, eps_snd, eps_cmp, smo), mode)
 
     def rank(cert):
         return math.inf if cert is None else -cert.rate_raw
 
     def best_over_smo(gamma):
-        """The best certificate at gamma, or None unless its observed score beats 3/4."""
+        """The best certificate at gamma, or None unless its observed score beats
+        3/4, checked before ProtocolParams would warn of a vacuous threshold."""
         if not omega_exp * gamma - delta_est > OMEGA_CLASSICAL * gamma + 1e-15:
             return None
-        top = math.log10(sqrt_dist * 0.9999)
-        lgs = [top - 3 + 3 * i / 19 for i in range(20)]
-        return _minimize(lambda lg: certificate(gamma, 10**lg), rank, lgs, 1e-4)
+        params = ProtocolParams(n, gamma, omega_exp, delta_est)
+        return _minimize(lambda lg: certificate(params, 10**lg), rank, smo_lgs, 1e-4)
 
     lgs = [-6 + 6 * i / 59 for i in range(60)]
     best = _minimize(lambda lg: best_over_smo(10**lg), rank, lgs, 1e-4)
     # nothing certifiable: report a zero-rate certificate at safe defaults
-    return best or certificate(1.0, sqrt_dist / 2)
+    return best or certificate(ProtocolParams(n, 1.0, omega_exp, delta_est), sqrt_dist / 2)
 
 
 def asymptotic_rate(omega: float) -> float:

@@ -20,7 +20,7 @@ from diecert.cli import main
 from diecert.rates import (
     ErrorBudget,
     ProtocolParams,
-    _v_half,
+    _cutoff_terms,
     certified_log_l,
     optimize_parameters,
 )
@@ -96,7 +96,8 @@ def test_v_and_pt_omega_read_the_cutoff(case_id, capsys):
     cert = run_certified(case)
     gamma = cert.params.gamma
     assert cert.minimizer_pt.p1 / gamma != cert.cutoff  # the round trip would lose it
-    assert cert.second_order_v == 2 * _v_half(cert.cutoff, gamma, cert.mode)
+    v_half = _cutoff_terms(cert.params.p1_obs, cert.cutoff, gamma, cert.mode)[1]
+    assert cert.second_order_v == 2 * v_half
     argv = ["rate", "--exact"]
     for key, value in case.items():
         if key != "eps_cmp":  # --delta-est excludes it

@@ -17,9 +17,9 @@ from diecert.rates import (
     FrequencyDistribution,
     ProtocolParams,
     _EDGE,
+    _cutoff_terms,
     _eta_scalar,
     _f,
-    _fmax,
     _kappa,
     asymptotic_rate,
     certified_log_l,
@@ -36,6 +36,11 @@ from reference_data import ASYMPTOTIC_CURVE
 EPS_DIST = 1e-5
 EPS_SND = 1e-5
 EPS_CMP = 1e-2
+
+
+def _fmax(p1, wt, gamma):
+    """f_max at p(1) = p1 for cutoff score wt: the first of the cutoff terms."""
+    return _cutoff_terms(p1, wt, gamma, "printed")[0]
 
 
 def params(n=10**8, gamma=0.01, omega_exp=0.84, delta_est=1e-5):
@@ -115,6 +120,11 @@ class TestErrorBudget:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
             budget(eps_snd=1.5)
+
+    @pytest.mark.parametrize("eps_cmp", [-0.1, 1.5, math.nan])
+    def test_rejects_cmp_outside_unit_interval(self, eps_cmp):
+        with pytest.raises(ValidationError, match=r"^eps_cmp=.* outside \[0, 1\]$"):
+            ErrorBudget(1e-5, 1e-5, eps_cmp, 1e-4)
 
     @pytest.mark.parametrize("name", ["eps_dist", "eps_snd"])
     def test_rejects_zero_dist_and_snd(self, name):
@@ -218,6 +228,11 @@ class TestEta:
         )
         assert val == pytest.approx(expected, abs=1e-9)
 
+    def test_f_max_is_the_same_in_both_modes(self):
+        for p1 in (0.78 * 0.05, 0.84 * 0.05):
+            assert _cutoff_terms(p1, 0.82, 0.05, "printed")[0] == \
+                _cutoff_terms(p1, 0.82, 0.05, "ceiling")[0]
+
     def test_modes_differ(self):
         args = 0.8, 0.8 * 0.01, params(), budget()
         assert eta_at(*args, mode="printed") != eta_at(*args, mode="ceiling")
@@ -277,6 +292,25 @@ class TestEtaOpt:
     def test_zero_gamma_rejected(self):
         with pytest.raises(ValidationError):
             eta_opt(params(gamma=0.0, delta_est=0.0), budget())
+
+
+class TestCutoffTerms:
+    """One g' per cutoff score: eta_opt evaluates f_max and v/2 together."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_g_prime_per_g(self, monkeypatch, mode):
+        calls = {"g": 0, "g_prime": 0}
+        for name in calls:
+            inner = getattr(rates, name)
+
+            def counted(w, name=name, inner=inner):
+                calls[name] += 1
+                return inner(w)
+
+            monkeypatch.setattr(rates, name, counted)
+        eta_opt(params(gamma=0.05, omega_exp=0.84, delta_est=1e-4), budget(), mode)
+        assert calls["g"] > 200  # the scan grid and the golden-section points
+        assert calls["g_prime"] == calls["g"]
 
 
 class TestMinimize:

@@ -17,6 +17,8 @@ import importlib.util
 import pathlib
 import re
 
+import pytest
+
 import diecert.simulate
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -58,6 +60,12 @@ def _scan(tree, where, defs, reads, strings=False):
     visit(tree, ())
 
 
+def readme_blocks(root=ROOT) -> list[str]:
+    """The source of each of the README's python blocks, in order."""
+    readme = (root / "README.md").read_text()
+    return re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+
+
 def unused_definitions(root=ROOT) -> list[str]:
     """`module.qualname` of every definition and module constant in
     `src/diecert` that nothing that runs reads."""
@@ -66,8 +74,7 @@ def unused_definitions(root=ROOT) -> list[str]:
         _scan(ast.parse(path.read_text()), path.stem, defs, reads)
     for path in sorted((root / "perfbench").rglob("*.py")):
         _scan(ast.parse(path.read_text()), None, [], other, strings=True)
-    readme = (root / "README.md").read_text()
-    for block in re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S):
+    for block in readme_blocks(root):
         _scan(ast.parse(block), None, [], other)
     always = {i for i, (_, name, _) in enumerate(defs)
               if name.startswith("__") and name.endswith("__")}
@@ -128,3 +135,23 @@ def test_every_name_the_tracer_swaps_is_bound():
     unbound = [f"{module.__name__}.{attr}" for module, attr, _ in swapped
                if not hasattr(module, attr)]
     assert not unbound, "the tracer swaps unbound names: " + ", ".join(unbound)
+
+
+def _run_readme_block(index, capsys) -> str:
+    """What the README's python block `index` prints, run as a script."""
+    exec(compile(readme_blocks()[index], f"README block {index}", "exec"), {"__name__": "__main__"})
+    return capsys.readouterr().out
+
+
+def test_readme_library_example_prints_a_rate_and_a_gamma(capsys):
+    rate, gamma = map(float, _run_readme_block(0, capsys).split())
+    assert 0 <= rate <= 1 and 0 < gamma <= 1
+
+
+@pytest.mark.parametrize("index, printed", [
+    (1, "992 [0.     0.8536 0.1464 0.    ]"),
+    (2, "68 65 False"),
+])
+def test_readme_example_prints_what_the_readme_says(index, printed, capsys):
+    assert f"This prints `{printed}`." in (ROOT / "README.md").read_text()
+    assert _run_readme_block(index, capsys) == printed + "\n"
