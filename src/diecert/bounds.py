@@ -24,7 +24,11 @@ _SQRT2 = math.sqrt(2)
 
 
 def binary_entropy(x: float) -> float:
-    """h(x) = -x log2 x - (1-x) log2(1-x), with h(0) = h(1) = 0."""
+    """h(x) = -x log2 x - (1-x) log2(1-x), with h(0) = h(1) = 0.
+
+    The one check of an h argument, `g`'s included: x outside [0, 1] by more
+    than 1e-12 is refused, and x rounded past either end reads as that end.
+    """
     if x < -1e-12 or x > 1 + 1e-12:
         raise ValidationError(f"binary entropy argument {x} outside [0, 1]")
     if x <= 0.0 or x >= 1.0:
@@ -35,15 +39,10 @@ def binary_entropy(x: float) -> float:
 def g(omega: float) -> float:
     """Conditional-entropy bound 2 h(1/2 - (2 omega - 1)/sqrt(2)) - 1.
 
-    Valid while the h argument stays in [0, 1], i.e. omega <= (2+sqrt(2))/4.
+    Defined while the h argument stays in [0, 1], i.e. up to
+    omega = (2+sqrt(2))/4; `binary_entropy` refuses a score past it.
     """
-    x = 0.5 - (2 * omega - 1) / _SQRT2
-    if x < -1e-12 or x > 1 + 1e-12:
-        raise ValidationError(
-            f"g undefined at omega={omega} (h argument {x} outside [0,1]); "
-            "use the piecewise tradeoff function for scores past the quantum maximum"
-        )
-    return 2 * binary_entropy(min(max(x, 0.0), 1.0)) - 1
+    return 2 * binary_entropy(0.5 - (2 * omega - 1) / _SQRT2) - 1
 
 
 def g_prime(omega: float) -> float:

@@ -27,10 +27,13 @@ OMEGA_MAX = (2 + math.sqrt(2)) / 4  # winning probability at maximal violation
 OMEGA_CLASSICAL = 0.75
 
 
-def check_score(name: str, omega: float) -> None:
-    """Reject a CHSH score `name`=`omega` outside [3/4, OMEGA_MAX], up to rounding."""
+def check_score(name: str, omega: float) -> float:
+    """The one check of a CHSH score `name`=`omega`: refuse it outside
+    [3/4, OMEGA_MAX] by more than 1e-12, and return it clamped into that range,
+    so a score past either end by rounding reads as that end."""
     if not OMEGA_CLASSICAL - 1e-12 <= omega <= OMEGA_MAX + 1e-12:
         raise ValidationError(f"{name}={omega} outside [0.75, (2+sqrt(2))/4]")
+    return min(max(omega, OMEGA_CLASSICAL), OMEGA_MAX)
 
 
 @dataclass(frozen=True)

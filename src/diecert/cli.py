@@ -281,18 +281,17 @@ def cmd_curve(cfg: _Config) -> int:
             lines.append(",".join(_fmt(record[k]) for k in _CURVE_HEADER.split(",")))
     if asymptotic:
         for w in sorted(omegas):
-            raw = rates.asymptotic_rate(w)
+            raw = rates.asymptotic_rate(check_score("omega", w))
             lines.append(f"asymptotic,{_fmt(w)},{_fmt(raw)},{_fmt(max(raw, 0.0))},,,,")
     _write_text(cfg.get("out", kind=str), lines)
     return 0
 
 
 def cmd_entropy_curve(cfg: _Config) -> int:
-    omegas = _omega_grid(cfg, 0.75, OMEGA_MAX, 0.0025)
+    omegas = _omega_grid(cfg, OMEGA_CLASSICAL, OMEGA_MAX, 0.0025)
     lines = ["omega,beta,conditional_bound"]
     for w in omegas:
-        check_score("omega", w)  # allows rounding past either end, which the clamp undoes
-        beta = beta_from_omega(min(max(w, OMEGA_CLASSICAL), OMEGA_MAX))
+        beta = beta_from_omega(check_score("omega", w))
         result = bounds.bell_diag_entropy_bound(beta)
         lines.append(f"{_fmt(w)},{_fmt(beta)},{_fmt(result.conditional_bound)}")
     _write_text(cfg.get("out", kind=str), lines)

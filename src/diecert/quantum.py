@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_TOL = 1e-10  # hermiticity, unit trace, PSD, +/-1 eigenvalues, eigenvalue clip, Bell-diagonality
-ENTROPY_EIG_CUTOFF = 1e-12
+_TOL = 1e-10  # hermiticity, unit trace, PSD, +/-1 eigenvalues, Bell-diagonality, Bell spectra
 _JORDAN_TOL = 1e-8  # cos(angle) degeneracy in jordan_blocks
 
 # Pauli matrices
@@ -105,7 +104,11 @@ class Observable:
 
 @dataclass(frozen=True)
 class BellDiagonalSpectrum:
-    """Eigenvalues of a Bell-diagonal state, ordered (Phi+, Phi-, Psi+, Psi-)."""
+    """Eigenvalues of a Bell-diagonal state, ordered (Phi+, Phi-, Psi+, Psi-).
+
+    The one check of a Bell spectrum: entries at least -_TOL and a sum within
+    _TOL of 1, stored clipped to [0, 1].
+    """
 
     lambda_phi_plus: float
     lambda_phi_minus: float
@@ -114,10 +117,12 @@ class BellDiagonalSpectrum:
 
     def __post_init__(self):
         vec = self.as_array()
-        if np.any(vec < -ENTROPY_EIG_CUTOFF):
+        if np.any(vec < -_TOL):
             raise ValidationError(f"spectrum has negative entry: {vec}")
-        if abs(vec.sum() - 1.0) > 1e-12:
+        if abs(vec.sum() - 1.0) > _TOL:
             raise ValidationError(f"spectrum sums to {vec.sum()}, expected 1")
+        for field in self.__dataclass_fields__:
+            object.__setattr__(self, field, min(max(getattr(self, field), 0.0), 1.0))
 
     def as_array(self) -> np.ndarray:
         return np.array(
@@ -141,16 +146,6 @@ class JordanBlock:
 
     angle: float
     block_basis: np.ndarray
-
-
-def clean_eigenvalues(eigvals: np.ndarray) -> np.ndarray:
-    """Clamp eigenvalues to [0, 1], rejecting anything beyond tolerance."""
-    eigvals = np.asarray(eigvals, dtype=float)
-    if eigvals.min() < -_TOL:
-        raise ValidationError(f"eigenvalue {eigvals.min()} below -{_TOL}")
-    if eigvals.max() > 1 + _TOL:
-        raise ValidationError(f"eigenvalue {eigvals.max()} above 1+{_TOL}")
-    return np.clip(eigvals, 0.0, 1.0)
 
 
 def twirl(state: TwoQubitState) -> TwoQubitState:
@@ -179,8 +174,7 @@ def bell_spectrum(state: TwoQubitState) -> BellDiagonalSpectrum:
         raise ValidationError(
             f"state is not Bell-diagonal: max off-diagonal magnitude {max_off:.3e}"
         )
-    diag = clean_eigenvalues(np.diag(in_bell).real)
-    return BellDiagonalSpectrum(*diag)
+    return BellDiagonalSpectrum(*np.diag(in_bell).real)
 
 
 def werner_state(xi: float) -> TwoQubitState:

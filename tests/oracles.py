@@ -11,13 +11,11 @@ from diecert.bounds import binary_entropy
 from diecert.chsh import Strategy, optimal_strategy
 from diecert.quantum import (
     BELL_BASIS,
-    ENTROPY_EIG_CUTOFF,
     SIGMA_X,
     SIGMA_Z,
     BellDiagonalSpectrum,
     TwoQubitState,
     _check_density,
-    clean_eigenvalues,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -102,14 +100,14 @@ def partial_trace(state: TwoQubitState, keep: str) -> np.ndarray:
 def shannon_entropy(probs: np.ndarray) -> float:
     """Shannon entropy in bits; entries below 1e-12 contribute zero."""
     p = np.asarray(probs, dtype=float)
-    p = p[p > ENTROPY_EIG_CUTOFF]
+    p = p[p > 1e-12]
     return float(-(p * np.log2(p)).sum())
 
 
 def von_neumann_entropy(density: np.ndarray | TwoQubitState) -> float:
     """H(rho) = -Tr(rho log2 rho) in bits."""
     m = density.matrix if isinstance(density, TwoQubitState) else _check_density(density)
-    eigvals = clean_eigenvalues(np.linalg.eigvalsh(m))
+    eigvals = np.clip(np.linalg.eigvalsh(m), 0.0, 1.0)  # a checked density: [0, 1] up to rounding
     return shannon_entropy(eigvals)
 
 

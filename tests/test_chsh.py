@@ -13,6 +13,7 @@ from diecert.chsh import (
     Strategy,
     beta_from_omega,
     born_probabilities,
+    check_score,
     deterministic_strategy,
     optimal_strategy,
     winning_probability,
@@ -40,6 +41,22 @@ class TestScoreConversions:
 
     def test_classical_point(self):
         assert beta_from_omega(OMEGA_CLASSICAL) == 2
+
+
+class TestCheckScore:
+    @given(st.floats(OMEGA_CLASSICAL, OMEGA_MAX))
+    def test_returns_a_score_in_range(self, omega):
+        assert check_score("omega", omega) == omega
+
+    @given(st.floats(0, 1e-12))
+    def test_reads_a_score_rounded_past_either_end_as_that_end(self, past):
+        assert check_score("omega", OMEGA_CLASSICAL - past) == OMEGA_CLASSICAL
+        assert check_score("omega", OMEGA_MAX + past) == OMEGA_MAX
+
+    @pytest.mark.parametrize("omega", [OMEGA_CLASSICAL - 2e-12, OMEGA_MAX + 2e-12])
+    def test_refuses_a_score_past_either_end(self, omega):
+        with pytest.raises(ValidationError, match="outside"):
+            check_score("omega", omega)
 
 
 def outcome_table(strategy, x, y):

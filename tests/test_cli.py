@@ -86,6 +86,13 @@ class TestCurve:
         assert code == 0
         assert out == (GOLDEN / "curve_small.csv").read_text()
 
+    def test_asymptotic_score_rounded_above_the_maximum_reads_as_it(self, capsys):
+        # 9e-13 above omega_max: check_score allows it, and -g reads it at omega_max
+        code, out, _ = run_cli(capsys, "curve", "--n-values", "1e6",
+                               "--omega-values", "0.8535533905941737", "--asymptotic")
+        assert code == 0
+        assert out.splitlines()[-1] == "asymptotic,0.853553,1,1,,,,"
+
 
 class TestRate:
     def test_golden_fixed_parameters(self, capsys):

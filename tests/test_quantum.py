@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diecert.chsh import optimal_strategy
@@ -19,7 +19,6 @@ from diecert.quantum import (
     bell_diagonal_entries,
     bell_spectrum,
     block_projectors,
-    clean_eigenvalues,
     jordan_blocks,
     twirl,
     werner_state,
@@ -38,6 +37,11 @@ from oracles import (
 def bell_state(index):
     psi = BELL_BASIS[:, index]
     return TwoQubitState(np.outer(psi, psi.conj()))
+
+
+def bell_diagonal_matrix(diag):
+    """The state with Bell-basis diagonal `diag`, unchecked as a spectrum."""
+    return TwoQubitState(BELL_BASIS @ np.diag(diag) @ BELL_BASIS.conj().T)
 
 
 def random_density(rng, d=4):
@@ -82,13 +86,13 @@ class TestValidation:
         (lambda: Observable(np.zeros((2, 3))), "observable must be square"),
         (lambda: Observable(np.array([[0, 1], [0, 0]])), "observable is not Hermitian"),
         (lambda: BellDiagonalSpectrum(1.5, -0.5, 0, 0), "spectrum has negative entry"),
-        (lambda: clean_eigenvalues(np.array([-0.1])), "eigenvalue -0.1 below"),
-        (lambda: clean_eigenvalues(np.array([1.1])), "eigenvalue 1.1 above"),
+        (lambda: BellDiagonalSpectrum(1.0, -2e-10, 0, 0), "spectrum has negative entry"),
+        (lambda: BellDiagonalSpectrum(0.5, 0.5, 2e-10, 0), "spectrum sums to 1.0000000002"),
         (lambda: jordan_blocks(Observable(SIGMA_Z), Observable(np.diag([1.0, 1.0, -1.0, -1.0]))),
          "observable dimensions differ: 2 vs 4"),
     ], ids=["state-not-square", "state-not-4x4", "observable-not-square",
-            "observable-not-hermitian", "spectrum-negative", "eigenvalue-below-0",
-            "eigenvalue-above-1", "jordan-dimensions-differ"])
+            "observable-not-hermitian", "spectrum-negative", "spectrum-entry-below-tolerance",
+            "spectrum-sum-beyond-tolerance", "jordan-dimensions-differ"])
     def test_rejects_malformed(self, build, message):
         with pytest.raises(ValidationError, match=message):
             build()
@@ -228,6 +232,34 @@ class TestBellSpectrum:
     def test_spectrum_roundtrip(self):
         spec = BellDiagonalSpectrum(0.4, 0.3, 0.2, 0.1)
         assert np.allclose(bell_spectrum(bell_diagonal_state(spec)).as_array(), spec.as_array())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0, 1), min_size=4, max_size=4).filter(lambda w: sum(w) > 1e-3),
+           st.floats(-0.9e-10, 0.9e-10), st.none() | st.integers(0, 3))
+    @example([1.0, 0.0, 0.0, 0.0], 0.9e-10, None)
+    @example([0.85, 0.05, 0.05, 0.05], -0.9e-10, 1)
+    def test_accepts_every_state_the_density_check_accepts(self, weights, edge, k):
+        # a Bell-diagonal state at the edge of TwoQubitState's tolerance:
+        # with no k, a trace of 1 + edge; with k, entry k at -|edge| and its
+        # mass moved to the next entry
+        lam = np.array(weights) / sum(weights)
+        if k is None:
+            lam[0] += edge
+        else:
+            moved = lam[k] + abs(edge)
+            lam[k] -= moved
+            lam[(k + 1) % 4] += moved
+        spec = bell_spectrum(bell_diagonal_matrix(lam)).as_array()
+        assert np.all((0 <= spec) & (spec <= 1))
+        assert abs(spec.sum() - 1) <= 1e-10
+
+    @pytest.mark.parametrize("diag, expected", [
+        ([0.85, 0.05, 0.05, 0.05 + 5e-11], [0.85, 0.05, 0.05, 0.05]),
+        ([1 + 1.5e-10, -0.9e-10, 0, 0], [1, 0, 0, 0]),
+    ], ids=["trace-above-1", "entry-above-1"])
+    def test_edge_states_read_as_their_spectrum(self, diag, expected):
+        spec = bell_spectrum(bell_diagonal_matrix(diag)).as_array()
+        assert np.allclose(spec, expected, rtol=0, atol=1e-10)
 
 
 class TestWerner:

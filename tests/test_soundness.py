@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, target
 from hypothesis import strategies as st
 
 from diecert.chsh import (
@@ -102,6 +102,7 @@ class TestEntanglementOrder:
         spectrum = _sorted_spectrum(weights)
         hashing = _hashing(spectrum)
         asymptotic = asymptotic_rate(_score(spectrum))
+        target(asymptotic - hashing)  # steer the search toward the first step's margin
         assert asymptotic <= hashing + 1e-12
         assert max(asymptotic, 0.0) <= max(hashing, 0.0) + 1e-12
         assert hashing <= relative_entropy_of_entanglement(spectrum) + 1e-12
@@ -204,19 +205,24 @@ class TestKeptStateCeiling:
         assert asymptotic_rate(score) <= relative_entropy_of_entanglement(kept)
 
 
+def _assert_below_the_many_round_rate(omega, c):
+    rate, ceiling = _certified_rate(omega, c), max(asymptotic_rate(omega), 0.0)
+    target(rate - ceiling)  # steer the search toward the soundness boundary
+    assert rate <= ceiling
+
+
 @pytest.mark.filterwarnings("ignore:omega_exp")  # small gamma: a vacuous abort threshold
 class TestFiniteCertificates:
     @given(_WEIGHTS, _CERTIFICATE)
     def test_random_spectrum(self, weights, c):
         omega = _score(_sorted_spectrum(weights))
         assume(omega >= 0.75)
-        assert _certified_rate(omega, c) <= max(asymptotic_rate(omega), 0.0)
+        _assert_below_the_many_round_rate(omega, c)
 
     @given(_BETA, _CERTIFICATE)
     def test_optimal_spectrum(self, beta, c):
         spectrum = _sorted_spectrum(optimal_spectrum(beta).as_array().tolist())
-        omega = _score(spectrum)
-        assert _certified_rate(omega, c) <= max(asymptotic_rate(omega), 0.0)
+        _assert_below_the_many_round_rate(_score(spectrum), c)
 
 
 def test_simulated_werner_source_certifies_below_its_kept_states(tmp_path, capsys):
