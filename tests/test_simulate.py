@@ -767,8 +767,7 @@ class TestAbortEstimation:
         assert a == b
 
     @pytest.mark.parametrize("mode, trials", [("standard", 3), ("modified", 4)])
-    def test_run_trials_runs_one_plus_trials_with_trial_zero_unshared(self, mode, trials,
-                                                                      monkeypatch):
+    def test_run_trials_runs_standard_trial_zero_once(self, mode, trials, monkeypatch):
         # trial 0 in `mode`, then the estimate's own `trials` runs: a
         # standard-mode trial 0 is not shared with the estimate
         model, p = NoisyDriftDevice(0.0, 1e-3), make_params(n=200)
