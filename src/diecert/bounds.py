@@ -29,7 +29,7 @@ def binary_entropy(x: float) -> float:
     The one check of an h argument, `g`'s included: x outside [0, 1] by more
     than 1e-12 is refused, and x rounded past either end reads as that end.
     """
-    if x < -1e-12 or x > 1 + 1e-12:
+    if not -1e-12 <= x <= 1 + 1e-12:  # NaN fails too
         raise ValidationError(f"binary entropy argument {x} outside [0, 1]")
     if x <= 0.0 or x >= 1.0:
         return 0.0
@@ -48,7 +48,7 @@ def g(omega: float) -> float:
 def g_prime(omega: float) -> float:
     """Derivative of g; analytic form -2 sqrt(2) log2((1-x)/x) with x the h argument."""
     x = 0.5 - (2 * omega - 1) / _SQRT2
-    if x <= 0.0 or x >= 1.0:
+    if not 0.0 < x < 1.0:
         raise ValidationError(f"g' undefined at omega={omega}")
     return -2 * _SQRT2 * math.log2((1 - x) / x)
 
@@ -76,7 +76,7 @@ def bell_diag_entropy_bound(beta: float) -> EntropyBoundResult:
     The marginal on B is maximally mixed, so the conditional bound is the
     maximal total entropy minus one bit.
     """
-    if beta < 2 - 1e-12 or beta > BETA_MAX + 1e-12:
+    if not 2 - 1e-12 <= beta <= BETA_MAX + 1e-12:
         raise ValidationError(f"beta={beta} outside [2, 2*sqrt(2)]")
     beta = min(max(beta, 2.0), BETA_MAX)
     return EntropyBoundResult(beta=beta, max_total_entropy=max_total_entropy(beta))

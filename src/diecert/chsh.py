@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -93,17 +94,17 @@ def winning_probability(strategy: Strategy) -> float:
     return float(omega)
 
 
-def optimal_strategy() -> Strategy:
-    """|Phi+> with Alice sigma_z/sigma_x and Bob (sigma_z +/- sigma_x)/sqrt(2)."""
+@cache
+def _optimal_observables():
+    """Alice sigma_z/sigma_x and Bob (sigma_z +/- sigma_x)/sqrt(2), built once, on first use."""
     s = 1 / math.sqrt(2)
-    return Strategy(
-        state=PHI_PLUS,
-        alice_observables=(Observable(SIGMA_Z), Observable(SIGMA_X)),
-        bob_observables=(
-            Observable(s * (SIGMA_Z + SIGMA_X)),
-            Observable(s * (SIGMA_Z - SIGMA_X)),
-        ),
-    )
+    return ((Observable(SIGMA_Z), Observable(SIGMA_X)),
+            (Observable(s * (SIGMA_Z + SIGMA_X)), Observable(s * (SIGMA_Z - SIGMA_X))))
+
+
+def optimal_strategy(state=PHI_PLUS) -> Strategy:
+    """`state` under the optimal CHSH observables, the same objects on every call."""
+    return Strategy(state, *_optimal_observables())
 
 
 def deterministic_strategy(a0: int, a1: int, b0: int, b1: int) -> Strategy:

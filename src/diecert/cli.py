@@ -26,7 +26,7 @@ from itertools import islice
 
 from . import bounds, rates, simulate
 from .chsh import (OMEGA_CLASSICAL, OMEGA_MAX, beta_from_omega, check_score, optimal_strategy,
-                   Strategy)
+                   Strategy)  # not called here; perfbench/tracing.py counts it by this name
 from .quantum import ValidationError, werner_state
 
 
@@ -318,15 +318,11 @@ def _build_model(cfg: _Config) -> simulate.DeviceModel:
     xi = cfg.get("xi", 0.0, float)
     if name == "drift":  # builds its own optimal strategy
         return simulate.NoisyDriftDevice(xi, cfg.get("xi_slope", 1e-3, float))
-    opt = optimal_strategy()
-
-    def werner(xi):  # the Werner state under the optimal observables, shared by every source
-        return Strategy(werner_state(xi).matrix, opt.alice_observables, opt.bob_observables)
-
     if name == "honest":
-        return simulate.HonestIIDDevice(werner(xi))
+        return simulate.HonestIIDDevice(optimal_strategy(werner_state(xi).matrix))
     werner_state(xi)  # memory: the range check, before the 0.5 floor below hides it
-    return simulate.MemorySwitcherDevice(opt, werner(max(xi, 0.5)))
+    return simulate.MemorySwitcherDevice(optimal_strategy(),
+                                         optimal_strategy(werner_state(max(xi, 0.5)).matrix))
 
 
 def cmd_simulate(cfg: _Config) -> int:

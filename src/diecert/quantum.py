@@ -36,10 +36,11 @@ BELL_BASIS = np.array(
     ],
     dtype=complex,
 )
-# |Phi+><Phi+| and I/4, the two ends of every Werner state; read-only, so shared safely
+# |Phi+><Phi+| and I/4, the two ends of every Werner state
 PHI_PLUS = np.outer(BELL_BASIS[:, 0], BELL_BASIS[:, 0].conj())
 MAXIMALLY_MIXED = np.eye(4) / 4
-PHI_PLUS.flags.writeable = MAXIMALLY_MIXED.flags.writeable = False
+for _m in (SIGMA_X, SIGMA_Z, BELL_BASIS, PHI_PLUS, MAXIMALLY_MIXED):  # read-only, so shared safely
+    _m.flags.writeable = False
 
 
 class ValidationError(ValueError):
@@ -47,9 +48,12 @@ class ValidationError(ValueError):
 
 
 def _check_hermitian(matrix: np.ndarray, what: str) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
+    m = np.array(matrix, dtype=complex)  # the package's own copy, which nothing may change
+    m.flags.writeable = False
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"{what} must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValidationError(f"{what} has a non-finite entry")
     if np.max(np.abs(m - m.conj().T)) > _TOL:
         raise ValidationError(f"{what} is not Hermitian within tolerance")
     return m
@@ -117,9 +121,9 @@ class BellDiagonalSpectrum:
 
     def __post_init__(self):
         vec = self.as_array()
-        if np.any(vec < -_TOL):
+        if not np.all(vec >= -_TOL):  # NaN fails this and the sum check
             raise ValidationError(f"spectrum has negative entry: {vec}")
-        if abs(vec.sum() - 1.0) > _TOL:
+        if not abs(vec.sum() - 1.0) <= _TOL:
             raise ValidationError(f"spectrum sums to {vec.sum()}, expected 1")
         for field in self.__dataclass_fields__:
             object.__setattr__(self, field, min(max(getattr(self, field), 0.0), 1.0))

@@ -123,9 +123,9 @@ class FrequencyDistribution:
     p_bot: float
 
     def __post_init__(self):
-        if min(self.p0, self.p1, self.p_bot) < -1e-12:
+        if not min(self.p0, self.p1, self.p_bot) >= -1e-12:
             raise ValidationError("frequencies must be nonnegative")
-        if abs(self.p0 + self.p1 + self.p_bot - 1) > 1e-12:
+        if not abs(self.p0 + self.p1 + self.p_bot - 1) <= 1e-12:  # NaN fails too
             raise ValidationError("frequencies must sum to 1")
 
     @staticmethod

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from itertools import accumulate, chain, product, repeat
 from operator import itemgetter
@@ -125,8 +125,7 @@ class NoisyDriftDevice(DeviceModel):
             raise ValidationError(f"xi_slope={xi_slope} is not finite")
         self.xi_start = xi_start
         self.xi_slope = xi_slope
-        pure = Source(optimal_strategy())
-        self._ends = (pure, Source(replace(pure.strategy, state=MAXIMALLY_MIXED)))
+        self._ends = (Source(optimal_strategy()), Source(optimal_strategy(MAXIMALLY_MIXED)))
 
     def prepare_round(self, i, history):
         return _Mixture(min(max(self.xi_start + self.xi_slope * i, 0.0), 1.0), *self._ends)

@@ -8,7 +8,7 @@ from itertools import product
 import numpy as np
 
 from diecert.bounds import binary_entropy
-from diecert.chsh import Strategy, optimal_strategy
+from diecert.chsh import Strategy
 from diecert.quantum import (
     BELL_BASIS,
     SIGMA_X,
@@ -21,16 +21,6 @@ from diecert.quantum import (
 I2 = np.eye(2, dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULIS = (I2, SIGMA_X, SIGMA_Y, SIGMA_Z)
-
-
-def optimal_measurement_strategy(state: TwoQubitState) -> Strategy:
-    """The optimal-CHSH observables applied to an arbitrary two-qubit state."""
-    opt = optimal_strategy()
-    return Strategy(
-        state=state.matrix,
-        alice_observables=opt.alice_observables,
-        bob_observables=opt.bob_observables,
-    )
 
 
 def chsh_value(strategy: Strategy) -> float:

@@ -44,7 +44,7 @@ from diecert.simulate import (
     estimate_abort_probability,
 )
 
-from oracles import optimal_measurement_strategy, optimal_spectrum
+from oracles import optimal_spectrum
 from reference_data import ASYMPTOTIC_CURVE, ENTROPY_CURVE, RATE_CURVES
 
 
@@ -184,7 +184,7 @@ def test_criterion_8_chsh_exactness():
     )
     werner_dev = 0.0
     for xi in (0.0, 0.2, 0.5, 0.8, 1.0):
-        score = winning_probability(optimal_measurement_strategy(werner_state(xi)))
+        score = winning_probability(optimal_strategy(werner_state(xi).matrix))
         expected = 0.5 + (1 - xi) * math.sqrt(2) / 4
         werner_dev = max(werner_dev, abs(score - expected))
     ok = opt_dev <= 1e-12 and det_max <= 0.75 + 1e-12 and werner_dev <= 1e-10

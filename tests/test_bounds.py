@@ -13,8 +13,11 @@ from diecert.bounds import (
     g_prime,
     max_total_entropy,
 )
-from diecert.chsh import BETA_MAX, OMEGA_CLASSICAL, OMEGA_MAX, beta_from_omega
-from diecert.quantum import ValidationError
+from diecert.chsh import (BETA_MAX, OMEGA_CLASSICAL, OMEGA_MAX, beta_from_omega, check_score,
+                          optimal_strategy)
+from diecert.quantum import (BellDiagonalSpectrum, Observable, TwoQubitState, ValidationError,
+                             werner_state)
+from diecert.rates import FrequencyDistribution
 
 from oracles import bell_diagonal_state, optimal_spectrum, von_neumann_entropy
 from reference_data import ENTROPY_CURVE
@@ -211,3 +214,23 @@ class TestBruteForce:
                         "alternate constraint branch exceeds the analytic maximum: "
                         f"entropy {ent} at Bell value {vm}"
                     )
+
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("check", [
+    lambda v: Observable(np.full((2, 2), v)),
+    lambda v: TwoQubitState(np.full((4, 4), v)),
+    lambda v: optimal_strategy(np.full((4, 4), v)),
+    lambda v: BellDiagonalSpectrum(v, 0.0, 0.0, 1.0),
+    binary_entropy, g, g_prime, bell_diag_entropy_bound,
+    lambda v: FrequencyDistribution(v, 0.0, 1.0),
+    lambda v: check_score("omega", v),
+    werner_state,
+], ids=["observable", "state", "strategy", "spectrum", "binary-entropy", "g", "g-prime",
+        "entropy-bound", "frequencies", "score", "werner"])
+def test_non_finite_input_fails_every_check(check, value):
+    # each check is a comparison that NaN fails, so no NaN or infinity reads
+    # as in range, and a matrix's is refused before any linear algebra
+    with pytest.raises(ValidationError):
+        check(value)

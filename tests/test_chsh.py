@@ -19,6 +19,8 @@ from diecert.chsh import (
     winning_probability,
 )
 from diecert.quantum import (
+    MAXIMALLY_MIXED,
+    PHI_PLUS,
     SIGMA_X,
     SIGMA_Z,
     Observable,
@@ -26,7 +28,7 @@ from diecert.quantum import (
     werner_state,
 )
 
-from oracles import SIGMA_Y, chsh_value, optimal_measurement_strategy
+from oracles import SIGMA_Y, chsh_value
 
 
 class TestScoreConversions:
@@ -112,14 +114,14 @@ class TestWinningProbability:
     def test_werner_interpolation(self):
         # optimal measurements on a Werner state scale the violation linearly
         for xi in (0.0, 0.25, 0.6, 1.0):
-            strat = optimal_measurement_strategy(werner_state(xi))
+            strat = optimal_strategy(werner_state(xi).matrix)
             assert beta_from_omega(winning_probability(strat)) == pytest.approx(
                 (1 - xi) * BETA_MAX, abs=1e-10
             )
 
     @given(st.floats(min_value=0, max_value=1))
     def test_werner_score_formula(self, xi):
-        strat = optimal_measurement_strategy(werner_state(xi))
+        strat = optimal_strategy(werner_state(xi).matrix)
         expected = 0.5 + (1 - xi) * BETA_MAX / 8
         assert winning_probability(strat) == pytest.approx(expected, abs=1e-9)
 
@@ -230,3 +232,16 @@ class TestStrategyValidation:
         assert strategy.alice_observables == opt.alice_observables
         assert strategy.bob_observables == opt.bob_observables
         assert hash(strategy.alice_observables) == hash(opt.alice_observables)
+
+
+class TestOptimalStrategy:
+    def test_every_call_shares_one_set_of_observables(self):
+        # observables compare by identity, so sources on the optimal ones
+        # share one Jordan geometry, whoever built them
+        first, second = optimal_strategy(), optimal_strategy(werner_state(0.3).matrix)
+        assert first.alice_observables == second.alice_observables
+        assert first.bob_observables == second.bob_observables
+
+    def test_plays_the_state_it_is_given(self):
+        assert np.array_equal(optimal_strategy().state, PHI_PLUS)
+        assert np.array_equal(optimal_strategy(MAXIMALLY_MIXED).state, MAXIMALLY_MIXED)

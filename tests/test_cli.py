@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 from diecert import rates, simulate
 from diecert.chsh import optimal_strategy
 from diecert.cli import _COMMANDS, _MODELS, _SWITCHES, main
+from diecert.quantum import werner_state
 from diecert.rates import ErrorBudget, ProtocolParams, certified_log_l, delta_est_for
 from diecert.simulate import ClassicalDeterministicDevice, MemorySwitcherDevice, run_trials
 from oracles import transcript_text
-from test_simulate import CLI_MODELS, counting, exact_abort, werner_source
+from test_simulate import CLI_MODELS, counting, exact_abort
 
 GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = Path(__file__).parent / "configs"
@@ -272,10 +273,13 @@ class TestSimulate:
 
     @pytest.mark.parametrize("model", list(_MODELS))
     def test_every_model_builds_one_jordan_geometry(self, capsys, monkeypatch, model):
-        # memory's two strategies share one optimal strategy's observables,
-        # as drift's two ends do; the standard protocol needs no geometry
+        # honest, memory and drift play the shared optimal observables, so a
+        # second model on them builds no geometry; classical builds new ones;
+        # the standard protocol needs no geometry
+        simulate._geometry.cache_clear()
         calls = counting(monkeypatch, "jordan_blocks")
-        for protocol, want in (("standard", 0), ("modified", 2)):
+        again = 2 if model == "classical" else 0
+        for protocol, want in (("standard", 0), ("modified", 2), ("modified", again)):
             calls.clear()
             code, _, _ = run_cli(
                 capsys, "simulate", "--model", model, "--n", "300", "--gamma", "0.5",
@@ -362,7 +366,8 @@ class TestSimulate:
         code, out, _ = run_cli(capsys, *self._MEMORY, "--xi", "0.6")
         assert code == 0
         params = ProtocolParams(n=300, gamma=0.5, omega_exp=0.8, delta_est=0.05)
-        model = MemorySwitcherDevice(optimal_strategy(), werner_source(0.6))
+        model = MemorySwitcherDevice(optimal_strategy(),
+                                     optimal_strategy(werner_state(0.6).matrix))
         first = run_trials(model, params, 3, 4)[0]
         assert out.splitlines()[:-1] == list(first.lines())
 

@@ -42,7 +42,7 @@ from diecert.simulate import (
     kept_states,
     run_protocol,
 )
-from oracles import optimal_measurement_strategy, transcript_text
+from oracles import transcript_text
 from test_simulate import (
     BlockPairDevice,
     drift_win_probabilities,
@@ -61,14 +61,14 @@ MODES = (
 )
 
 MODELS = {
-    "honest_xi0": lambda: HonestIIDDevice(optimal_measurement_strategy(werner_state(0.0))),
+    "honest_xi0": lambda: HonestIIDDevice(optimal_strategy(werner_state(0.0).matrix)),
     "honest_xi0.13": lambda: HonestIIDDevice(
-        optimal_measurement_strategy(werner_state(0.13))
+        optimal_strategy(werner_state(0.13).matrix)
     ),
     "classical_0000": lambda: ClassicalDeterministicDevice(0, 0, 0, 0),
     "classical_1011": lambda: ClassicalDeterministicDevice(1, 0, 1, 1),
     "memory": lambda: MemorySwitcherDevice(
-        optimal_strategy(), optimal_measurement_strategy(werner_state(0.6))
+        optimal_strategy(), optimal_strategy(werner_state(0.6).matrix)
     ),
     "drift": lambda: NoisyDriftDevice(0.01, 2e-4),
     "block_pair": BlockPairDevice,
@@ -171,7 +171,7 @@ def test_sequential_abort_estimates_hold_the_exact_value():
     # probability, which each recorded interval must hold; a 400-trial memory
     # estimate must hold it too (drift runs too slowly for that many trials)
     drift = MODELS["drift"]()
-    even, odd = optimal_strategy(), optimal_measurement_strategy(werner_state(0.6))
+    even, odd = optimal_strategy(), optimal_strategy(werner_state(0.6).matrix)
     exact = {
         "drift": poisson_binomial_below(
             drift_win_probabilities(drift, PARAMS.n, PARAMS.gamma), PARAMS.min_wins

@@ -98,6 +98,36 @@ class TestValidation:
             build()
 
 
+class TestCheckedMatricesStayChecked:
+    """A checked matrix is the package's own read-only copy, whatever the
+    dtype of the array it was checked from."""
+
+    def test_a_state_keeps_its_checked_matrix(self):
+        m = np.array(PHI_PLUS, dtype=complex)
+        state = TwoQubitState(m)
+        m[:] = np.eye(4)  # trace 4: no state
+        assert np.array_equal(state.matrix, PHI_PLUS)
+
+    def test_an_observable_keeps_its_checked_matrix(self):
+        m = np.array(SIGMA_Z, dtype=complex)
+        obs = Observable(m)
+        m[:] = np.eye(2) / 2  # squares to I/4: no reflection
+        assert np.array_equal(obs.matrix, SIGMA_Z)
+        assert np.array_equal(obs.projectors[0], np.diag([1, 0]))
+
+    @pytest.mark.parametrize("matrix", [
+        lambda: TwoQubitState(np.array(PHI_PLUS, dtype=complex)).matrix,
+        lambda: Observable(np.array(SIGMA_X, dtype=complex)).matrix,
+        lambda: optimal_strategy(np.array(PHI_PLUS, dtype=complex)).state,
+        lambda: SIGMA_X, lambda: SIGMA_Z, lambda: BELL_BASIS,
+        lambda: PHI_PLUS, lambda: MAXIMALLY_MIXED,
+    ], ids=["state", "observable", "strategy", "sigma-x", "sigma-z", "bell-basis",
+            "phi-plus", "maximally-mixed"])
+    def test_is_read_only(self, matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            matrix()[0, 0] = 0
+
+
 class TestPartialTrace:
     def test_maximally_entangled_marginal(self):
         reduced = partial_trace(bell_state(0), keep="B")

@@ -61,7 +61,7 @@ from diecert.simulate import (
     _uniform,
 )
 
-from oracles import observables_from_blocks, optimal_measurement_strategy, transcript_text
+from oracles import observables_from_blocks, transcript_text
 from test_chsh import DIRECTIONS, ENTRIES, _reflection, random_density
 
 
@@ -136,21 +136,13 @@ def memory_abort_probability(scores, gamma, n, min_wins):
     return sum(dist[0]) + sum(dist[1])
 
 
-def werner_source(xi):
-    opt = optimal_strategy()
-    return Strategy(
-        state=werner_state(xi).matrix,
-        alice_observables=opt.alice_observables,
-        bob_observables=opt.bob_observables,
-    )
-
-
 # the models `diecert simulate --model` builds, at --xi 0.1 for honest,
 # --table 1,0,1,1 for classical and the default --xi otherwise
 CLI_MODELS = {
-    "honest": lambda: HonestIIDDevice(werner_source(0.1)),
+    "honest": lambda: HonestIIDDevice(optimal_strategy(werner_state(0.1).matrix)),
     "classical": lambda: ClassicalDeterministicDevice(1, 0, 1, 1),
-    "memory": lambda: MemorySwitcherDevice(optimal_strategy(), werner_source(0.5)),
+    "memory": lambda: MemorySwitcherDevice(optimal_strategy(),
+                                           optimal_strategy(werner_state(0.5).matrix)),
     "drift": lambda: NoisyDriftDevice(0.0, 1e-3),
 }
 
@@ -204,11 +196,10 @@ class RebuiltDrift(DeviceModel):
 
     def __init__(self, xi_start, xi_slope):
         self.xi_start, self.xi_slope = xi_start, xi_slope
-        self.strategy = optimal_strategy()
 
     def prepare_round(self, i, history):
         xi = min(max(self.xi_start + self.xi_slope * i, 0.0), 1.0)
-        return Source(dataclasses.replace(self.strategy, state=werner_state(xi).matrix))
+        return Source(optimal_strategy(werner_state(xi).matrix))
 
 
 def counting(monkeypatch, name):
@@ -295,7 +286,7 @@ class TestRunProtocol:
         p = make_params(n=20000, gamma=0.5)
         dev = MemorySwitcherDevice(
             optimal_strategy(),
-            optimal_measurement_strategy(werner_state(1.0)),
+            optimal_strategy(werner_state(1.0).matrix),
         )
         tr = run_protocol(dev, p, seed=9)
         tested = sum(r.t for r in tr.rounds)
@@ -306,7 +297,7 @@ class TestRunProtocol:
 
     def test_memory_switcher_follows_test_parity(self):
         even = optimal_strategy()
-        odd = optimal_measurement_strategy(werner_state(1.0))
+        odd = optimal_strategy(werner_state(1.0).matrix)
         tr = run_protocol(MemorySwitcherDevice(even, odd), make_params(n=300), seed=5)
         dev = MemorySwitcherDevice(even, odd)
         for _ in range(2):  # round 0 starts the count afresh
@@ -366,21 +357,28 @@ class TestRunProtocol:
         assert not run_protocol(honest(), generous, seed=1).aborted
 
     def test_drift_device_builds_jordan_geometry_once(self, monkeypatch):
-        # a new noise every round, two end sources on one set of observables:
-        # one jordan_blocks call per party, and no round makes another
+        # a new noise every round, two end sources on the optimal observables:
+        # one jordan_blocks call per party for the first model, and no round
+        # and no second model on those observables makes another
+        import diecert.simulate as sim
+
+        sim._geometry.cache_clear()
         calls = counting(monkeypatch, "jordan_blocks")
-        for n in (200, 400):
+        for n, want in ((200, 2), (400, 0)):
             calls.clear()
             run_protocol(NoisyDriftDevice(0.0, 1e-3), make_params(n=n), "modified", seed=6)
-            assert len(calls) == 2
+            assert len(calls) == want
 
     def test_sources_rebuilt_every_round_share_one_jordan_geometry(self, monkeypatch):
-        # a new source every round, all on the observables built in __init__
+        # a new source every round, all on the shared optimal observables
+        import diecert.simulate as sim
+
+        sim._geometry.cache_clear()
         calls = counting(monkeypatch, "jordan_blocks")
-        for n in (200, 400):
+        for n, want in ((200, 2), (400, 0)):
             calls.clear()
             run_protocol(RebuiltDrift(0.0, 1e-3), make_params(n=n), "modified", seed=6)
-            assert len(calls) == 2
+            assert len(calls) == want
 
     def test_geometry_cache_keeps_one_set_of_observables(self):
         import diecert.simulate as sim
@@ -403,7 +401,7 @@ class TestRunProtocol:
     def test_memory_switcher_builds_born_tables_once_per_strategy(self, monkeypatch):
         calls = counting(monkeypatch, "born_probabilities")
         dev = MemorySwitcherDevice(
-            optimal_strategy(), optimal_measurement_strategy(werner_state(1.0))
+            optimal_strategy(), optimal_strategy(werner_state(1.0).matrix)
         )
         run_protocol(dev, make_params(n=2000), seed=5)
         assert len(calls) <= 8  # one per (x, y) for each of the two strategies
@@ -505,7 +503,7 @@ class TestKeptStates:
             source.kept((1, 1))
 
     def test_standard_mode_keeps_the_source_and_test_rounds_nothing(self):
-        dev = HonestIIDDevice(werner_source(0.1))
+        dev = HonestIIDDevice(optimal_strategy(werner_state(0.1).matrix))
         tr = run_protocol(dev, make_params(n=200), seed=4)
         kept = kept_states(dev, tr)
         assert len(kept) == len(tr.rounds)
@@ -557,7 +555,7 @@ class TestProjectedTables:
 
     @given(st.floats(0, 1))
     def test_werner_source(self, xi):
-        self._check(Source(werner_source(xi)))
+        self._check(Source(optimal_strategy(werner_state(xi).matrix)))
 
     @pytest.mark.parametrize("table", list(product((0, 1), repeat=4)))
     def test_classical_table(self, table):
@@ -640,11 +638,29 @@ class TestSourcesAreStates:
         lambda opt, m: Source(dataclasses.replace(opt, state=m)),
         lambda opt, m: HonestIIDDevice(dataclasses.replace(opt, state=m)),
         lambda opt, m: MemorySwitcherDevice(opt, dataclasses.replace(opt, state=m)),
-    ], ids=["source", "replace", "honest", "memory"])
+        lambda opt, m: Source(optimal_strategy(m)),
+    ], ids=["source", "replace", "honest", "memory", "optimal"])
     @pytest.mark.parametrize("matrix, message", NON_STATES.values(), ids=NON_STATES)
     def test_every_route_refuses_a_non_state(self, route, matrix, message):
         with pytest.raises(ValidationError, match=message):
             route(optimal_strategy(), matrix)
+
+    @pytest.mark.parametrize("build", [
+        lambda opt, m: Strategy(m, opt.alice_observables, opt.bob_observables),
+        lambda opt, m: optimal_strategy(m),
+    ], ids=["strategy", "optimal"])
+    def test_a_checked_strategy_ignores_later_writes_to_its_array(self, build):
+        # a complex array was the strategy's own state before, so a PR box
+        # written into it after the check won every test round
+        m = np.array(PHI_PLUS, dtype=complex)
+        strategy = build(optimal_strategy(), m)
+        m[:] = PR_BOX
+        assert winning_probability(strategy) == pytest.approx(OMEGA_MAX, abs=1e-12)
+        with pytest.raises(ValueError, match="read-only"):
+            strategy.state[:] = PR_BOX
+        rounds = run_protocol(HonestIIDDevice(strategy), make_params(n=20_000), seed=1).rounds
+        wins = [r.w for r in rounds if r.t == 1]
+        assert abs(sum(wins) / len(wins) - OMEGA_MAX) < 0.02
 
     def test_a_source_takes_only_a_strategy(self):
         # the route from a bare matrix and observables, which played PR_BOX, is gone
@@ -696,7 +712,8 @@ class TestExactTail:
 
     @given(
         st.one_of(
-            st.floats(0.0, 0.29).map(lambda xi: HonestIIDDevice(werner_source(xi))),
+            st.floats(0.0, 0.29).map(
+                lambda xi: HonestIIDDevice(optimal_strategy(werner_state(xi).matrix))),
             st.tuples(*[st.integers(0, 1)] * 4).map(lambda t: ClassicalDeterministicDevice(*t)),
         ),
         st.integers(1, 10**5),
@@ -851,7 +868,7 @@ class TestSequentialAbortOracles:
     def test_memory_dp_of_equal_scores_is_the_binomial_tail(self):
         # with one score the parity is idle, so the wins are binomial
         params = make_params(n=300, gamma=0.4, omega_exp=0.8, delta_est=0.02)
-        score = winning_probability(werner_source(0.2))
+        score = winning_probability(optimal_strategy(werner_state(0.2).matrix))
         got = memory_abort_probability((score, score), params.gamma, params.n, params.min_wins)
         assert close_to(got, tail_oracle(params.n, params.gamma * score, params.min_wins))
 

@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, target
+from hypothesis import example, given, target
 from hypothesis import strategies as st
 
 from diecert.chsh import (
@@ -51,7 +51,6 @@ from diecert.simulate import HonestIIDDevice, Source, kept_states, run_protocol
 
 from oracles import (
     bell_diagonal_state,
-    optimal_measurement_strategy,
     optimal_spectrum,
     relative_entropy_of_entanglement,
     transcript_text,
@@ -67,7 +66,7 @@ def _hashing(spectrum):
 def _score(spectrum):
     """Score of the Bell-diagonal state under the optimal-CHSH observables,
     which is 1/2 + (lambda_phi+ - lambda_psi-)/(2 sqrt(2))."""
-    return winning_probability(optimal_measurement_strategy(bell_diagonal_state(spectrum)))
+    return winning_probability(optimal_strategy(bell_diagonal_state(spectrum).matrix))
 
 
 def _sorted_spectrum(weights):
@@ -78,6 +77,24 @@ def _sorted_spectrum(weights):
 
 
 _WEIGHTS = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 0)
+
+_SPREAD = 1 / math.sqrt(2)  # lambda_max - lambda_min at score 3/4
+
+
+def _scoring_weights(u):
+    """The sorted spectrum with spread lambda_max - lambda_min in
+    [1/sqrt(2), 1], so score >= 3/4, least entry in [0, (1 - spread)/4] and
+    larger middle entry in [middle/2, middle - least], for the middle pair's
+    sum `middle`, each at the fraction of its range that u gives: every such
+    spectrum is one u in [0, 1]^3."""
+    spread = _SPREAD + (1 - _SPREAD) * u[0]
+    least = (1 - spread) / 4 * u[1]
+    middle = 1 - 2 * least - spread
+    upper = middle / 2 + (middle / 2 - least) * u[2]
+    return [least + spread, upper, middle - upper, least]
+
+
+_SCORING_WEIGHTS = st.tuples(*[st.floats(0.0, 1.0)] * 3).map(_scoring_weights)
 _BETA = st.floats(2.0, BETA_MAX)
 _CERTIFICATE = st.fixed_dictionaries({
     "log_n": st.floats(4.0, 12.0),
@@ -153,7 +170,7 @@ class TestKeptStateCeiling:
     @example(0.05)
     @example(0.2)
     def test_werner_source(self, xi):
-        strategy = optimal_measurement_strategy(werner_state(xi))
+        strategy = optimal_strategy(werner_state(xi).matrix)
         # qubit observables: one Jordan block per party, so one block pair
         kept = bell_spectrum(Source(strategy).kept((0, 0)))
         rate = asymptotic_rate(winning_probability(strategy))
@@ -213,11 +230,9 @@ def _assert_below_the_many_round_rate(omega, c):
 
 @pytest.mark.filterwarnings("ignore:omega_exp")  # small gamma: a vacuous abort threshold
 class TestFiniteCertificates:
-    @given(_WEIGHTS, _CERTIFICATE)
+    @given(_SCORING_WEIGHTS, _CERTIFICATE)
     def test_random_spectrum(self, weights, c):
-        omega = _score(_sorted_spectrum(weights))
-        assume(omega >= 0.75)
-        _assert_below_the_many_round_rate(omega, c)
+        _assert_below_the_many_round_rate(_score(_sorted_spectrum(weights)), c)
 
     @given(_BETA, _CERTIFICATE)
     def test_optimal_spectrum(self, beta, c):

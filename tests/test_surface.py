@@ -14,12 +14,15 @@ run implicitly and are always used.
 
 import ast
 import importlib.util
+import json
 import pathlib
 import re
+import shlex
 
 import pytest
 
 import diecert.simulate
+from diecert.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -65,6 +68,15 @@ def readme_blocks(root=ROOT) -> list[tuple[str, str]]:
     "This prints `...`" claim that follows the block, or '' where none does."""
     readme = (root / "README.md").read_text()
     return re.findall(r"^```python\n(.*?)^```\n\s*(?:This prints `([^`]*)`)?", readme, re.M | re.S)
+
+
+def readme_commands(root=ROOT) -> list[list[str]]:
+    """The arguments of each `diecert ...` line in the README's sh blocks,
+    with continuation lines joined."""
+    readme = (root / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("diecert ")]
 
 
 def unused_definitions(root=ROOT) -> list[str]:
@@ -158,3 +170,24 @@ def test_readme_library_example_prints_a_rate_and_a_gamma(capsys):
 def test_readme_example_prints_what_the_readme_says(index, printed, capsys):
     assert printed, f"README block {index} is followed by no \"This prints `...`.\""
     assert _run_readme_block(index, capsys) == printed + "\n"
+
+
+_README_COMMANDS = readme_commands()
+
+
+def test_the_readme_shows_diecert_commands():
+    assert _README_COMMANDS, "no diecert command in the README's sh blocks"
+
+
+# every `diecert ...` command in the README succeeds where it writes its
+# files, with RuntimeWarnings as errors (pyproject.toml's filterwarnings),
+# and a simulate summary's abort estimate lies within its interval
+@pytest.mark.parametrize("argv", _README_COMMANDS,
+                         ids=[f"{i}-{argv[0]}" for i, argv in enumerate(_README_COMMANDS)])
+def test_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    if argv[0] == "simulate":
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        low, high = summary["interval"]
+        assert low <= summary["abort_estimate"] <= high
