@@ -95,32 +95,29 @@ def winning_probability(strategy: Strategy) -> float:
 
 
 @cache
-def _optimal_observables():
-    """Alice sigma_z/sigma_x and Bob (sigma_z +/- sigma_x)/sqrt(2), built once, on first use."""
+def _observables():
+    """sigma_z, -sigma_z, sigma_x, (sigma_z +/- sigma_x)/sqrt(2): built once, on first use."""
     s = 1 / math.sqrt(2)
-    return ((Observable(SIGMA_Z), Observable(SIGMA_X)),
-            (Observable(s * (SIGMA_Z + SIGMA_X)), Observable(s * (SIGMA_Z - SIGMA_X))))
+    return tuple(Observable(m) for m in (SIGMA_Z, -SIGMA_Z, SIGMA_X,
+                                         s * (SIGMA_Z + SIGMA_X), s * (SIGMA_Z - SIGMA_X)))
 
 
 def optimal_strategy(state=PHI_PLUS) -> Strategy:
     """`state` under the optimal CHSH observables, the same objects on every call."""
-    return Strategy(state, *_optimal_observables())
+    z, _, x, plus, minus = _observables()
+    return Strategy(state, (z, x), (plus, minus))
 
 
 def deterministic_strategy(a0: int, a1: int, b0: int, b1: int) -> Strategy:
     """Local deterministic strategy outputting a = a_x, b = b_y regardless of the state.
 
-    Encoded on |00> with sigma_z for output 0 and -sigma_z for output 1, so
-    the Born tables are exact point masses and every observable pair still
+    Encoded on |00> with the shared sigma_z for output 0 and -sigma_z for output
+    1, so the Born tables are exact point masses and every observable pair still
     has a 2x2 Jordan block for the modified protocol to resolve.
     """
-    sign = {0: SIGMA_Z, 1: -SIGMA_Z}
+    sign = dict(zip((0, 1), _observables()))
     if not {a0, a1, b0, b1} <= sign.keys():
         raise ValidationError(f"table bits {a0},{a1},{b0},{b1} are not all 0 or 1")
     state = np.zeros((4, 4), dtype=complex)
     state[0, 0] = 1.0
-    return Strategy(
-        state=state,
-        alice_observables=(Observable(sign[a0]), Observable(sign[a1])),
-        bob_observables=(Observable(sign[b0]), Observable(sign[b1])),
-    )
+    return Strategy(state, (sign[a0], sign[a1]), (sign[b0], sign[b1]))

@@ -121,7 +121,9 @@ class BellDiagonalSpectrum:
 
     def __post_init__(self):
         vec = self.as_array()
-        if not np.all(vec >= -_TOL):  # NaN fails this and the sum check
+        if not np.isfinite(vec).all():
+            raise ValidationError(f"spectrum has a non-finite entry: {vec}")
+        if not np.all(vec >= -_TOL):
             raise ValidationError(f"spectrum has negative entry: {vec}")
         if not abs(vec.sum() - 1.0) <= _TOL:
             raise ValidationError(f"spectrum sums to {vec.sum()}, expected 1")

@@ -351,11 +351,12 @@ def optimize_parameters(
         return math.inf if cert is None else -cert.rate_raw
 
     def best_over_smo(gamma):
-        """The best certificate at gamma, or None unless its observed score beats
-        3/4, checked before ProtocolParams would warn of a vacuous threshold."""
-        if not omega_exp * gamma - delta_est > OMEGA_CLASSICAL * gamma + 1e-15:
+        """The best certificate at gamma, or None unless its observed score beats 3/4."""
+        with warnings.catch_warnings():  # this vacuous threshold is the search's, not the caller's
+            warnings.filterwarnings("ignore", "omega_exp", UserWarning)
+            params = ProtocolParams(n, gamma, omega_exp, delta_est)
+        if not params.p1_obs > OMEGA_CLASSICAL * gamma + 1e-15:
             return None
-        params = ProtocolParams(n, gamma, omega_exp, delta_est)
         return _minimize(lambda lg: certificate(params, 10**lg), rank, smo_lgs, 1e-4)
 
     lgs = [-6 + 6 * i / 59 for i in range(60)]

@@ -242,6 +242,14 @@ class TestOptimalStrategy:
         assert first.alice_observables == second.alice_observables
         assert first.bob_observables == second.bob_observables
 
+    def test_a_deterministic_table_plays_the_shared_sigma_z(self):
+        # so two classical models on one table share a Jordan geometry too
+        first = deterministic_strategy(0, 1, 1, 0)
+        second = deterministic_strategy(False, True, np.int64(1), 0)
+        assert first.alice_observables == second.alice_observables
+        assert first.bob_observables == second.bob_observables
+        assert first.alice_observables[0] is optimal_strategy().alice_observables[0]
+
     def test_plays_the_state_it_is_given(self):
         assert np.array_equal(optimal_strategy().state, PHI_PLUS)
         assert np.array_equal(optimal_strategy(MAXIMALLY_MIXED).state, MAXIMALLY_MIXED)

@@ -273,13 +273,12 @@ class TestSimulate:
 
     @pytest.mark.parametrize("model", list(_MODELS))
     def test_every_model_builds_one_jordan_geometry(self, capsys, monkeypatch, model):
-        # honest, memory and drift play the shared optimal observables, so a
-        # second model on them builds no geometry; classical builds new ones;
-        # the standard protocol needs no geometry
+        # every built-in model plays observables from one shared set, so a
+        # second model on the same ones builds no geometry; the standard
+        # protocol needs none
         simulate._geometry.cache_clear()
         calls = counting(monkeypatch, "jordan_blocks")
-        again = 2 if model == "classical" else 0
-        for protocol, want in (("standard", 0), ("modified", 2), ("modified", again)):
+        for protocol, want in (("standard", 0), ("modified", 2), ("modified", 0)):
             calls.clear()
             code, _, _ = run_cli(
                 capsys, "simulate", "--model", model, "--n", "300", "--gamma", "0.5",

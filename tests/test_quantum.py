@@ -87,12 +87,15 @@ class TestValidation:
         (lambda: Observable(np.array([[0, 1], [0, 0]])), "observable is not Hermitian"),
         (lambda: BellDiagonalSpectrum(1.5, -0.5, 0, 0), "spectrum has negative entry"),
         (lambda: BellDiagonalSpectrum(1.0, -2e-10, 0, 0), "spectrum has negative entry"),
+        (lambda: BellDiagonalSpectrum(np.nan, 0, 0, 1), "spectrum has a non-finite entry"),
+        (lambda: BellDiagonalSpectrum(1.0, np.inf, 0, 0), "spectrum has a non-finite entry"),
         (lambda: BellDiagonalSpectrum(0.5, 0.5, 2e-10, 0), "spectrum sums to 1.0000000002"),
         (lambda: jordan_blocks(Observable(SIGMA_Z), Observable(np.diag([1.0, 1.0, -1.0, -1.0]))),
          "observable dimensions differ: 2 vs 4"),
     ], ids=["state-not-square", "state-not-4x4", "observable-not-square",
             "observable-not-hermitian", "spectrum-negative", "spectrum-entry-below-tolerance",
-            "spectrum-sum-beyond-tolerance", "jordan-dimensions-differ"])
+            "spectrum-nan", "spectrum-inf", "spectrum-sum-beyond-tolerance",
+            "jordan-dimensions-differ"])
     def test_rejects_malformed(self, build, message):
         with pytest.raises(ValidationError, match=message):
             build()

@@ -476,6 +476,14 @@ class TestOptimizeParameters:
         cert = optimize_parameters(10**4, 0.76, EPS_DIST, EPS_SND, EPS_CMP)
         assert cert.rate == 0
 
+    def test_feasibility_reads_p1_obs(self, monkeypatch):
+        # no observed score beats 3/4, so the search certifies no gamma and
+        # returns its fallback: gamma = 1 and eps_smo = sqrt(eps_dist)/2
+        monkeypatch.setattr(ProtocolParams, "p1_obs", property(lambda self: 0.75 * self.gamma))
+        cert = optimize_parameters(10**8, 0.835876, EPS_DIST, EPS_SND, EPS_CMP)
+        assert cert.params.gamma == 1
+        assert cert.errors.eps_smo == math.sqrt(EPS_DIST) / 2
+
     def test_optimized_rate_monotone_in_score_and_n(self):
         # printed mode, four searches of about 2 s: a higher score and a larger
         # n never lower the rate the search finds
