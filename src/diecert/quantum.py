@@ -154,6 +154,13 @@ class JordanBlock:
     block_basis: np.ndarray
 
 
+def bell_diagonal_state(diag) -> TwoQubitState:
+    """The state whose Bell-basis matrix is diagonal with entries `diag` over
+    (Phi+, Phi-, Psi+, Psi-), checked as a density matrix: the inverse of
+    `bell_spectrum`."""
+    return TwoQubitState(BELL_BASIS @ np.diag(diag) @ BELL_BASIS.conj().T)
+
+
 def twirl(state: TwoQubitState) -> TwoQubitState:
     """The Bell-basis diagonal of `state`, as a Bell-diagonal state.
 
@@ -162,8 +169,7 @@ def twirl(state: TwoQubitState) -> TwoQubitState:
     pattern no other Bell state shares, so the average keeps the diagonal and
     cancels every off-diagonal entry.
     """
-    diag = np.diag(np.diag(bell_diagonal_entries(state)))
-    return TwoQubitState(BELL_BASIS @ diag @ BELL_BASIS.conj().T)
+    return bell_diagonal_state(np.diag(bell_diagonal_entries(state)))
 
 
 def bell_diagonal_entries(state: TwoQubitState) -> np.ndarray:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import sys
 import warnings
@@ -59,6 +60,14 @@ def _whole(value, name: str, least: int) -> int:
     return k
 
 
+def _real(value, name: str) -> float:
+    """`value` as a float, if it is a real number (numpy's too, not a bool):
+    a probability, a score or an epsilon, stored so its repr round-trips."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name}={value!r} is not a real number")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Protocol arguments: rounds, test probability, target score, confidence width."""
@@ -70,6 +79,8 @@ class ProtocolParams:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _whole(self.n, "n", 1))
+        for name in ("gamma", "omega_exp", "delta_est"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not (0 <= self.gamma <= 1):
             raise ValidationError(f"gamma={self.gamma} outside [0, 1]")
         if 0 < self.gamma < sys.float_info.min:  # scores times gamma would round away
@@ -101,6 +112,8 @@ class ErrorBudget:
     eps_smo: float
 
     def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         # a zero eps_dist leaves no room for eps_smo, and a zero eps_snd no kappa
         for name in ("eps_dist", "eps_snd"):
             v = getattr(self, name)

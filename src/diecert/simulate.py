@@ -2,8 +2,9 @@
 
 Runs the n-round CHSH test against pluggable device models, in the standard
 mode (test rounds are measured, the rest pass through) or the modified mode
-(untested states are projected onto a pair of Jordan blocks and twirled, so
-the kept states are Bell-diagonal two-qubit states). Also provides abort
+(untested states are projected onto a pair of Jordan blocks and twirled in
+their normal-form frame, so the kept states are Bell-diagonal two-qubit
+states with the source's correlations). Also provides abort
 probabilities (the exact binomial tail for a model with an `exact_score`, a
 Monte Carlo estimate otherwise) and the statistical check that the modified
 protocol leaves the classical statistics unchanged.
@@ -41,12 +42,14 @@ import numpy as np
 from .chsh import (Strategy, born_probabilities, deterministic_strategy, optimal_strategy,
                    winning_probability)
 from .quantum import (
+    BELL_BASIS,
     MAXIMALLY_MIXED,
     TwoQubitState,
     ValidationError,
+    bell_diagonal_state,
     block_projectors,
     jordan_blocks,
-    twirl,
+    twirl,  # not called here; perfbench/tracing.py counts it by this name
     werner_state,
 )
 from .rates import ProtocolParams, _whole, binomial_tail
@@ -342,9 +345,12 @@ class Source:
     def kept(self, pair=None) -> TwoQubitState | None:
         """State kept by an untested round. With no pair: the raw source, or
         None unless it is a two-qubit state. With a block pair (c, d): the
-        source reduced to the two block bases and twirled. The twirl unitary
-        is never recorded, so the state given the transcript is the
-        Bell-diagonal average and no unitary is sampled."""
+        source reduced to the two block bases, turned locally to its
+        Horodecki normal form (a diagonal correlation matrix) and twirled:
+        the Bell-diagonal state of the eigenvalues of its real part in the
+        magic basis, the largest on Phi+ and the rest descending, an order
+        local Cliffords reach. No unitary is recorded, so the state given the
+        transcript is that average and none is sampled."""
         if pair not in self._kept:
             if pair is None:
                 two_qubit = self.state.shape == (4, 4)
@@ -357,7 +363,11 @@ class Source:
                 tr = np.trace(m).real
                 if tr <= 1e-15:
                     raise ValidationError(f"block pair {pair} has vanishing probability")
-                self._kept[pair] = twirl(TwoQubitState(m / tr))
+                # every U (x) V is a real rotation in the magic basis
+                magic = BELL_BASIS * np.array([1, 1j, 1j, 1])
+                lam = np.linalg.eigvalsh((magic.conj().T @ m @ magic).real / tr)
+                rest = np.maximum(lam[2::-1], 0.0)  # all but the largest, descending
+                self._kept[pair] = bell_diagonal_state([1 - rest.sum(), *rest])
         return self._kept[pair]
 
 

@@ -10,7 +10,6 @@ import numpy as np
 from diecert.bounds import binary_entropy
 from diecert.chsh import Strategy
 from diecert.quantum import (
-    BELL_BASIS,
     SIGMA_X,
     SIGMA_Z,
     BellDiagonalSpectrum,
@@ -45,13 +44,6 @@ def optimal_spectrum(beta: float) -> BellDiagonalSpectrum:
         lambda_psi_plus=hi * hi,
         lambda_psi_minus=lo * hi,
     )
-
-
-def bell_diagonal_state(spectrum) -> TwoQubitState:
-    """The Bell-diagonal state of a `BellDiagonalSpectrum`."""
-    diag = np.clip(spectrum.as_array(), 0.0, 1.0)
-    diag = diag / diag.sum()
-    return TwoQubitState(BELL_BASIS @ np.diag(diag).astype(complex) @ BELL_BASIS.conj().T)
 
 
 def relative_entropy_of_entanglement(spectrum) -> float:

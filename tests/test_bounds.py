@@ -16,10 +16,10 @@ from diecert.bounds import (
 from diecert.chsh import (BETA_MAX, OMEGA_CLASSICAL, OMEGA_MAX, beta_from_omega, check_score,
                           optimal_strategy)
 from diecert.quantum import (BellDiagonalSpectrum, Observable, TwoQubitState, ValidationError,
-                             werner_state)
+                             bell_diagonal_state, werner_state)
 from diecert.rates import FrequencyDistribution
 
-from oracles import bell_diagonal_state, optimal_spectrum, von_neumann_entropy
+from oracles import optimal_spectrum, von_neumann_entropy
 from reference_data import ENTROPY_CURVE
 
 # independently derived to full precision at beta = 2.5
@@ -35,6 +35,8 @@ class TestBinaryEntropy:
         assert binary_entropy(0) == 0
         assert binary_entropy(1) == 0
         assert binary_entropy(0.5) == 1
+        # rounded past either end by at most 1e-12: that end
+        assert binary_entropy(-1e-12) == binary_entropy(1 + 1e-12) == 0.0
 
     def test_quarter(self):
         assert binary_entropy(0.25) == pytest.approx(0.8112781244591328, abs=1e-12)
@@ -44,8 +46,9 @@ class TestBinaryEntropy:
         assert binary_entropy(x) == pytest.approx(binary_entropy(1 - x), abs=1e-12)
 
     def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            binary_entropy(1.5)
+        for x in (1.5, -2e-12, 1 + 2e-12):
+            with pytest.raises(ValidationError):
+                binary_entropy(x)
 
 
 class TestGCurve:
@@ -77,9 +80,15 @@ class TestGCurve:
             g(0.99)
 
     def test_derivative_rejects_superquantum(self):
-        # at OMEGA_MAX itself the h argument rounds to 5.6e-17 and g' is defined
+        # at OMEGA_MAX itself the h argument rounds to 5.6e-17 and g' is
+        # defined; one ulp above, it is -1.1e-16. At the other end the h
+        # argument is exactly 1.0, where log2 would raise a plain ValueError
         with pytest.raises(ValidationError, match="g' undefined at omega=0.9"):
             g_prime(0.9)
+        assert math.isfinite(g_prime(OMEGA_MAX))
+        for omega in (math.nextafter(OMEGA_MAX, 1), 0.1464466094067262):
+            with pytest.raises(ValidationError, match="g' undefined"):
+                g_prime(omega)
 
     def test_reference_curve(self):
         for omega, bound in ENTROPY_CURVE:
@@ -107,7 +116,7 @@ class TestAnalyticBound:
     def test_spectrum_attains_the_bound(self):
         for beta in (2.05, 2.5, 2.8):
             res = bell_diag_entropy_bound(beta)
-            state = bell_diagonal_state(optimal_spectrum(res.beta))
+            state = bell_diagonal_state(optimal_spectrum(res.beta).as_array())
             assert von_neumann_entropy(state.matrix) == pytest.approx(
                 res.max_total_entropy, abs=1e-10
             )
@@ -125,6 +134,12 @@ class TestAnalyticBound:
             bell_diag_entropy_bound(1.5)
         with pytest.raises(ValidationError):
             bell_diag_entropy_bound(3.0)
+        for beta in (2 - 2e-12, BETA_MAX + 2e-12):
+            with pytest.raises(ValidationError):
+                bell_diag_entropy_bound(beta)
+        # rounded past either end by at most 1e-12: that end
+        assert bell_diag_entropy_bound(2 - 1e-12).beta == 2.0
+        assert bell_diag_entropy_bound(BETA_MAX + 1e-12).beta == BETA_MAX
 
 
 class TestBruteForce:

@@ -17,6 +17,7 @@ from diecert.quantum import (
     TwoQubitState,
     ValidationError,
     bell_diagonal_entries,
+    bell_diagonal_state,
     bell_spectrum,
     block_projectors,
     jordan_blocks,
@@ -25,23 +26,12 @@ from diecert.quantum import (
 )
 
 from oracles import (
-    bell_diagonal_state,
     conditional_entropy,
     observables_from_blocks,
     partial_trace,
     pauli_twirl,
     von_neumann_entropy,
 )
-
-
-def bell_state(index):
-    psi = BELL_BASIS[:, index]
-    return TwoQubitState(np.outer(psi, psi.conj()))
-
-
-def bell_diagonal_matrix(diag):
-    """The state with Bell-basis diagonal `diag`, unchecked as a spectrum."""
-    return TwoQubitState(BELL_BASIS @ np.diag(diag) @ BELL_BASIS.conj().T)
 
 
 def random_density(rng, d=4):
@@ -133,7 +123,7 @@ class TestCheckedMatricesStayChecked:
 
 class TestPartialTrace:
     def test_maximally_entangled_marginal(self):
-        reduced = partial_trace(bell_state(0), keep="B")
+        reduced = partial_trace(bell_diagonal_state(np.eye(4)[0]), keep="B")
         assert np.allclose(reduced, np.eye(2) / 2, atol=1e-12)
 
     def test_product_state(self):
@@ -154,7 +144,8 @@ class TestPartialTrace:
 
 class TestEntropies:
     def test_pure_state_entropy_zero(self):
-        assert von_neumann_entropy(bell_state(2).matrix) == pytest.approx(0, abs=1e-10)
+        psi_plus = bell_diagonal_state(np.eye(4)[2])
+        assert von_neumann_entropy(psi_plus.matrix) == pytest.approx(0, abs=1e-10)
 
     def test_maximally_mixed(self):
         assert von_neumann_entropy(np.eye(4) / 4) == pytest.approx(2, abs=1e-12)
@@ -166,7 +157,8 @@ class TestEntropies:
         )
 
     def test_conditional_entropy_bell_state(self):
-        assert conditional_entropy(bell_state(0)) == pytest.approx(-1, abs=1e-10)
+        phi_plus = bell_diagonal_state(np.eye(4)[0])
+        assert conditional_entropy(phi_plus) == pytest.approx(-1, abs=1e-10)
 
     def test_conditional_entropy_maximally_mixed(self):
         state = TwoQubitState(np.eye(4, dtype=complex) / 4)
@@ -179,8 +171,8 @@ class TestEntropies:
             assert -1 - 1e-9 <= h <= 1 + 1e-9
 
     def test_minus_one_only_for_bell_states(self):
-        for k in range(4):
-            assert conditional_entropy(bell_state(k)) == pytest.approx(-1, abs=1e-10)
+        for diag in np.eye(4):
+            assert conditional_entropy(bell_diagonal_state(diag)) == pytest.approx(-1, abs=1e-10)
         assert conditional_entropy(werner_state(0.1)) > -1 + 1e-3
 
 
@@ -196,7 +188,7 @@ class TestTwirl:
 
     def test_bell_states_fixed(self):
         for k in range(4):
-            state = bell_state(k)
+            state = bell_diagonal_state(np.eye(4)[k])
             assert np.allclose(twirl(state).matrix, state.matrix, atol=1e-14)
 
     def test_maximally_mixed_fixed(self):
@@ -250,7 +242,8 @@ class TestTwirl:
 
 class TestBellSpectrum:
     def test_pure_bell_states(self):
-        assert np.allclose(bell_spectrum(bell_state(3)).as_array(), [0, 0, 0, 1])
+        psi_minus = bell_diagonal_state(np.eye(4)[3])
+        assert np.allclose(bell_spectrum(psi_minus).as_array(), [0, 0, 0, 1])
 
     def test_maximally_mixed(self):
         state = TwoQubitState(np.eye(4, dtype=complex) / 4)
@@ -264,7 +257,8 @@ class TestBellSpectrum:
 
     def test_spectrum_roundtrip(self):
         spec = BellDiagonalSpectrum(0.4, 0.3, 0.2, 0.1)
-        assert np.allclose(bell_spectrum(bell_diagonal_state(spec)).as_array(), spec.as_array())
+        state = bell_diagonal_state(spec.as_array())
+        assert np.allclose(bell_spectrum(state).as_array(), spec.as_array())
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(0, 1), min_size=4, max_size=4).filter(lambda w: sum(w) > 1e-3),
@@ -282,7 +276,7 @@ class TestBellSpectrum:
             moved = lam[k] + abs(edge)
             lam[k] -= moved
             lam[(k + 1) % 4] += moved
-        spec = bell_spectrum(bell_diagonal_matrix(lam)).as_array()
+        spec = bell_spectrum(bell_diagonal_state(lam)).as_array()
         assert np.all((0 <= spec) & (spec <= 1))
         assert abs(spec.sum() - 1) <= 1e-10
 
@@ -291,13 +285,14 @@ class TestBellSpectrum:
         ([1 + 1.5e-10, -0.9e-10, 0, 0], [1, 0, 0, 0]),
     ], ids=["trace-above-1", "entry-above-1"])
     def test_edge_states_read_as_their_spectrum(self, diag, expected):
-        spec = bell_spectrum(bell_diagonal_matrix(diag)).as_array()
+        spec = bell_spectrum(bell_diagonal_state(diag)).as_array()
         assert np.allclose(spec, expected, rtol=0, atol=1e-10)
 
 
 class TestWerner:
     def test_endpoints(self):
-        assert np.allclose(werner_state(0).matrix, bell_state(0).matrix, atol=1e-12)
+        phi_plus = bell_diagonal_state(np.eye(4)[0]).matrix
+        assert np.allclose(werner_state(0).matrix, phi_plus, atol=1e-12)
         assert np.allclose(werner_state(1).matrix, np.eye(4) / 4, atol=1e-12)
 
     def test_half_spectrum(self):
@@ -307,8 +302,9 @@ class TestWerner:
         assert np.allclose(spec, [1 - 3 * xi / 4, xi / 4, xi / 4, xi / 4], atol=1e-12)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValidationError):
-            werner_state(1.2)
+        for xi in (1.2, 1.0005):
+            with pytest.raises(ValidationError):
+                werner_state(xi)
 
     def test_shared_ends_are_read_only(self):
         # optimal_strategy's state is PHI_PLUS itself; a write would change every Werner state

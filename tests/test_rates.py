@@ -3,6 +3,7 @@ import re
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -88,6 +89,21 @@ class TestProtocolParams:
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValidationError):
             params(gamma=1.5)
+        # a bool is not a probability, and a string is refused as one value
+        for gamma in (True, "0.5"):
+            with pytest.raises(ValidationError, match=f"^gamma={gamma!r} is not a real number$"):
+                params(gamma=gamma)
+
+    @pytest.mark.parametrize("delta_est", [1.0, 1.5])
+    def test_rejects_delta_est_of_one_or_more(self, delta_est):
+        with pytest.raises(ValidationError, match=r"outside \[0, 1\)$"):
+            params(delta_est=delta_est)
+
+    def test_numpy_reals_are_stored_as_floats(self):
+        p = ProtocolParams(n=np.int64(20), gamma=np.float64(0.5), omega_exp=np.float64(0.8),
+                           delta_est=np.float32(0.05))
+        assert (p.n, p.gamma, p.omega_exp, p.delta_est) == (20, 0.5, 0.8, float(np.float32(0.05)))
+        assert all(type(v) is float for v in (p.gamma, p.omega_exp, p.delta_est))
 
     @pytest.mark.parametrize("gamma", [5e-324, 1e-321, sys.float_info.min / 2])
     def test_rejects_subnormal_gamma(self, gamma):
@@ -120,6 +136,11 @@ class TestErrorBudget:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
             budget(eps_snd=1.5)
+        for name, value in (("eps_snd", True), ("eps_smo", "1e-4")):
+            with pytest.raises(ValidationError, match=f"^{name}={value!r} is not a real number$"):
+                budget(**{name: value})
+        b = budget(eps_dist=np.float32(1e-6), eps_cmp=np.float64(1e-6))
+        assert type(b.eps_dist) is float and type(b.eps_cmp) is float
 
     @pytest.mark.parametrize("eps_cmp", [-0.1, 1.5, math.nan])
     def test_rejects_cmp_outside_unit_interval(self, eps_cmp):

@@ -963,6 +963,15 @@ class TestTranscriptSerialization:
         assert lines[1] == "i,t,x,y,a,b,w,c,d"
         assert len(lines) == 22
 
+    def test_numpy_numbers_write_the_python_header(self):
+        # stored as Python numbers, so every repr in the header round-trips
+        p = ProtocolParams(n=np.int64(20), gamma=np.float64(0.5), omega_exp=np.float64(0.8),
+                           delta_est=np.float32(0.05))
+        twin = ProtocolParams(n=20, gamma=0.5, omega_exp=0.8, delta_est=float(np.float32(0.05)))
+        text = transcript_text(run_protocol(honest(), p, seed=3))
+        assert text == transcript_text(run_protocol(honest(), twin, seed=3))
+        assert text.startswith("# n=20 gamma=0.5 omega_exp=0.8 delta_est=0.05000000074505806 ")
+
     def test_unset_cells_are_empty(self):
         p = make_params(n=50, gamma=0.2)
         tr = run_protocol(honest(), p, seed=3)

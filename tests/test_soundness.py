@@ -36,6 +36,7 @@ from diecert.quantum import (
     SIGMA_Z,
     BellDiagonalSpectrum,
     TwoQubitState,
+    bell_diagonal_state,
     bell_spectrum,
     werner_state,
 )
@@ -50,7 +51,7 @@ from diecert.rates import (
 from diecert.simulate import HonestIIDDevice, Source, kept_states, run_protocol
 
 from oracles import (
-    bell_diagonal_state,
+    PAULIS,
     optimal_spectrum,
     relative_entropy_of_entanglement,
     transcript_text,
@@ -66,7 +67,7 @@ def _hashing(spectrum):
 def _score(spectrum):
     """Score of the Bell-diagonal state under the optimal-CHSH observables,
     which is 1/2 + (lambda_phi+ - lambda_psi-)/(2 sqrt(2))."""
-    return winning_probability(optimal_strategy(bell_diagonal_state(spectrum).matrix))
+    return winning_probability(optimal_strategy(bell_diagonal_state(spectrum.as_array()).matrix))
 
 
 def _sorted_spectrum(weights):
@@ -153,18 +154,15 @@ def _block_pair_score(source, c, d):
 _CHSH_BOB = (BLOCK_OBSERVABLES[0], ((SIGMA_Z + SIGMA_X) / math.sqrt(2),
                                     (SIGMA_Z - SIGMA_X) / math.sqrt(2)))
 _CHSH_CASES = [((0.5, 0.5), (0.0, 0.0)), ((0.3, 0.7), (0.2, 0.05))]
-_ITEM_2 = (
-    "ROADMAP item 2: Source.kept twirls in the Jordan-block frame, which zeroes "
-    "the cross correlators that carry part of the score; 1 against 0.3991 at "
-    "xi = 0 and 0.6627 against 0.3274 at xi = 0.05")
 
 
 class TestKeptStateCeiling:
     """The many-round rate at a source's score never exceeds the E_R of the
     state `Source.kept` leaves for a block pair: no protocol distils more
-    than the states it keeps hold."""
+    than the states it keeps hold. At xi = 0 the kept lambda_max reads
+    1 - 3e-16, so E_R reads 1 - 2e-14 against a rate of exactly 1: each
+    comparison allows 1e-12 of rounding."""
 
-    @pytest.mark.xfail(strict=True, reason=_ITEM_2)
     @given(st.floats(0.0, 0.29))  # scores from OMEGA_MAX down to just above 3/4
     @example(0.0)
     @example(0.05)
@@ -174,7 +172,7 @@ class TestKeptStateCeiling:
         # qubit observables: one Jordan block per party, so one block pair
         kept = bell_spectrum(Source(strategy).kept((0, 0)))
         rate = asymptotic_rate(winning_probability(strategy))
-        assert rate <= relative_entropy_of_entanglement(kept)
+        assert rate <= relative_entropy_of_entanglement(kept) + 1e-12
 
     @pytest.mark.parametrize("weights, noises", [
         ((0.3, 0.7), (0.0, 0.4)),
@@ -184,8 +182,7 @@ class TestKeptStateCeiling:
     def test_block_pair_source(self, weights, noises):
         # Block 0 plays (sigma_z, (sigma_z + sigma_x)/sqrt 2) on both sides and
         # scores 1/2 + sqrt(2)(1 - xi)/8, block 1 (sigma_z, sigma_x) and 1/2:
-        # both below 3/4, so ROADMAP item 2's fault cannot show here and no
-        # case is marked. The kept spectra pin the block frames of jordan_blocks.
+        # both below 3/4. The kept spectra are the Werner ones.
         source = BlockPairDevice(weights, noises).source
         for c, d in product(range(2), repeat=2):
             weight, score = _block_pair_score(source, c, d)
@@ -209,17 +206,66 @@ class TestKeptStateCeiling:
         assert weight == pytest.approx(weights[1])
         assert score == pytest.approx(0.5 + math.sqrt(2) * (1 - noises[1]) / 4)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=_ITEM_2)
     @pytest.mark.parametrize("weights, noises", _CHSH_CASES)
     def test_chsh_block_pair_source(self, weights, noises):
         # Block 0 plays pi/4 on each side, block 1 the optimal CHSH pairs
         # (Alice sigma_z, sigma_x; Bob (sigma_z +/- sigma_x)/sqrt 2): block
-        # pair (1, 1) scores 0.8536 and 0.8359 here, and its kept state loses
-        # the cross correlators, as the Werner source's does
+        # pair (1, 1) scores 0.8536 and 0.8359 here
         source = BlockPairDevice(weights, noises, bob=_CHSH_BOB).source
         _, score = _block_pair_score(source, 1, 1)
         kept = bell_spectrum(source.kept((1, 1)))
-        assert asymptotic_rate(score) <= relative_entropy_of_entanglement(kept)
+        assert asymptotic_rate(score) <= relative_entropy_of_entanglement(kept) + 1e-12
+
+
+def _correlation_singular_values(matrix):
+    """Singular values of T_ij = tr(rho sigma_i (x) sigma_j) over x, y, z,
+    which no local unitary changes."""
+    t = [[np.trace(matrix @ np.kron(a, b)).real for b in PAULIS[1:]] for a in PAULIS[1:]]
+    return np.linalg.svd(t, compute_uv=False)
+
+
+class TestKeptStateNormalForm:
+    """`Source.kept` keeps a block pair's state in the local frame where its
+    correlation matrix is diagonal, so the kept state holds the correlations
+    the test rounds see."""
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @example(0.0, 0.0)
+    @example(0.05, 0.2)
+    def test_keeps_the_correlation_singular_values(self, xi0, xi1):
+        # each block pair of BlockPairDevice holds werner_state(xi) in its
+        # block bases, which a local unitary maps to the embedding
+        werner = Source(optimal_strategy(werner_state(xi0).matrix))
+        chsh = BlockPairDevice((0.5, 0.5), (xi0, xi1), bob=_CHSH_BOB).source
+        for source, c, xi in ((werner, 0, xi0), (chsh, 0, xi0), (chsh, 1, xi1)):
+            kept = _correlation_singular_values(source.kept((c, c)).matrix)
+            reduced = _correlation_singular_values(werner_state(xi).matrix)
+            assert np.max(np.abs(kept - reduced)) <= 1e-12
+
+    @given(st.floats(0.0, 0.29))  # scores from OMEGA_MAX down to just above 3/4
+    @example(0.0)
+    def test_hashing_yield_meets_the_rate(self, xi):
+        strategy = optimal_strategy(werner_state(xi).matrix)
+        kept = bell_spectrum(Source(strategy).kept((0, 0)))
+        assert _hashing(kept) >= asymptotic_rate(winning_probability(strategy)) - 1e-12
+
+    @pytest.mark.parametrize("mode, gamma, rate", [
+        ("printed", 0.17698043355697318, 0.4205),
+        ("ceiling", 0.17621431164413395, 0.4391),
+    ])
+    def test_orders_the_werner_point(self, mode, gamma, rate):
+        # the design optimize_parameters(10**8, 0.835876, 1e-5, 1e-5, 1e-2,
+        # mode) picks at the score of a xi = 0.05 Werner source
+        params = ProtocolParams(n=10**8, gamma=gamma, omega_exp=0.835876,
+                                delta_est=0.00015174271293851463)
+        budget = ErrorBudget(eps_dist=1e-5, eps_snd=1e-5, eps_cmp=1e-2,
+                             eps_smo=0.003161961432402358)
+        certified = certified_log_l(params, budget, mode).rate
+        kept = bell_spectrum(Source(optimal_strategy(werner_state(0.05).matrix)).kept((0, 0)))
+        order = (certified, asymptotic_rate(0.835876), _hashing(kept),
+                 relative_entropy_of_entanglement(kept))
+        assert order == pytest.approx((rate, 0.6627, 0.7099, 0.7693), abs=1e-4)
+        assert list(order) == sorted(order)
 
 
 def _assert_below_the_many_round_rate(omega, c):
@@ -243,7 +289,7 @@ class TestFiniteCertificates:
 def test_simulated_werner_source_certifies_below_its_kept_states(tmp_path, capsys):
     """simulate --protocol modified on an honest Werner source, its observed
     win fraction certified with rate: the rate stays below the hashing yield
-    of the twirled states the same run keeps."""
+    of the states the same run keeps, the Werner source's own 0.7099."""
     xi, n, gamma, seed = 0.05, 20000, 0.5, 3
     out = tmp_path / "transcript.csv"
     assert main([
@@ -277,3 +323,4 @@ def test_simulated_werner_source_certifies_below_its_kept_states(tmp_path, capsy
     print(f"certified rate {rate:.6g} vs hashing yield {hashing:.6g} of "
           f"{len(kept)} kept states: margin {margin:.6g}")
     assert rate < hashing
+    assert hashing == pytest.approx(0.7099, abs=1e-4)
