@@ -19,7 +19,8 @@ factor and its domain, `_budget_term` the log(1/eps) term and `ErrorBudget`
 the budget's ranges, checked before any search. `RateCertificate` keeps what
 eta_opt found and derives p_t, v, log L and the rate from it, so log L has one
 formula. `_minimize` is the only search: a fixed scan grid plus golden section
-returning the best item it built: (eta, cutoff) pairs in eta_opt, and the
+returning the best item it built: (eta, cutoff) pairs in eta_opt, whose grid is
+`_CUTOFFS` and its terms one `_scan_terms` table per gamma, and the
 certificates optimize_parameters returns, by rate. Runs are bit-identical.
 On the completeness side, `binomial_tail` is the exact abort probability of a
 device that wins each round independently, and `completeness_bound` its
@@ -35,6 +36,7 @@ import operator
 import sys
 import warnings
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 from .bounds import g, g_prime
 from .chsh import OMEGA_CLASSICAL, OMEGA_MAX, check_score
@@ -44,6 +46,8 @@ MODES = ("printed", "ceiling")
 _LOG2_5 = math.log2(5)
 _GOLDEN = (1 + math.sqrt(5)) / 2
 _EDGE = 1e-9  # open-interval endpoints are shrunk by this much
+_LO, _HI = OMEGA_CLASSICAL + _EDGE, OMEGA_MAX - _EDGE
+_CUTOFFS = tuple(_LO + i * ((_HI - _LO) / 199) for i in range(200))  # eta_opt's scan
 
 
 def _whole(value, name: str, least: int) -> int:
@@ -245,9 +249,17 @@ def _cutoff_terms(p1: float, wt: float, gamma: float, mode: str) -> tuple[float,
     return f_max, v_half
 
 
-def _eta_scalar(wt: float, p1_obs: float, gamma: float, n: int, kappa: float, mode: str) -> float:
-    """eta at cutoff score wt, with kappa from `_kappa`; +inf wherever v is infinite."""
-    f_max, v_half = _cutoff_terms(p1_obs, wt, gamma, mode)
+@functools.lru_cache(maxsize=1)
+def _scan_terms(p1: float, gamma: float, mode: str) -> MappingProxyType:
+    """`_cutoff_terms` on `_CUTOFFS`, read-only, shared by eta_opt's calls that differ in kappa."""
+    return MappingProxyType({wt: _cutoff_terms(p1, wt, gamma, mode) for wt in _CUTOFFS})
+
+
+def _eta_scalar(
+    wt: float, p1_obs: float, gamma: float, n: int, kappa: float, mode: str, terms=None
+) -> float:
+    """eta at cutoff wt from its `_cutoff_terms` (`terms`, if given); +inf if v is infinite."""
+    f_max, v_half = terms or _cutoff_terms(p1_obs, wt, gamma, mode)
     if v_half == math.inf:
         return math.inf
     return f_max + (2 / math.sqrt(n)) * v_half * kappa
@@ -256,7 +268,7 @@ def _eta_scalar(wt: float, p1_obs: float, gamma: float, n: int, kappa: float, mo
 def eta_opt(
     params: ProtocolParams, budget: ErrorBudget, mode: str = "printed"
 ) -> tuple[float, float]:
-    """Minimize eta over the cutoff score: 200-point scan, then golden section.
+    """Minimize eta over the cutoff score: `_CUTOFFS` read from `_scan_terms`, then golden section.
 
     Returns the least eta it computed and the cutoff score it computed it at.
     """
@@ -264,14 +276,12 @@ def eta_opt(
     if gamma <= 0:
         raise ValidationError("gamma must be positive")
     kappa, p1_obs = _kappa(budget.eps_smo, budget.eps_snd), params.p1_obs
-    lo, hi = OMEGA_CLASSICAL + _EDGE, OMEGA_MAX - _EDGE
+    table = _scan_terms(p1_obs, gamma, mode)
 
     def item(wt):
-        return _eta_scalar(wt, p1_obs, gamma, n, kappa, mode), wt
+        return _eta_scalar(wt, p1_obs, gamma, n, kappa, mode, table.get(wt)), wt
 
-    npts = 200
-    step = (hi - lo) / (npts - 1)
-    return _minimize(item, lambda it: it[0], [lo + i * step for i in range(npts)], 1e-9)
+    return _minimize(item, lambda it: it[0], _CUTOFFS, 1e-9)
 
 
 def binomial_tail(n: int, p: float, min_wins: int) -> float:

@@ -17,7 +17,7 @@ from diecert.rates import (
     ErrorBudget,
     FrequencyDistribution,
     ProtocolParams,
-    _EDGE,
+    _CUTOFFS,
     _cutoff_terms,
     _eta_scalar,
     _f,
@@ -299,10 +299,8 @@ class TestEtaOpt:
         eta, cutoff = eta_opt(p, b, mode)
         obs = p.omega_exp * gamma - p.delta_est
         assert eta == eta_at(cutoff, obs, p, b, mode)
-        lo, hi = 0.75 + _EDGE, OMEGA_MAX - _EDGE
-        step = (hi - lo) / 199
-        for i in range(200):
-            assert eta <= eta_at(lo + i * step, obs, p, b, mode)
+        for wt in _CUTOFFS:
+            assert eta <= eta_at(wt, obs, p, b, mode)
 
     def test_kappa_domain(self):
         for zero in ("eps_snd", "eps_smo"):
@@ -329,9 +327,31 @@ class TestCutoffTerms:
                 return inner(w)
 
             monkeypatch.setattr(rates, name, counted)
+        rates._scan_terms.cache_clear()  # an earlier test may have built this table
         eta_opt(params(gamma=0.05, omega_exp=0.84, delta_est=1e-4), budget(), mode)
         assert calls["g"] > 200  # the scan grid and the golden-section points
         assert calls["g_prime"] == calls["g"]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_scan_table_per_gamma(self, monkeypatch, mode):
+        # the search's eta_opt calls at one gamma differ only in eps_smo, so
+        # the second reads the scan's terms from the first one's table
+        p = params(gamma=0.05, omega_exp=0.84, delta_est=1e-4)
+        rates._scan_terms.cache_clear()
+        eta_opt(p, budget(eps_smo=1e-4), mode)
+        calls = []
+        inner = rates._cutoff_terms
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(rates, "_cutoff_terms", counted)
+        warm = eta_opt(p, budget(eps_smo=3e-4), mode)
+        assert 0 < len(calls) < 200  # only the golden-section points
+        rates._scan_terms.cache_clear()
+        cold = eta_opt(p, budget(eps_smo=3e-4), mode)
+        assert [x.hex() for x in warm] == [x.hex() for x in cold]
 
 
 class TestMinimize:
