@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import re
@@ -376,6 +377,9 @@ _HELP = {
 }
 
 
+# one per process: a parse writes only to the namespace it returns, and each cmd_* is bound
+# when the parser is first built
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Declares each subcommand's flags; every value stays a string (or True
     for a switch) for `_Config.get` to convert. Flags must be spelled in
@@ -395,15 +399,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_VALUE_FLAGS = {f"--{f}" for _, _, names in _COMMANDS.values()
+                for f in ["config", *names.split()] if f not in _SWITCHES}
+
+
 def _join_negatives(argv) -> list[str]:
     """Each token of a minus sign then a digit, a point, inf or nan, as every
     negative number `float` reads begins, joined to the value flag before it:
     argparse reads only a plain decimal such as -0.001 as a value."""
-    flags = {f"--{f}" for _, _, names in _COMMANDS.values()
-             for f in ["config", *names.split()] if f not in _SWITCHES}
     joined = []
     for token in argv:
-        if joined and joined[-1] in flags and re.match(r"-(?i:[\d.]|inf|nan)", token):
+        if joined and joined[-1] in _VALUE_FLAGS and re.match(r"-(?i:[\d.]|inf|nan)", token):
             joined[-1] += "=" + token
         else:
             joined.append(token)
@@ -411,8 +417,7 @@ def _join_negatives(argv) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_negatives(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_join_negatives(sys.argv[1:] if argv is None else argv))
     try:
         with warnings.catch_warnings():  # one line per warning, not Python's two
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)

@@ -36,10 +36,11 @@ BELL_BASIS = np.array(
     ],
     dtype=complex,
 )
+MAGIC_BASIS = BELL_BASIS * np.array([1, 1j, 1j, 1])  # every U (x) V is a real rotation in it
 # |Phi+><Phi+| and I/4, the two ends of every Werner state
 PHI_PLUS = np.outer(BELL_BASIS[:, 0], BELL_BASIS[:, 0].conj())
 MAXIMALLY_MIXED = np.eye(4) / 4
-for _m in (SIGMA_X, SIGMA_Z, BELL_BASIS, PHI_PLUS, MAXIMALLY_MIXED):  # read-only, so shared safely
+for _m in (SIGMA_X, SIGMA_Z, BELL_BASIS, MAGIC_BASIS, PHI_PLUS, MAXIMALLY_MIXED):  # read-only
     _m.flags.writeable = False
 
 

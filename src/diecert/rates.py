@@ -21,7 +21,8 @@ eta_opt found and derives p_t, v, log L and the rate from it, so log L has one
 formula. `_minimize` is the only search: a fixed scan grid plus golden section
 returning the best item it built: (eta, cutoff) pairs in eta_opt, whose grid is
 `_CUTOFFS` and its terms one `_scan_terms` table per gamma, and the
-certificates optimize_parameters returns, by rate. Runs are bit-identical.
+certificates optimize_parameters returns, by rate, on `_GAMMA_LGS` in log10
+gamma. Runs are bit-identical.
 On the completeness side, `binomial_tail` is the exact abort probability of a
 device that wins each round independently, and `completeness_bound` its
 Hoeffding bound.
@@ -48,6 +49,7 @@ _GOLDEN = (1 + math.sqrt(5)) / 2
 _EDGE = 1e-9  # open-interval endpoints are shrunk by this much
 _LO, _HI = OMEGA_CLASSICAL + _EDGE, OMEGA_MAX - _EDGE
 _CUTOFFS = tuple(_LO + i * ((_HI - _LO) / 199) for i in range(200))  # eta_opt's scan
+_GAMMA_LGS = tuple(-6 + 6 * i / 59 for i in range(60))  # optimize_parameters' log10 gamma scan
 
 
 def _whole(value, name: str, least: int) -> int:
@@ -255,11 +257,9 @@ def _scan_terms(p1: float, gamma: float, mode: str) -> MappingProxyType:
     return MappingProxyType({wt: _cutoff_terms(p1, wt, gamma, mode) for wt in _CUTOFFS})
 
 
-def _eta_scalar(
-    wt: float, p1_obs: float, gamma: float, n: int, kappa: float, mode: str, terms=None
-) -> float:
-    """eta at cutoff wt from its `_cutoff_terms` (`terms`, if given); +inf if v is infinite."""
-    f_max, v_half = terms or _cutoff_terms(p1_obs, wt, gamma, mode)
+def _eta_scalar(terms: tuple[float, float], n: int, kappa: float) -> float:
+    """eta from a cutoff's `_cutoff_terms`; +inf if v is infinite."""
+    f_max, v_half = terms
     if v_half == math.inf:
         return math.inf
     return f_max + (2 / math.sqrt(n)) * v_half * kappa
@@ -279,7 +279,8 @@ def eta_opt(
     table = _scan_terms(p1_obs, gamma, mode)
 
     def item(wt):
-        return _eta_scalar(wt, p1_obs, gamma, n, kappa, mode, table.get(wt)), wt
+        terms = table.get(wt) or _cutoff_terms(p1_obs, wt, gamma, mode)
+        return _eta_scalar(terms, n, kappa), wt
 
     return _minimize(item, lambda it: it[0], _CUTOFFS, 1e-9)
 
@@ -382,8 +383,7 @@ def optimize_parameters(
             return None
         return _minimize(lambda lg: certificate(params, 10**lg), rank, smo_lgs, 1e-4)
 
-    lgs = [-6 + 6 * i / 59 for i in range(60)]
-    best = _minimize(lambda lg: best_over_smo(10**lg), rank, lgs, 1e-4)
+    best = _minimize(lambda lg: best_over_smo(10**lg), rank, _GAMMA_LGS, 1e-4)
     # nothing certifiable: report a zero-rate certificate at safe defaults
     return best or certificate(ProtocolParams(n, 1.0, omega_exp, delta_est), sqrt_dist / 2)
 

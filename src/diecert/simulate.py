@@ -42,7 +42,7 @@ import numpy as np
 from .chsh import (Strategy, born_probabilities, deterministic_strategy, optimal_strategy,
                    winning_probability)
 from .quantum import (
-    BELL_BASIS,
+    MAGIC_BASIS,
     MAXIMALLY_MIXED,
     TwoQubitState,
     ValidationError,
@@ -363,9 +363,7 @@ class Source:
                 tr = np.trace(m).real
                 if tr <= 1e-15:
                     raise ValidationError(f"block pair {pair} has vanishing probability")
-                # every U (x) V is a real rotation in the magic basis
-                magic = BELL_BASIS * np.array([1, 1j, 1j, 1])
-                lam = np.linalg.eigvalsh((magic.conj().T @ m @ magic).real / tr)
+                lam = np.linalg.eigvalsh((MAGIC_BASIS.conj().T @ m @ MAGIC_BASIS).real / tr)
                 rest = np.maximum(lam[2::-1], 0.0)  # all but the largest, descending
                 self._kept[pair] = bell_diagonal_state([1 - rest.sum(), *rest])
         return self._kept[pair]

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -931,3 +932,34 @@ class TestEntryPoint:
         assert proc.stderr == (
             "warning: omega_exp*gamma - delta_est <= 0: the abort threshold is vacuous\n")
         assert proc.stdout == quiet.stdout
+
+
+class TestOneParser:
+    """`main` builds its parser once per process: every later call, an
+    argparse error among them, parses with that one and prints the same bytes."""
+
+    def test_calls_build_no_second_parser(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"n": "1e6", "omega_exp": 0.84, "exact": True}))
+        fixed = ["--gamma", "0.1", "--eps-smo", "1e-4"]
+        calls = [
+            ["rate", "--n", "1e6", "--omega-exp", "0.84", *fixed],
+            ["curve", "--n-values", "1e6", "--omega-values", "0.84"],
+            ["simulate", "--n", "200", "--gamma", "0.5", "--omega-exp", "0.8", "--trials", "2"],
+            ["rate", "--config", str(cfgfile), *fixed],
+            ["rate", "--seed", "1"],  # a flag rate does not read: argparse exits 2
+            ["entropy-curve", "--omega-values", "0.8"],
+        ]
+        first = [_run(argv) for argv in calls]  # the first call may build the parser
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        with mock.patch.object(argparse.ArgumentParser, "__init__", counted):
+            again = [_run(argv) for argv in calls]
+        assert [code for code, _, _ in first] == [0, 0, 0, 0, 2, 0]
+        assert built == []
+        assert again == first

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from diecert.chsh import optimal_strategy
 from diecert.quantum import (
     BELL_BASIS,
+    MAGIC_BASIS,
     MAXIMALLY_MIXED,
     PHI_PLUS,
     SIGMA_X,
@@ -112,10 +113,10 @@ class TestCheckedMatricesStayChecked:
         lambda: TwoQubitState(np.array(PHI_PLUS, dtype=complex)).matrix,
         lambda: Observable(np.array(SIGMA_X, dtype=complex)).matrix,
         lambda: optimal_strategy(np.array(PHI_PLUS, dtype=complex)).state,
-        lambda: SIGMA_X, lambda: SIGMA_Z, lambda: BELL_BASIS,
+        lambda: SIGMA_X, lambda: SIGMA_Z, lambda: BELL_BASIS, lambda: MAGIC_BASIS,
         lambda: PHI_PLUS, lambda: MAXIMALLY_MIXED,
     ], ids=["state", "observable", "strategy", "sigma-x", "sigma-z", "bell-basis",
-            "phi-plus", "maximally-mixed"])
+            "magic-basis", "phi-plus", "maximally-mixed"])
     def test_is_read_only(self, matrix):
         with pytest.raises(ValueError, match="read-only"):
             matrix()[0, 0] = 0

@@ -215,7 +215,8 @@ class TestTradeoff:
 
 def eta_at(wt, p1_observed, p, b, mode="printed"):
     """eta at cutoff score wt, for protocol parameters p and error budget b."""
-    return _eta_scalar(wt, p1_observed, p.gamma, p.n, _kappa(b.eps_smo, b.eps_snd), mode)
+    terms = _cutoff_terms(p1_observed, wt, p.gamma, mode)
+    return _eta_scalar(terms, p.n, _kappa(b.eps_smo, b.eps_snd))
 
 
 class TestEta:

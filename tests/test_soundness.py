@@ -216,6 +216,19 @@ class TestKeptStateCeiling:
         kept = bell_spectrum(source.kept((1, 1)))
         assert asymptotic_rate(score) <= relative_entropy_of_entanglement(kept) + 1e-12
 
+    @given(st.floats(0.01, 0.99), st.floats(0.0, 1.0), st.floats(0.0, 0.29))
+    @example(0.5, 0.0, 0.0)
+    def test_chsh_block_pair_chain(self, w, xi0, xi1):
+        # the chain at block pair (1, 1)'s own score, above 3/4 for xi1 <= 0.29,
+        # whatever block 0 holds and however much of the state it takes
+        source = BlockPairDevice((1 - w, w), (xi0, xi1), bob=_CHSH_BOB).source
+        _, score = _block_pair_score(source, 1, 1)
+        kept = bell_spectrum(source.kept((1, 1)))
+        asymptotic, hashing = asymptotic_rate(score), _hashing(kept)
+        target(asymptotic - hashing)  # steer the search toward the first step's margin
+        assert asymptotic <= hashing + 1e-12
+        assert hashing <= relative_entropy_of_entanglement(kept) + 1e-12
+
 
 def _correlation_singular_values(matrix):
     """Singular values of T_ij = tr(rho sigma_i (x) sigma_j) over x, y, z,
