@@ -19,10 +19,10 @@ factor and its domain, `_budget_term` the log(1/eps) term and `ErrorBudget`
 the budget's ranges, checked before any search. `RateCertificate` keeps what
 eta_opt found and derives p_t, v, log L and the rate from it, so log L has one
 formula. `_minimize` is the only search: a fixed scan grid plus golden section
-returning the best item it built: (eta, cutoff) pairs in eta_opt, whose grid is
-`_CUTOFFS` and its terms one `_scan_terms` table per gamma, and the
-certificates optimize_parameters returns, by rate, on `_GAMMA_LGS` in log10
-gamma. Runs are bit-identical.
+returning the first best item it built (the scan's first best or a refinement
+point): (eta, cutoff) pairs in eta_opt, whose grid is `_CUTOFFS` and its terms
+one `_scan_terms` table per gamma, and the certificates optimize_parameters
+returns, by rate, on `_GAMMA_LGS` in log10 gamma. Runs are bit-identical.
 On the completeness side, `binomial_tail` is the exact abort probability of a
 device that wins each round independently, and `completeness_bound` its
 Hoeffding bound.
@@ -214,23 +214,23 @@ def _budget_term(eps_dist: float, eps_smo: float) -> float:
 def _minimize(make, key, grid, tol):
     """Scan `grid`, bracket the first best point, golden-section to width `tol`.
 
-    Builds the item `make(x)` once per distinct point visited: the grid,
-    each golden-section pair and the final bracket midpoint. Returns the
-    first item of least `key`; callers that maximize pass a negated key.
+    Builds `make(x)` once per distinct point: the grid, each golden-section
+    pair and the bracket midpoint. Returns the first item of least `key`
+    (negate it to maximize), keeping of the scan only its first best item.
     """
     make = functools.cache(make)
-    items = [make(x) for x in grid]
-    best = min(range(len(grid)), key=lambda i: key(items[i]))
+    best = min(range(len(grid)), key=lambda i: key(make(grid[i])))
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, len(grid) - 1)]
+    found = [make(grid[best])]
     while b - a > tol:
         c, d = b - (b - a) / _GOLDEN, a + (b - a) / _GOLDEN
-        items += make(c), make(d)
-        if key(items[-2]) < key(items[-1]):
+        found += make(c), make(d)
+        if key(found[-2]) < key(found[-1]):
             b = d
         else:
             a = c
-    return min([*items, make((a + b) / 2)], key=key)
+    return min([*found, make((a + b) / 2)], key=key)
 
 
 def _cutoff_terms(p1: float, wt: float, gamma: float, mode: str) -> tuple[float, float]:
@@ -369,6 +369,9 @@ def optimize_parameters(
     smo_lgs = [top - 3 + 3 * i / 19 for i in range(20)]
 
     def certificate(params, smo):
+        if not smo * eps_snd > 0:  # _kappa would refuse an eps_smo the caller never gave
+            raise ValidationError(f"eps_dist={eps_dist} and eps_snd={eps_snd} are too small: "
+                                  f"the searched eps_smo={smo:.6g} times eps_snd underflows to 0")
         return certified_log_l(params, ErrorBudget(eps_dist, eps_snd, eps_cmp, smo), mode)
 
     def rank(cert):

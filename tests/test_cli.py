@@ -95,6 +95,13 @@ class TestCurve:
         assert code == 0
         assert out.splitlines()[-1] == "asymptotic,0.853553,1,1,,,,"
 
+    def test_budget_too_small_for_the_search_names_it(self, capsys):
+        # the search's least eps_smo times eps_snd underflows to 0
+        code, _, err = run_cli(capsys, "curve", "--n-values", "1e6", "--omega-values", "0.8",
+                               "--eps-dist", "1e-300", "--eps-snd", "1e-300")
+        assert code == 1
+        assert err.startswith("error: eps_dist=1e-300 and eps_snd=1e-300 are too small")
+
 
 class TestRate:
     def test_golden_fixed_parameters(self, capsys):
@@ -156,6 +163,14 @@ class TestRate:
         code, again, _ = run_cli(capsys, *point, *fixed, "--exact")
         assert code == 0
         assert again.strip().splitlines()[-1] == exact
+
+    @pytest.mark.parametrize("omega_exp, eps_snd", [("0.8", "1e-300"), ("0.8", "1e-172")])
+    def test_budget_too_small_for_the_search_names_it(self, capsys, omega_exp, eps_snd):
+        # no --eps-smo is given: the error names the budget, not the search's eps_smo
+        code, out, err = run_cli(capsys, "rate", "--n", "1e6", "--omega-exp", omega_exp,
+                                 "--eps-dist", "1e-300", "--eps-snd", eps_snd)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: eps_dist=1e-300 and eps_snd={eps_snd} are too small")
 
     def test_low_score_certifies_nothing(self, capsys):
         # the observed score 0.76 - 0.3/0.5 = 0.16 is far below 3/4

@@ -303,6 +303,23 @@ class TestEtaOpt:
         for wt in _CUTOFFS:
             assert eta <= eta_at(wt, obs, p, b, mode)
 
+    @pytest.mark.parametrize("mode", [
+        "printed",
+        pytest.param("ceiling", marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")),
+    ])
+    def test_meets_a_dense_cutoff_grid(self, mode):
+        # no tolerance: eta_opt must reach the least eta on 20,001 even cutoffs
+        # over its whole range, 100 times finer than its own scan; ceiling mode
+        # lies above that grid in four of these cases, by up to 1.6e-4 in the first
+        dense = [rates._LO + i * ((rates._HI - rates._LO) / 20000) for i in range(20001)]
+        cases = [(10**8, 0.05, 0.84, 1e-4), (10**6, 0.5, 0.8359, 1e-3),
+                 (10**10, 0.02, 0.82, 1e-5), (10**12, 0.01, 0.80, 1e-6),
+                 (10**7, 0.3, 0.845, 5e-4), (10**9, 0.1, 0.83, 2e-5)]
+        for n, gamma, omega, delta in cases:
+            p, b = params(n=n, gamma=gamma, omega_exp=omega, delta_est=delta), budget()
+            eta, _ = eta_opt(p, b, mode)
+            assert eta <= min(eta_at(wt, p.p1_obs, p, b, mode) for wt in dense)
+
     def test_kappa_domain(self):
         for zero in ("eps_snd", "eps_smo"):
             with pytest.raises(ValidationError):
@@ -372,6 +389,26 @@ class TestMinimize:
     def test_first_of_equal_items(self):
         best = rates._minimize(lambda x: (0.0, x), lambda it: it[0], [0.0, 1.0, 2.0], 1e-3)
         assert best == (0.0, 0.0)
+
+    @given(
+        st.lists(st.floats(-100, 100), min_size=3, max_size=30, unique=True).map(sorted),
+        st.floats(1e-6, 10),
+        st.floats(0.1, 1000),
+        st.lists(st.integers(0, 3), min_size=1, max_size=8),
+    )
+    def test_first_least_of_everything_it_built(self, grid, tol, scale, keys):
+        # keys from a small set of integers, so that ties happen; the cache
+        # asks `make` once per distinct point, and the order of asking is kept
+        built = []
+
+        def make(x):
+            item = (keys[math.floor(x * scale) % len(keys)], x)
+            built.append(item)
+            return item
+
+        best = rates._minimize(make, lambda it: it[0], grid, tol)
+        assert best is min(built, key=lambda it: it[0])
+        assert [x for _, x in built[:len(grid)]] == grid
 
 
 class TestCompleteness:
@@ -525,6 +562,24 @@ class TestOptimizeParameters:
         cert = optimize_parameters(10**8, 0.835876, EPS_DIST, EPS_SND, EPS_CMP)
         assert cert.params.gamma == 1
         assert cert.errors.eps_smo == math.sqrt(EPS_DIST) / 2
+
+    @pytest.mark.parametrize("omega_exp, eps_snd", [(0.8, 1e-300), (0.8, 1e-172), (0.75, 1e-300)])
+    def test_refuses_a_budget_its_eps_smo_underflows_against(self, omega_exp, eps_snd):
+        # the search's least eps_smo (0.9999 sqrt(eps_dist) / 1000, or its
+        # fallback sqrt(eps_dist) / 2) times eps_snd rounds to 0: the error
+        # names the budget the caller gave, not an eps_smo the caller never did
+        with pytest.raises(ValidationError, match=f"^eps_dist=1e-300 and eps_snd={eps_snd} "):
+            optimize_parameters(10**6, omega_exp, 1e-300, eps_snd, EPS_CMP)
+        with pytest.raises(ValidationError, match="^eps_dist=1e-300 "):
+            rate_curve(10**6, [omega_exp], 1e-300, eps_snd, EPS_CMP)
+
+    @pytest.mark.parametrize("omega_exp, eps_dist, eps_snd",
+                             [(0.75, 1e-300, 1e-172), (0.8, 1e-200, 1e-200)])
+    def test_zero_certificate_where_the_searched_eps_smo_stays_positive(
+            self, omega_exp, eps_dist, eps_snd):
+        # 0.75 beats 3/4 at no gamma, so only the fallback eps_smo is tried
+        cert = optimize_parameters(10**6, omega_exp, eps_dist, eps_snd, EPS_CMP)
+        assert cert.rate == 0 and cert.params.gamma == 1
 
     def test_optimized_rate_monotone_in_score_and_n(self):
         # printed mode, four searches of about 2 s: a higher score and a larger
