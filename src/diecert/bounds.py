@@ -53,6 +53,16 @@ def g_prime(omega: float) -> float:
     return -2 * _SQRT2 * math.log2((1 - x) / x)
 
 
+def g_prime_inverse(slope: float) -> float:
+    """The score at which g' equals `slope`: the h argument is x = 1/(1 + 2^a)
+    with a = -slope/(2 sqrt(2)), from 2^-|a|, which underflows to 0 rather
+    than overflow, so a slope too steep for floats reads as the score ends."""
+    a = -slope / (2 * _SQRT2)
+    t = 2.0 ** -abs(a)
+    x = t / (1 + t) if a > 0 else 1 / (1 + t)
+    return (1 + _SQRT2 * (0.5 - x)) / 2
+
+
 def max_total_entropy(beta: float) -> float:
     """S(beta) = 2 h(1/2 - beta/(4 sqrt(2))): largest H(lambda) at Bell value beta."""
     return 2 * binary_entropy(0.5 - beta / (4 * _SQRT2))

@@ -18,11 +18,12 @@ scalar cutoff score that eta_opt alone picks from (3/4, (2+sqrt(2))/4);
 factor and its domain, `_budget_term` the log(1/eps) term and `ErrorBudget`
 the budget's ranges, checked before any search. `RateCertificate` keeps what
 eta_opt found and derives p_t, v, log L and the rate from it, so log L has one
-formula. `_minimize` is the only search: a fixed scan grid plus golden section
-returning the first best item it built (the scan's first best or a refinement
-point): (eta, cutoff) pairs in eta_opt, whose grid is `_CUTOFFS` and its terms
-one `_scan_terms` table per gamma, and the certificates optimize_parameters
-returns, by rate, on `_GAMMA_LGS` in log10 gamma. Runs are bit-identical.
+formula. eta_opt takes eta's closed-form minimizer: the least of at most
+five candidate cutoffs. `_minimize` is the only search, optimize_parameters':
+a fixed scan grid plus golden section returning the first best item it built
+(the scan's first best or a refinement point), here certificates by rate, on
+`_GAMMA_LGS` in log10 gamma and on each gamma's eps_smo grid. Runs are
+bit-identical.
 On the completeness side, `binomial_tail` is the exact abort probability of a
 device that wins each round independently, and `completeness_bound` its
 Hoeffding bound.
@@ -37,9 +38,8 @@ import operator
 import sys
 import warnings
 from dataclasses import dataclass, replace
-from types import MappingProxyType
 
-from .bounds import g, g_prime
+from .bounds import g, g_prime, g_prime_inverse
 from .chsh import OMEGA_CLASSICAL, OMEGA_MAX, check_score
 from .quantum import ValidationError
 
@@ -48,7 +48,7 @@ _LOG2_5 = math.log2(5)
 _GOLDEN = (1 + math.sqrt(5)) / 2
 _EDGE = 1e-9  # open-interval endpoints are shrunk by this much
 _LO, _HI = OMEGA_CLASSICAL + _EDGE, OMEGA_MAX - _EDGE
-_CUTOFFS = tuple(_LO + i * ((_HI - _LO) / 199) for i in range(200))  # eta_opt's scan
+_STEP_MARGIN = 1e-12  # eta_opt's ceiling step tops sit this far below their jumps, in slope
 _GAMMA_LGS = tuple(-6 + 6 * i / 59 for i in range(60))  # optimize_parameters' log10 gamma scan
 
 
@@ -251,12 +251,6 @@ def _cutoff_terms(p1: float, wt: float, gamma: float, mode: str) -> tuple[float,
     return f_max, v_half
 
 
-@functools.lru_cache(maxsize=1)
-def _scan_terms(p1: float, gamma: float, mode: str) -> MappingProxyType:
-    """`_cutoff_terms` on `_CUTOFFS`, read-only, shared by eta_opt's calls that differ in kappa."""
-    return MappingProxyType({wt: _cutoff_terms(p1, wt, gamma, mode) for wt in _CUTOFFS})
-
-
 def _eta_scalar(terms: tuple[float, float], n: int, kappa: float) -> float:
     """eta from a cutoff's `_cutoff_terms`; +inf if v is infinite."""
     f_max, v_half = terms
@@ -268,21 +262,33 @@ def _eta_scalar(terms: tuple[float, float], n: int, kappa: float) -> float:
 def eta_opt(
     params: ProtocolParams, budget: ErrorBudget, mode: str = "printed"
 ) -> tuple[float, float]:
-    """Minimize eta over the cutoff score: `_CUTOFFS` read from `_scan_terms`, then golden section.
+    """Minimize eta over the cutoff score in closed form, with c = 2 kappa/sqrt(n).
 
-    Returns the least eta it computed and the cutoff score it computed it at.
+    Past p1_obs/gamma f_max is flat and v grows, so eta grows. Below it, on
+    the tangent branch, printed-mode eta falls and then rises about
+    wt* = (p1_obs - c/(1-gamma))/gamma. In ceiling mode eta falls within each
+    step of the gradient term, and at a step's top it meets a curve least at
+    (p1_obs - c)/gamma, so the least top is one of the two steps about the
+    slope there, each placed `_STEP_MARGIN` below its jump. The candidates are
+    these, p1_obs/gamma and both domain ends, clamped into [_LO, _HI].
+
+    Returns the least eta among them and its cutoff score, the smaller of equals.
     """
     n, gamma = params.n, params.gamma
     if gamma <= 0:
         raise ValidationError("gamma must be positive")
     kappa, p1_obs = _kappa(budget.eps_smo, budget.eps_snd), params.p1_obs
-    table = _scan_terms(p1_obs, gamma, mode)
-
-    def item(wt):
-        terms = table.get(wt) or _cutoff_terms(p1_obs, wt, gamma, mode)
-        return _eta_scalar(terms, n, kappa), wt
-
-    return _minimize(item, lambda it: it[0], _CUTOFFS, 1e-9)
+    c = 2 * kappa / math.sqrt(n)
+    candidates = [_LO, _HI, p1_obs / gamma]
+    if gamma < 1 and mode == "printed":
+        candidates.append((p1_obs - c / (1 - gamma)) / gamma)
+    elif gamma < 1 and mode == "ceiling":
+        grad = (1 - gamma) / gamma * abs(g_prime(min(max((p1_obs - c) / gamma, _LO), _HI)))
+        if grad < math.inf:  # else v is infinite at every cutoff
+            candidates += [g_prime_inverse(-k * (1 - _STEP_MARGIN) * gamma / (1 - gamma))
+                           for k in (math.floor(grad), math.ceil(grad))]
+    return min((_eta_scalar(_cutoff_terms(p1_obs, wt, gamma, mode), n, kappa), wt)
+               for wt in {min(max(wt, _LO), _HI) for wt in candidates})
 
 
 def binomial_tail(n: int, p: float, min_wins: int) -> float:

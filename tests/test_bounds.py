@@ -11,6 +11,7 @@ from diecert.bounds import (
     brute_force_max_entropy,
     g,
     g_prime,
+    g_prime_inverse,
     max_total_entropy,
 )
 from diecert.chsh import (BETA_MAX, OMEGA_CLASSICAL, OMEGA_MAX, beta_from_omega, check_score,
@@ -93,6 +94,17 @@ class TestGCurve:
     def test_reference_curve(self):
         for omega, bound in ENTROPY_CURVE:
             assert g(omega) == pytest.approx(bound, abs=2e-4)
+
+
+class TestGPrimeInverse:
+    @given(st.floats(-60, 60))
+    def test_round_trip(self, slope):
+        assert g_prime(g_prime_inverse(slope)) == pytest.approx(slope, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("slope", [-3000.0, -1e308, -math.inf])
+    def test_slope_too_steep_for_floats_reads_omega_max(self, slope):
+        # 2^(|slope| / (2 sqrt(2))) would overflow; its reciprocal underflows to 0
+        assert g_prime_inverse(slope) == pytest.approx(OMEGA_MAX, abs=1e-15)
 
 
 class TestAnalyticBound:

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,6 @@ from diecert.rates import (
     ErrorBudget,
     FrequencyDistribution,
     ProtocolParams,
-    _CUTOFFS,
     _cutoff_terms,
     _eta_scalar,
     _f,
@@ -52,6 +52,14 @@ def budget(eps_dist=1e-6, eps_snd=1e-6, eps_cmp=1e-6, eps_smo=1e-4):
     return ErrorBudget(
         eps_dist=eps_dist, eps_snd=eps_snd, eps_cmp=eps_cmp, eps_smo=eps_smo
     )
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10**e)
+
+
+# a test-side 200-point scan of eta_opt's cutoff range
+SCAN = tuple(rates._LO + i * ((rates._HI - rates._LO) / 199) for i in range(200))
 
 
 class TestProtocolParams:
@@ -292,7 +300,9 @@ class TestEtaOpt:
         st.floats(-10, -2), st.floats(-10, 0), st.floats(1e-3, 0.999), st.sampled_from(MODES),
     )
     def test_never_above_its_scan(self, lgn, lgg, omega, u, lgd, lgs, smo, mode):
-        # observed score omega - delta_est/gamma from omega down to 3/4
+        # observed score omega - delta_est/gamma from omega down to 3/4; the
+        # certificate is eta at its stored cutoff, and no point of a 200-point
+        # scan of the cutoff range lies below it
         gamma = 10**lgg
         delta = u * gamma * (omega - 0.75)
         p = params(n=int(10**lgn), gamma=gamma, omega_exp=omega, delta_est=delta)
@@ -300,17 +310,13 @@ class TestEtaOpt:
         eta, cutoff = eta_opt(p, b, mode)
         obs = p.omega_exp * gamma - p.delta_est
         assert eta == eta_at(cutoff, obs, p, b, mode)
-        for wt in _CUTOFFS:
+        for wt in SCAN:
             assert eta <= eta_at(wt, obs, p, b, mode)
 
-    @pytest.mark.parametrize("mode", [
-        "printed",
-        pytest.param("ceiling", marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")),
-    ])
+    @pytest.mark.parametrize("mode", MODES)
     def test_meets_a_dense_cutoff_grid(self, mode):
-        # no tolerance: eta_opt must reach the least eta on 20,001 even cutoffs
-        # over its whole range, 100 times finer than its own scan; ceiling mode
-        # lies above that grid in four of these cases, by up to 1.6e-4 in the first
+        # no tolerance: eta_opt must reach the least eta on 20,001 even
+        # cutoffs over its whole range
         dense = [rates._LO + i * ((rates._HI - rates._LO) / 20000) for i in range(20001)]
         cases = [(10**8, 0.05, 0.84, 1e-4), (10**6, 0.5, 0.8359, 1e-3),
                  (10**10, 0.02, 0.82, 1e-5), (10**12, 0.01, 0.80, 1e-6),
@@ -319,6 +325,31 @@ class TestEtaOpt:
             p, b = params(n=n, gamma=gamma, omega_exp=omega, delta_est=delta), budget()
             eta, _ = eta_opt(p, b, mode)
             assert eta <= min(eta_at(wt, p.p1_obs, p, b, mode) for wt in dense)
+
+    @pytest.mark.filterwarnings("ignore:omega_exp")  # vacuous thresholds are fine here
+    @given(
+        _log_uniform(1e4, 1e12), _log_uniform(1e-3, 1), st.floats(-9, math.log10(OMEGA_MAX - 0.75)),
+        st.floats(0, 1), _log_uniform(1e-10, 1e-2), _log_uniform(1e-10, 1), st.floats(1e-3, 0.999),
+    )
+    def test_ceiling_step_is_the_exact_one(self, n, gamma, lgw, u, eps_dist, eps_snd, smo):
+        # the step tops eta_opt aims at sit 1e-12 below a jump of the gradient
+        # term, so rounding must not pick the ceiling: at the stored cutoff the
+        # slope (1-gamma)/gamma |g'|, in 50 digits (Decimal.ln is correctly
+        # rounded), has the ceiling the float terms used; scores reach within
+        # 1e-9 of omega_max
+        omega = OMEGA_MAX - 10**lgw
+        delta = u * gamma * (omega - 0.75)
+        p = params(n=int(n), gamma=gamma, omega_exp=omega, delta_est=delta)
+        b = budget(eps_dist=eps_dist, eps_snd=eps_snd, eps_smo=smo * math.sqrt(eps_dist))
+        _, cutoff = eta_opt(p, b, "ceiling")
+        step = round(_cutoff_terms(p.p1_obs, cutoff, gamma, "ceiling")[1] - rates._LOG2_5)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            root2 = Decimal(2).sqrt()
+            x = Decimal(0.5) - (2 * Decimal(cutoff) - 1) / root2
+            g1 = 2 * root2 * ((1 - x) / x).ln() / Decimal(2).ln()
+            exact = (1 - Decimal(gamma)) / Decimal(gamma) * g1
+        assert step == math.ceil(exact)
 
     def test_kappa_domain(self):
         for zero in ("eps_snd", "eps_smo"):
@@ -332,7 +363,8 @@ class TestEtaOpt:
 
 
 class TestCutoffTerms:
-    """One g' per cutoff score: eta_opt evaluates f_max and v/2 together."""
+    """One g' per cutoff score: eta_opt evaluates f_max and v/2 together, at
+    no more than five cutoffs."""
 
     @pytest.mark.parametrize("mode", MODES)
     def test_one_g_prime_per_g(self, monkeypatch, mode):
@@ -345,18 +377,23 @@ class TestCutoffTerms:
                 return inner(w)
 
             monkeypatch.setattr(rates, name, counted)
-        rates._scan_terms.cache_clear()  # an earlier test may have built this table
-        eta_opt(params(gamma=0.05, omega_exp=0.84, delta_est=1e-4), budget(), mode)
-        assert calls["g"] > 200  # the scan grid and the golden-section points
-        assert calls["g_prime"] == calls["g"]
+        inner_terms, evaluations = rates._cutoff_terms, []
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_one_scan_table_per_gamma(self, monkeypatch, mode):
-        # the search's eta_opt calls at one gamma differ only in eps_smo, so
-        # the second reads the scan's terms from the first one's table
-        p = params(gamma=0.05, omega_exp=0.84, delta_est=1e-4)
-        rates._scan_terms.cache_clear()
-        eta_opt(p, budget(eps_smo=1e-4), mode)
+        def terms(*args):
+            before = dict(calls)
+            out = inner_terms(*args)
+            evaluations.append({k: calls[k] - before[k] for k in calls})
+            return out
+
+        monkeypatch.setattr(rates, "_cutoff_terms", terms)
+        eta_opt(params(gamma=0.05, omega_exp=0.84, delta_est=1e-4), budget(), mode)
+        assert evaluations and all(e == {"g": 1, "g_prime": 1} for e in evaluations)
+
+    @given(
+        _log_uniform(1e4, 1e12), _log_uniform(1e-3, 1), st.floats(0.75, OMEGA_MAX),
+        st.floats(0, 1), st.sampled_from(MODES),
+    )
+    def test_at_most_five_evaluations(self, n, gamma, omega, u, mode):
         calls = []
         inner = rates._cutoff_terms
 
@@ -364,12 +401,11 @@ class TestCutoffTerms:
             calls.append(args)
             return inner(*args)
 
-        monkeypatch.setattr(rates, "_cutoff_terms", counted)
-        warm = eta_opt(p, budget(eps_smo=3e-4), mode)
-        assert 0 < len(calls) < 200  # only the golden-section points
-        rates._scan_terms.cache_clear()
-        cold = eta_opt(p, budget(eps_smo=3e-4), mode)
-        assert [x.hex() for x in warm] == [x.hex() for x in cold]
+        p = params(n=int(n), gamma=gamma, omega_exp=omega, delta_est=u * gamma * (omega - 0.75))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(rates, "_cutoff_terms", counted)
+            eta_opt(p, budget(), mode)
+        assert 0 < len(calls) <= 5
 
 
 class TestMinimize:
@@ -444,7 +480,7 @@ class TestCertificates:
         assert cert.eta_opt_value == pytest.approx(0.7511647665078731, abs=1e-9)
         assert cert.rate_raw == pytest.approx(-0.7511651712193683, abs=1e-9)
         cert2 = certified_log_l(params(), budget(), mode="ceiling")
-        assert cert2.eta_opt_value == pytest.approx(0.7407797197190162, abs=1e-9)
+        assert cert2.eta_opt_value == pytest.approx(0.7400242538223665, abs=1e-9)
 
     def test_rate_clips_at_zero(self):
         cert = certified_log_l(params(), budget())
@@ -462,10 +498,6 @@ class TestCertificates:
             for w in (0.80, 0.82, 0.84)
         ]
         assert rates[0] < rates[1] < rates[2]
-
-
-def _log_uniform(lo, hi):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10**e)
 
 
 _unit = st.floats(0, 1)
