@@ -48,7 +48,11 @@ _LOG2_5 = math.log2(5)
 _GOLDEN = (1 + math.sqrt(5)) / 2
 _EDGE = 1e-9  # open-interval endpoints are shrunk by this much
 _LO, _HI = OMEGA_CLASSICAL + _EDGE, OMEGA_MAX - _EDGE
-_STEP_MARGIN = 1e-12  # eta_opt's ceiling step tops sit this far below their jumps, in slope
+# eta_opt's ceiling step tops sit this far below their jumps: relatively in
+# slope, for the rounding of log2 and the products, and absolutely in score,
+# for the h argument inside g', which rounding moves by up to about 3e-16,
+# more than 1e-12 of the slope within a few 1e-6 of OMEGA_MAX
+_STEP_MARGIN, _STEP_DROP = 1e-12, 1e-14
 _GAMMA_LGS = tuple(-6 + 6 * i / 59 for i in range(60))  # optimize_parameters' log10 gamma scan
 
 
@@ -269,8 +273,9 @@ def eta_opt(
     wt* = (p1_obs - c/(1-gamma))/gamma. In ceiling mode eta falls within each
     step of the gradient term, and at a step's top it meets a curve least at
     (p1_obs - c)/gamma, so the least top is one of the two steps about the
-    slope there, each placed `_STEP_MARGIN` below its jump. The candidates are
-    these, p1_obs/gamma and both domain ends, clamped into [_LO, _HI].
+    slope there, each placed `_STEP_MARGIN` in slope and `_STEP_DROP` in
+    score below its jump. The candidates are these, p1_obs/gamma and both
+    domain ends, clamped into [_LO, _HI].
 
     Returns the least eta among them and its cutoff score, the smaller of equals.
     """
@@ -285,8 +290,9 @@ def eta_opt(
     elif gamma < 1 and mode == "ceiling":
         grad = (1 - gamma) / gamma * abs(g_prime(min(max((p1_obs - c) / gamma, _LO), _HI)))
         if grad < math.inf:  # else v is infinite at every cutoff
-            candidates += [g_prime_inverse(-k * (1 - _STEP_MARGIN) * gamma / (1 - gamma))
-                           for k in (math.floor(grad), math.ceil(grad))]
+            candidates += [
+                g_prime_inverse(-k * (1 - _STEP_MARGIN) * gamma / (1 - gamma)) - _STEP_DROP
+                for k in (math.floor(grad), math.ceil(grad))]
     return min((_eta_scalar(_cutoff_terms(p1_obs, wt, gamma, mode), n, kappa), wt)
                for wt in {min(max(wt, _LO), _HI) for wt in candidates})
 

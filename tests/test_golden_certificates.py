@@ -7,8 +7,9 @@ of floating-point operations in ``diecert.rates`` shows up here.
 Regenerate the outputs from the recorded inputs with
 ``python tests/test_golden_certificates.py``.
 
-The inputs cover both modes, n from 1e4 to 1e12 and gamma from 1e-3 to 1,
-with observed score omega_exp - delta_est/gamma >= 3/4.
+The inputs cover both modes, n from 1e4 to 1e15 and gamma from 1e-3 to 1,
+with observed score omega_exp - delta_est/gamma >= 3/4. Row 12 scores within
+3e-7 of omega_max, where the ceiling step tops need their margin in score.
 """
 
 import json

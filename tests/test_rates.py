@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from diecert import rates
@@ -328,15 +328,22 @@ class TestEtaOpt:
 
     @pytest.mark.filterwarnings("ignore:omega_exp")  # vacuous thresholds are fine here
     @given(
-        _log_uniform(1e4, 1e12), _log_uniform(1e-3, 1), st.floats(-9, math.log10(OMEGA_MAX - 0.75)),
-        st.floats(0, 1), _log_uniform(1e-10, 1e-2), _log_uniform(1e-10, 1), st.floats(1e-3, 0.999),
+        _log_uniform(1e4, 1e18), st.one_of(_log_uniform(1e-3, 1), st.floats(0.9, 0.999)),
+        st.floats(-9, math.log10(OMEGA_MAX - 0.75)),
+        st.one_of(st.floats(0, 1), _log_uniform(1e-12, 1e-4)),  # delta_est down to near 0
+        _log_uniform(1e-10, 1e-2), _log_uniform(1e-10, 1), st.floats(1e-3, 0.999),
     )
+    # a step top placed 1e-12 below its jump in slope alone, with no drop in
+    # score, had a float slope of 237 - 5e-10 and an exact one of 237 + 1.7e-10
+    @example(6635993032319115, 0.18773008150663445, -7.317713676786955, 1.365515569902938e-06,
+             1.7356937498856801e-07, 0.006886299233070737, 0.3037061006267696)
     def test_ceiling_step_is_the_exact_one(self, n, gamma, lgw, u, eps_dist, eps_snd, smo):
-        # the step tops eta_opt aims at sit 1e-12 below a jump of the gradient
-        # term, so rounding must not pick the ceiling: at the stored cutoff the
-        # slope (1-gamma)/gamma |g'|, in 50 digits (Decimal.ln is correctly
-        # rounded), has the ceiling the float terms used; scores reach within
-        # 1e-9 of omega_max
+        # the step tops eta_opt aims at sit below a jump of the gradient term
+        # by 1e-12 of the slope and 1e-14 in score, so rounding must not pick
+        # the ceiling: at the stored cutoff the slope (1-gamma)/gamma |g'|, in
+        # 50 digits (Decimal.ln is correctly rounded), has the ceiling the
+        # float terms used; observed scores reach within 1e-9 of omega_max,
+        # where rounding moves the float slope most
         omega = OMEGA_MAX - 10**lgw
         delta = u * gamma * (omega - 0.75)
         p = params(n=int(n), gamma=gamma, omega_exp=omega, delta_est=delta)
