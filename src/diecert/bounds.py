@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import BETA_MAX
+from .chsh import BETA_MAX, beta_from_omega
 from .quantum import BellDiagonalSpectrum, ValidationError
 
 _SQRT2 = math.sqrt(2)
@@ -37,12 +37,13 @@ def binary_entropy(x: float) -> float:
 
 
 def g(omega: float) -> float:
-    """Conditional-entropy bound 2 h(1/2 - (2 omega - 1)/sqrt(2)) - 1.
+    """Conditional-entropy bound S(beta) - 1 = 2 h(1/2 - (2 omega - 1)/sqrt(2)) - 1
+    at the Bell value beta = 8 omega - 4.
 
     Defined while the h argument stays in [0, 1], i.e. up to
     omega = (2+sqrt(2))/4; `binary_entropy` refuses a score past it.
     """
-    return 2 * binary_entropy(0.5 - (2 * omega - 1) / _SQRT2) - 1
+    return max_total_entropy(beta_from_omega(omega)) - 1
 
 
 def g_prime(omega: float) -> float:

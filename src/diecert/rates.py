@@ -3,8 +3,8 @@
 Pipeline: the piecewise tradeoff function f, its tangent-line completion
 f_max, the finite-size correction eta, the minimized eta_opt, and the
 certified log L = -n eta_opt - 4 log2(1/(sqrt(eps_dist) - eps_smo)) and rate.
-A deterministic nested search over the free parameters (test probability
-gamma and smoothing epsilon) maximizes the rate.
+A deterministic search over the free parameters (test probability gamma and
+smoothing epsilon) maximizes the rate.
 
 The second-order gradient term has two conventions, selectable via `mode`:
 "printed" uses |dg/dp(1)| at the cutoff point, "ceiling" uses the integer
@@ -19,11 +19,12 @@ factor and its domain, `_budget_term` the log(1/eps) term and `ErrorBudget`
 the budget's ranges, checked before any search. `RateCertificate` keeps what
 eta_opt found and derives p_t, v, log L and the rate from it, so log L has one
 formula. eta_opt takes eta's closed-form minimizer: the least of at most
-five candidate cutoffs. `_minimize` is the only search, optimize_parameters':
-a fixed scan grid plus golden section returning the first best item it built
-(the scan's first best or a refinement point), here certificates by rate, on
-`_GAMMA_LGS` in log10 gamma and on each gamma's eps_smo grid. Runs are
-bit-identical.
+five candidate cutoffs. `_minimize` is the only generic search,
+optimize_parameters' over gamma: a fixed scan grid plus golden section
+returning the first best item it built (the scan's first best or a
+refinement point), here certificates by rate, on `_GAMMA_LGS` in log10
+gamma. At each gamma eps_smo solves log L's stationarity condition by a
+fixed-point iteration of a few certificates. Runs are bit-identical.
 On the completeness side, `binomial_tail` is the exact abort probability of a
 device that wins each round independently, and `completeness_bound` its
 Hoeffding bound.
@@ -369,16 +370,16 @@ def optimize_parameters(
 ) -> RateCertificate:
     """Maximize the certified rate over gamma and eps_smo.
 
-    delta_est is fixed by the completeness target. Both free parameters are
-    searched by a log-spaced scan followed by golden-section refinement; the
-    search is deterministic and converges well past 1e-4 in the rate.
+    delta_est is fixed by the completeness target. gamma is searched by a
+    log-spaced scan followed by golden-section refinement, and at each gamma
+    eps_smo by a fixed-point iteration on log L's stationarity condition,
+    which a few certificates meet. The search is deterministic.
     """
     delta_est = delta_est_for(n, eps_cmp)
-    # check the budget before building any grid (eps_smo = 0 needs eps_dist > 0)
+    # check the budget before the search (eps_smo = 0 needs eps_dist > 0)
     ErrorBudget(eps_dist, eps_snd, eps_cmp, eps_smo=0.0)
-    sqrt_dist = math.sqrt(eps_dist)
-    top = math.log10(sqrt_dist * 0.9999)
-    smo_lgs = [top - 3 + 3 * i / 19 for i in range(20)]
+    sqrt_dist, root_n = math.sqrt(eps_dist), math.sqrt(n)
+    below = math.nextafter(sqrt_dist, 0)  # ErrorBudget refuses eps_smo = sqrt(eps_dist)
 
     def certificate(params, smo):
         if not smo * eps_snd > 0:  # _kappa would refuse an eps_smo the caller never gave
@@ -390,13 +391,27 @@ def optimize_parameters(
         return math.inf if cert is None else -cert.rate_raw
 
     def best_over_smo(gamma):
-        """The best certificate at gamma, or None unless its observed score beats 3/4."""
+        """The best certificate at gamma, or None unless its observed score beats 3/4.
+
+        log L is stationary in eps_smo = s where sqrt(n) (v/2) (sqrt(eps_dist) - s)
+        = 2 kappa(s) s: iterate s = sqrt(eps_dist) / (1 + 4 kappa(s) / (sqrt(n) v))
+        from sqrt(eps_dist)/2, with v read from the certificate at s, until a step
+        moves s by at most 1e-12 sqrt(eps_dist), or for 20 certificates.
+        """
         with warnings.catch_warnings():  # this vacuous threshold is the search's, not the caller's
             warnings.filterwarnings("ignore", "omega_exp", UserWarning)
             params = ProtocolParams(n, gamma, omega_exp, delta_est)
         if not params.p1_obs > OMEGA_CLASSICAL * gamma + 1e-15:
             return None
-        return _minimize(lambda lg: certificate(params, 10**lg), rank, smo_lgs, 1e-4)
+        smo, built = sqrt_dist / 2, []
+        while len(built) < 20:
+            cert = certificate(params, smo)
+            built.append(cert)
+            step = sqrt_dist / (1 + 4 * _kappa(smo, eps_snd) / (root_n * cert.second_order_v))
+            smo, last = min(step, below), smo
+            if abs(smo - last) <= 1e-12 * sqrt_dist:
+                break
+        return min(built, key=rank)
 
     best = _minimize(lambda lg: best_over_smo(10**lg), rank, _GAMMA_LGS, 1e-4)
     # nothing certifiable: report a zero-rate certificate at safe defaults

@@ -96,7 +96,7 @@ class TestCurve:
         assert out.splitlines()[-1] == "asymptotic,0.853553,1,1,,,,"
 
     def test_budget_too_small_for_the_search_names_it(self, capsys):
-        # the search's least eps_smo times eps_snd underflows to 0
+        # the search's first eps_smo, sqrt(eps_dist) / 2, times eps_snd underflows to 0
         code, _, err = run_cli(capsys, "curve", "--n-values", "1e6", "--omega-values", "0.8",
                                "--eps-dist", "1e-300", "--eps-snd", "1e-300")
         assert code == 1
@@ -164,13 +164,29 @@ class TestRate:
         assert code == 0
         assert again.strip().splitlines()[-1] == exact
 
-    @pytest.mark.parametrize("omega_exp, eps_snd", [("0.8", "1e-300"), ("0.8", "1e-172")])
+    @pytest.mark.parametrize("omega_exp, eps_snd", [("0.8", "1e-300")])
     def test_budget_too_small_for_the_search_names_it(self, capsys, omega_exp, eps_snd):
         # no --eps-smo is given: the error names the budget, not the search's eps_smo
         code, out, err = run_cli(capsys, "rate", "--n", "1e6", "--omega-exp", omega_exp,
                                  "--eps-dist", "1e-300", "--eps-snd", eps_snd)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: eps_dist=1e-300 and eps_snd={eps_snd} are too small")
+
+    def test_tiny_budget_the_search_keeps_positive_certifies_zero(self, capsys):
+        # the searched eps_smo stays near sqrt(eps_dist) = 1e-150, so its
+        # product with eps_snd = 1e-172 does not underflow
+        code, out, _ = run_cli(capsys, "rate", "--n", "1e6", "--omega-exp", "0.8",
+                               "--eps-dist", "1e-300", "--eps-snd", "1e-172")
+        assert code == 0
+        assert "rate = 0\n" in out
+
+    def test_huge_n_searches_eps_smo_below_sqrt_eps_dist(self, capsys):
+        # at n = 1e24 the stationary eps_smo rounds to sqrt(eps_dist) itself,
+        # which the budget refuses: the search must stay one float below it
+        code, out, _ = run_cli(capsys, "rate", "--n", "1e24", "--omega-exp", "0.85",
+                               "--mode", "ceiling")
+        assert code == 0
+        assert "rate = 0.90875\n" in out
 
     def test_low_score_certifies_nothing(self, capsys):
         # the observed score 0.76 - 0.3/0.5 = 0.16 is far below 3/4
@@ -833,8 +849,13 @@ class TestContract:
     structure error alone, 2, with no traceback; on 1, stdout is empty and
     stderr ends in one error line of at most 1 KB after any warning lines."""
 
+    # gamma = -0 or a low omega_exp makes the abort threshold vacuous: its
+    # warning must reach the CLI, which prints it as a "warning: " line
+    @pytest.mark.filterwarnings("always:omega_exp:UserWarning")
     @settings(max_examples=150, deadline=None)
     @given(_invocations())
+    @example((["rate", "--n", "100", "--omega-exp", "0.8", "--gamma", "-0", "--eps-smo",
+               "nan"], []))
     # holes that ended in a traceback, or in a record on stdout before the
     # --out write failed
     @example((["rate"], [("n", _DIGITS)]))

@@ -116,16 +116,21 @@ RUNNERS = {"certified_log_l": run_certified, "optimize_parameters": run_optimize
 
 def _regenerate():
     """Recompute every row's outputs from its recorded inputs, printing each
-    row's old -> new eta_opt_value, cutoff and rate_raw, and marking a row
-    whose eta rose."""
+    row's old -> new eta_opt_value, cutoff, rate_raw and eps_smo, and marking
+    a row whose eta rose or an optimized row whose rate fell."""
     for section, run in RUNNERS.items():
         for case in GOLDEN[section]:
             old = case["outputs"]
             case["outputs"] = new = certificate_fields(run(case["inputs"]))
             changes = ", ".join(f"{k} {old.get(k)} -> {new[k]}"
-                                for k in ("eta_opt_value", "cutoff", "rate_raw"))
-            rose = old and float(new["eta_opt_value"]) > float(old["eta_opt_value"])
-            print(f"{case['id']}: {changes}{'  ETA ROSE' if rose else ''}")
+                                for k in ("eta_opt_value", "cutoff", "rate_raw", "eps_smo"))
+            marks = ""
+            if old and float(new["eta_opt_value"]) > float(old["eta_opt_value"]):
+                marks += "  ETA ROSE"
+            if (old and section == "optimize_parameters"
+                    and float(new["rate_raw"]) < float(old["rate_raw"])):
+                marks += "  RATE FELL"
+            print(f"{case['id']}: {changes}{marks}")
     PATH.write_text(json.dumps(GOLDEN, indent=1) + "\n")
 
 
