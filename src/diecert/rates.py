@@ -19,12 +19,11 @@ factor and its domain, `_budget_term` the log(1/eps) term and `ErrorBudget`
 the budget's ranges, checked before any search. `RateCertificate` keeps what
 eta_opt found and derives p_t, v, log L and the rate from it, so log L has one
 formula. eta_opt takes eta's closed-form minimizer: the least of at most
-five candidate cutoffs. `_minimize` is the only generic search,
-optimize_parameters' over gamma: a fixed scan grid plus golden section
-returning the first best item it built (the scan's first best or a
-refinement point), here certificates by rate, on `_GAMMA_LGS` in log10
-gamma. At each gamma eps_smo solves log L's stationarity condition by a
-fixed-point iteration of a few certificates. Runs are bit-identical.
+five candidate cutoffs. No generic search is left: optimize_parameters
+takes gamma and eps_smo from log L's stationarity conditions, one
+fixed-point iteration of a few certificates in printed mode and, in ceiling
+mode, one Newton root and one eps_smo iteration per step of the gradient
+term, walked from the printed optimum's step. Runs are bit-identical.
 On the completeness side, `binomial_tail` is the exact abort probability of a
 device that wins each round independently, and `completeness_bound` its
 Hoeffding bound.
@@ -32,7 +31,6 @@ Hoeffding bound.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import operator
@@ -46,7 +44,6 @@ from .quantum import ValidationError
 
 MODES = ("printed", "ceiling")
 _LOG2_5 = math.log2(5)
-_GOLDEN = (1 + math.sqrt(5)) / 2
 _EDGE = 1e-9  # open-interval endpoints are shrunk by this much
 _LO, _HI = OMEGA_CLASSICAL + _EDGE, OMEGA_MAX - _EDGE
 # eta_opt's ceiling step tops sit this far below their jumps: relatively in
@@ -54,7 +51,6 @@ _LO, _HI = OMEGA_CLASSICAL + _EDGE, OMEGA_MAX - _EDGE
 # for the h argument inside g', which rounding moves by up to about 3e-16,
 # more than 1e-12 of the slope within a few 1e-6 of OMEGA_MAX
 _STEP_MARGIN, _STEP_DROP = 1e-12, 1e-14
-_GAMMA_LGS = tuple(-6 + 6 * i / 59 for i in range(60))  # optimize_parameters' log10 gamma scan
 
 
 def _whole(value, name: str, least: int) -> int:
@@ -216,28 +212,6 @@ def _budget_term(eps_dist: float, eps_smo: float) -> float:
     return 4 * math.log2(1 / (math.sqrt(eps_dist) - eps_smo))
 
 
-def _minimize(make, key, grid, tol):
-    """Scan `grid`, bracket the first best point, golden-section to width `tol`.
-
-    Builds `make(x)` once per distinct point: the grid, each golden-section
-    pair and the bracket midpoint. Returns the first item of least `key`
-    (negate it to maximize), keeping of the scan only its first best item.
-    """
-    make = functools.cache(make)
-    best = min(range(len(grid)), key=lambda i: key(make(grid[i])))
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, len(grid) - 1)]
-    found = [make(grid[best])]
-    while b - a > tol:
-        c, d = b - (b - a) / _GOLDEN, a + (b - a) / _GOLDEN
-        found += make(c), make(d)
-        if key(found[-2]) < key(found[-1]):
-            b = d
-        else:
-            a = c
-    return min([*found, make((a + b) / 2)], key=key)
-
-
 def _cutoff_terms(p1: float, wt: float, gamma: float, mode: str) -> tuple[float, float]:
     """f_max at p(1) = p1 and v/2 at cutoff score wt, from one g'(wt): f_max is f
     up to the cutoff p_t(1) = wt gamma and its tangent past it, and v/2 is
@@ -370,10 +344,18 @@ def optimize_parameters(
 ) -> RateCertificate:
     """Maximize the certified rate over gamma and eps_smo.
 
-    delta_est is fixed by the completeness target. gamma is searched by a
-    log-spaced scan followed by golden-section refinement, and at each gamma
-    eps_smo by a fixed-point iteration on log L's stationarity condition,
-    which a few certificates meet. The search is deterministic.
+    delta_est is fixed by the completeness target. gamma and eps_smo solve log
+    L's stationarity conditions, read at each certificate's cutoff wt with
+    a = |g'(wt)|, T = g(wt) - a (omega_exp - wt) and c = 2 kappa/sqrt(n):
+    eps_smo = sqrt(eps_dist)/(1 + 2c/v) and, in printed mode, where eta =
+    (1-gamma) T + a (delta_est + c)/gamma + terms free of gamma, gamma =
+    min(sqrt(a (delta_est + c)/-T), 1), or 1 if T >= 0. In ceiling mode
+    v/2 = log2 5 + k on step k, whose tops are least at gamma = a/(k + a) where
+    g(wt) = k (wt - omega_exp), a root Newton from omega_exp reaches from above
+    (g is concave and falling). There eps_smo alone iterates, and k walks both
+    ways from the printed optimum's while the rate rises (unimodal in k as
+    measured, not proven). Returns the first best certificate if it certifies,
+    else the zero certificate at gamma = 1 and eps_smo = sqrt(eps_dist)/2.
     """
     delta_est = delta_est_for(n, eps_cmp)
     # check the budget before the search (eps_smo = 0 needs eps_dist > 0)
@@ -381,7 +363,7 @@ def optimize_parameters(
     sqrt_dist, root_n = math.sqrt(eps_dist), math.sqrt(n)
     below = math.nextafter(sqrt_dist, 0)  # ErrorBudget refuses eps_smo = sqrt(eps_dist)
 
-    def certificate(params, smo):
+    def certificate(params, smo, mode):
         if not smo * eps_snd > 0:  # _kappa would refuse an eps_smo the caller never gave
             raise ValidationError(f"eps_dist={eps_dist} and eps_snd={eps_snd} are too small: "
                                   f"the searched eps_smo={smo:.6g} times eps_snd underflows to 0")
@@ -390,32 +372,49 @@ def optimize_parameters(
     def rank(cert):
         return math.inf if cert is None else -cert.rate_raw
 
-    def best_over_smo(gamma):
-        """The best certificate at gamma, or None unless its observed score beats 3/4.
-
-        log L is stationary in eps_smo = s where sqrt(n) (v/2) (sqrt(eps_dist) - s)
-        = 2 kappa(s) s: iterate s = sqrt(eps_dist) / (1 + 4 kappa(s) / (sqrt(n) v))
-        from sqrt(eps_dist)/2, with v read from the certificate at s, until a step
-        moves s by at most 1e-12 sqrt(eps_dist), or for 20 certificates.
-        """
-        with warnings.catch_warnings():  # this vacuous threshold is the search's, not the caller's
-            warnings.filterwarnings("ignore", "omega_exp", UserWarning)
-            params = ProtocolParams(n, gamma, omega_exp, delta_est)
-        if not params.p1_obs > OMEGA_CLASSICAL * gamma + 1e-15:
-            return None
+    def fixed_point(gamma, mode):
+        """The first best certificate of iterating from (gamma, sqrt(eps_dist)/2),
+        gamma held unless mode is printed, until a step moves each by at most
+        1e-12 of itself, or for 20; None if gamma's observed score misses 3/4."""
         smo, built = sqrt_dist / 2, []
         while len(built) < 20:
-            cert = certificate(params, smo)
-            built.append(cert)
-            step = sqrt_dist / (1 + 4 * _kappa(smo, eps_snd) / (root_n * cert.second_order_v))
-            smo, last = min(step, below), smo
-            if abs(smo - last) <= 1e-12 * sqrt_dist:
+            with warnings.catch_warnings():  # this vacuous threshold is the search's
+                warnings.filterwarnings("ignore", "omega_exp", UserWarning)
+                params = ProtocolParams(n, gamma, omega_exp, delta_est)
+            if not params.p1_obs > OMEGA_CLASSICAL * gamma + 1e-15:
                 break
-        return min(built, key=rank)
+            cert = certificate(params, smo, mode)
+            built.append(cert)
+            c, aim = 2 * _kappa(smo, eps_snd) / root_n, gamma
+            step = min(sqrt_dist / (1 + 2 * c / cert.second_order_v), below)
+            if mode == "printed":
+                a = abs(g_prime(cert.cutoff))
+                tangent = g(cert.cutoff) - a * (omega_exp - cert.cutoff)  # T
+                aim = min(math.sqrt(a * (delta_est + c) / -tangent), 1.0) if tangent < 0 else 1.0
+            if abs(step - smo) <= 1e-12 * smo and abs(aim - gamma) <= 1e-12 * gamma:
+                break
+            smo, gamma = step, aim
+        return min(built, key=rank, default=None)
 
-    best = _minimize(lambda lg: best_over_smo(10**lg), rank, _GAMMA_LGS, 1e-4)
-    # nothing certifiable: report a zero-rate certificate at safe defaults
-    return best or certificate(ProtocolParams(n, 1.0, omega_exp, delta_est), sqrt_dist / 2)
+    def tooth(k):
+        """The fixed point at the gamma where ceiling step k's tops are least."""
+        wt = min(omega_exp, _HI)
+        while (nxt := wt - (g(wt) - k * (wt - omega_exp)) / (g_prime(wt) - k)) < wt:
+            wt = nxt
+        return fixed_point(1 / (1 - k / g_prime(wt)), mode)  # a/(k + a)
+
+    best = fixed_point(0.5, "printed")
+    if mode != "printed" and best is not None:
+        k = max(math.ceil((1 / best.params.gamma - 1) * -g_prime(best.cutoff)), 1)
+        teeth = [tooth(k)]
+        for way in (1, -1):
+            last, j = teeth[0], k + way
+            while j >= 1 and rank(cert := tooth(j)) < rank(last):
+                teeth.append(last := cert)
+                j += way
+        best = min(teeth, key=rank)
+    return best if rank(best) < 0 else certificate(
+        ProtocolParams(n, 1.0, omega_exp, delta_est), sqrt_dist / 2, mode)
 
 
 def asymptotic_rate(omega: float) -> float:

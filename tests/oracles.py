@@ -3,6 +3,7 @@ against. No command or simulation needs them, so they live here, not in
 `diecert`."""
 
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -16,6 +17,7 @@ from diecert.quantum import (
     TwoQubitState,
     _check_density,
 )
+from diecert.rates import ErrorBudget, ProtocolParams, _kappa, certified_log_l, delta_est_for
 
 I2 = np.eye(2, dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -114,3 +116,29 @@ def observables_from_blocks(blocks) -> tuple[np.ndarray, np.ndarray]:
 def transcript_text(transcript) -> str:
     """The CSV text that `simulate --out` writes for a transcript."""
     return "\n".join(transcript.lines()) + "\n"
+
+
+def dense_gamma_search(n, omega_exp, eps_dist, eps_snd, eps_cmp, mode):
+    """The best certificate over 1,500 gamma spaced evenly in log10 gamma
+    from -6 to 0, each at the eps_smo its own fixed point settles on: s =
+    sqrt(eps_dist) / (1 + 4 kappa(s) / (sqrt(n) v)) from sqrt(eps_dist)/2, for
+    20 certificates or until s moves by at most 1e-12 of itself. The brute
+    force that `rates.optimize_parameters`' stationarity conditions in gamma
+    are tested against."""
+    delta_est, root_dist = delta_est_for(n, eps_cmp), math.sqrt(eps_dist)
+    best = None
+    for i in range(1500):
+        with warnings.catch_warnings():  # low gammas leave a vacuous threshold
+            warnings.filterwarnings("ignore", "omega_exp", UserWarning)
+            params = ProtocolParams(n, 10 ** (-6 + 6 * i / 1499), omega_exp, delta_est)
+        smo = root_dist / 2
+        for _ in range(20):
+            cert = certified_log_l(params, ErrorBudget(eps_dist, eps_snd, eps_cmp, smo), mode)
+            if best is None or cert.rate_raw > best.rate_raw:
+                best = cert
+            step = root_dist / (1 + 4 * _kappa(smo, eps_snd) / (math.sqrt(n) * cert.second_order_v))
+            step = min(step, math.nextafter(root_dist, 0))
+            if abs(step - smo) <= 1e-12 * smo:
+                break
+            smo = step
+    return best
