@@ -13,7 +13,9 @@ match the published finite-n rate plots; "printed" is the literal formula.
 
 Each rule has one home: `_f` is the only piecewise f, `_cutoff_terms` its
 tangent completion f_max and v/2 from one g', and `_eta_scalar` eta, all at a
-scalar cutoff score that eta_opt alone picks from (3/4, (2+sqrt(2))/4);
+scalar cutoff score that eta_opt alone picks from (3/4, (2+sqrt(2))/4).
+`_ceiling_step` is the gradient step at any cutoff: the least whose top,
+which `_step_top` places just below its jump, lies at or above the cutoff;
 `ProtocolParams.p1_obs` is the observed win frequency, `_kappa` the smoothing
 factor and its domain, `_budget_term` the log(1/eps) term and `ErrorBudget`
 the budget's ranges, checked before any search. `RateCertificate` keeps what
@@ -46,8 +48,8 @@ MODES = ("printed", "ceiling")
 _LOG2_5 = math.log2(5)
 _EDGE = 1e-9  # open-interval endpoints are shrunk by this much
 _LO, _HI = OMEGA_CLASSICAL + _EDGE, OMEGA_MAX - _EDGE
-# eta_opt's ceiling step tops sit this far below their jumps: relatively in
-# slope, for the rounding of log2 and the products, and absolutely in score,
+# `_step_top` places a ceiling step's top this far below its jump: relatively
+# in slope, for the rounding of log2 and the products, and absolutely in score,
 # for the h argument inside g', which rounding moves by up to about 3e-16,
 # more than 1e-12 of the slope within a few 1e-6 of OMEGA_MAX
 _STEP_MARGIN, _STEP_DROP = 1e-12, 1e-14
@@ -212,6 +214,23 @@ def _budget_term(eps_dist: float, eps_smo: float) -> float:
     return 4 * math.log2(1 / (math.sqrt(eps_dist) - eps_smo))
 
 
+def _step_top(k: int, gamma: float) -> float:
+    """Ceiling step k's top: `_STEP_MARGIN` in slope and `_STEP_DROP` in score
+    below its jump, the score where (1-gamma)/gamma |g'| is k."""
+    return g_prime_inverse(-k * (1 - _STEP_MARGIN) * gamma / (1 - gamma)) - _STEP_DROP
+
+
+def _ceiling_step(wt: float, gamma: float, dg: float) -> float:
+    """The gradient step at cutoff score wt, where g' is dg: the least k whose
+    top lies at or above wt, the float ceiling of (1-gamma)/gamma |dg| or one
+    more; 0 at gamma = 1 and inf at an infinite slope."""
+    grad = (1 - gamma) / gamma * abs(dg)  # infinite at a tiny gamma
+    if grad == math.inf:
+        return grad
+    k = math.ceil(grad)
+    return k + (gamma < 1 and wt > _step_top(k, gamma))
+
+
 def _cutoff_terms(p1: float, wt: float, gamma: float, mode: str) -> tuple[float, float]:
     """f_max at p(1) = p1 and v/2 at cutoff score wt, from one g'(wt): f_max is f
     up to the cutoff p_t(1) = wt gamma and its tangent past it, and v/2 is
@@ -221,8 +240,7 @@ def _cutoff_terms(p1: float, wt: float, gamma: float, mode: str) -> tuple[float,
     if mode == "printed":
         v_half = _LOG2_5 + abs(dg) / gamma
     elif mode == "ceiling":
-        grad = abs(slope)  # infinite at a tiny gamma
-        v_half = _LOG2_5 + (math.ceil(grad) if grad < math.inf else grad)
+        v_half = _LOG2_5 + _ceiling_step(wt, gamma, dg)
     else:
         raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
     pt1 = wt * gamma
@@ -247,10 +265,10 @@ def eta_opt(
     the tangent branch, printed-mode eta falls and then rises about
     wt* = (p1_obs - c/(1-gamma))/gamma. In ceiling mode eta falls within each
     step of the gradient term, and at a step's top it meets a curve least at
-    (p1_obs - c)/gamma, so the least top is one of the two steps about the
-    slope there, each placed `_STEP_MARGIN` in slope and `_STEP_DROP` in
-    score below its jump. The candidates are these, p1_obs/gamma and both
-    domain ends, clamped into [_LO, _HI].
+    (p1_obs - c)/gamma, so the least top is one of the two about it:
+    `_ceiling_step`'s step there and the one below, each at its `_step_top`.
+    The candidates are these, p1_obs/gamma and both domain ends, clamped into
+    [_LO, _HI].
 
     Returns the least eta among them and its cutoff score, the smaller of equals.
     """
@@ -263,11 +281,10 @@ def eta_opt(
     if gamma < 1 and mode == "printed":
         candidates.append((p1_obs - c / (1 - gamma)) / gamma)
     elif gamma < 1 and mode == "ceiling":
-        grad = (1 - gamma) / gamma * abs(g_prime(min(max((p1_obs - c) / gamma, _LO), _HI)))
-        if grad < math.inf:  # else v is infinite at every cutoff
-            candidates += [
-                g_prime_inverse(-k * (1 - _STEP_MARGIN) * gamma / (1 - gamma)) - _STEP_DROP
-                for k in (math.floor(grad), math.ceil(grad))]
+        w = min(max((p1_obs - c) / gamma, _LO), _HI)
+        k = _ceiling_step(w, gamma, g_prime(w))
+        if k < math.inf:  # else v is infinite at every cutoff
+            candidates += [_step_top(k - 1, gamma), _step_top(k, gamma)]
     return min((_eta_scalar(_cutoff_terms(p1_obs, wt, gamma, mode), n, kappa), wt)
                for wt in {min(max(wt, _LO), _HI) for wt in candidates})
 
@@ -405,7 +422,7 @@ def optimize_parameters(
 
     best = fixed_point(0.5, "printed")
     if mode != "printed" and best is not None:
-        k = max(math.ceil((1 / best.params.gamma - 1) * -g_prime(best.cutoff)), 1)
+        k = max(_ceiling_step(best.cutoff, best.params.gamma, g_prime(best.cutoff)), 1)
         teeth = [tooth(k)]
         for way in (1, -1):
             last, j = teeth[0], k + way

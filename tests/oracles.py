@@ -4,6 +4,7 @@ against. No command or simulation needs them, so they live here, not in
 
 import math
 import warnings
+from decimal import Decimal, localcontext
 from itertools import product
 
 import numpy as np
@@ -142,3 +143,15 @@ def dense_gamma_search(n, omega_exp, eps_dist, eps_snd, eps_cmp, mode):
                 break
             smo = step
     return best
+
+
+def exact_step(cutoff: float, gamma: float) -> int:
+    """The theorem's ceiling-mode gradient step at cutoff score `cutoff`: the
+    ceiling of the slope (1-gamma)/gamma |g'| of the stored floats, in 50
+    digits (`Decimal.ln` and `sqrt` are correctly rounded)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        root2 = Decimal(2).sqrt()
+        x = Decimal(0.5) - (2 * Decimal(cutoff) - 1) / root2
+        g1 = 2 * root2 * ((1 - x) / x).ln() / Decimal(2).ln()
+        return math.ceil((1 - Decimal(gamma)) / Decimal(gamma) * g1)

@@ -19,12 +19,15 @@ import pytest
 
 from diecert.cli import main
 from diecert.rates import (
+    _LOG2_5,
     ErrorBudget,
     ProtocolParams,
     _cutoff_terms,
     certified_log_l,
     optimize_parameters,
 )
+
+from oracles import exact_step
 
 PATH = Path(__file__).parent / "golden" / "certificates_exact.json"
 GOLDEN = json.loads(PATH.read_text())
@@ -111,13 +114,30 @@ def test_some_row_is_round_trip_lossy():
     assert any(c.minimizer_pt.p1 / c.params.gamma != c.cutoff for c in certs)
 
 
+def step_excess(outputs):
+    """A ceiling row's stored gradient step less the 50-digit one at its
+    stored cutoff and gamma: below 0 the certificate is optimistic."""
+    stored = round(float(outputs["second_order_v"]) / 2 - _LOG2_5)
+    return stored - exact_step(float(outputs["cutoff"]), float(outputs["gamma"]))
+
+
+CEILING = [case for section in ("certified_log_l", "optimize_parameters")
+           for case in GOLDEN[section] if case["inputs"]["mode"] == "ceiling"]
+
+
+@pytest.mark.parametrize("case", CEILING, ids=lambda c: c["id"])
+def test_ceiling_rows_store_the_exact_step(case):
+    assert step_excess(case["outputs"]) == 0
+
+
 RUNNERS = {"certified_log_l": run_certified, "optimize_parameters": run_optimized}
 
 
 def _regenerate():
     """Recompute every row's outputs from its recorded inputs, printing each
     row's old -> new eta_opt_value, cutoff, rate_raw and eps_smo, and marking
-    a row whose eta rose or an optimized row whose rate fell."""
+    a row whose eta rose, an optimized row whose rate fell and a ceiling row
+    whose new step is below or above the 50-digit one."""
     for section, run in RUNNERS.items():
         for case in GOLDEN[section]:
             old = case["outputs"]
@@ -130,6 +150,8 @@ def _regenerate():
             if (old and section == "optimize_parameters"
                     and float(new["rate_raw"]) < float(old["rate_raw"])):
                 marks += "  RATE FELL"
+            if case["inputs"]["mode"] == "ceiling" and (excess := step_excess(new)):
+                marks += "  STEP LOW" if excess < 0 else "  STEP HIGH"
             print(f"{case['id']}: {changes}{marks}")
     PATH.write_text(json.dumps(GOLDEN, indent=1) + "\n")
 

@@ -2,17 +2,16 @@ import math
 import re
 import sys
 from dataclasses import replace
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diecert import rates
-from diecert.bounds import g, g_prime
-from diecert.chsh import OMEGA_MAX
+from diecert.bounds import g, g_prime, g_prime_inverse
+from diecert.chsh import OMEGA_CLASSICAL, OMEGA_MAX
 from diecert.quantum import ValidationError
 from diecert.rates import (
     MODES,
@@ -32,7 +31,7 @@ from diecert.rates import (
     rate_curve,
 )
 
-from oracles import dense_gamma_search
+from oracles import dense_gamma_search, exact_step
 from reference_data import ASYMPTOTIC_CURVE
 
 # error budget used for all published-curve comparisons
@@ -60,18 +59,40 @@ def _log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10**e)
 
 
+def float_step(p, cutoff):
+    """The gradient step the ceiling-mode terms use at `cutoff`."""
+    return round(_cutoff_terms(p.p1_obs, cutoff, p.gamma, "ceiling")[1] - rates._LOG2_5)
+
+
 def assert_exact_step(p, cutoff):
-    """At `cutoff` the slope (1-gamma)/gamma |g'|, in 50 digits (Decimal.ln
-    is correctly rounded), has the ceiling the float ceiling-mode terms used."""
-    gamma = p.gamma
-    step = round(_cutoff_terms(p.p1_obs, cutoff, gamma, "ceiling")[1] - rates._LOG2_5)
-    with localcontext() as ctx:
-        ctx.prec = 50
-        root2 = Decimal(2).sqrt()
-        x = Decimal(0.5) - (2 * Decimal(cutoff) - 1) / root2
-        g1 = 2 * root2 * ((1 - x) / x).ln() / Decimal(2).ln()
-        exact = (1 - Decimal(gamma)) / Decimal(gamma) * g1
-    assert step == math.ceil(exact)
+    """At `cutoff` the ceiling-mode terms use the theorem's step, the 50-digit one."""
+    assert float_step(p, cutoff) == exact_step(cutoff, p.gamma)
+
+
+def _ulps(x, k):
+    """x moved k floats up (down for a negative k)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@st.composite
+def ceiling_jumps(draw):
+    """Parameters whose observed score p1_obs/gamma sits on a jump of the
+    ceiling step, the score g_prime_inverse(-k gamma/(1-gamma)) at which
+    (1-gamma)/gamma |g'| is k, with omega_exp, delta_est or gamma then moved
+    -64 to +64 floats: n 1e6-1e12, gamma 0.05-0.9, the first 41 jumps above
+    3/4 and delta_est the Hoeffding width at eps_cmp = 1e-2."""
+    n = int(draw(_log_uniform(1e6, 1e12)))
+    gamma = draw(st.floats(0.05, 0.9))
+    k = math.ceil((1 - gamma) / gamma * -g_prime(OMEGA_CLASSICAL)) + draw(st.integers(0, 40))
+    delta = delta_est_for(n, 1e-2)
+    omega = g_prime_inverse(-k * gamma / (1 - gamma)) + delta / gamma
+    assume(omega <= OMEGA_MAX)
+    moved = dict(gamma=gamma, omega_exp=omega, delta_est=delta)
+    name = draw(st.sampled_from(sorted(moved)))
+    moved[name] = _ulps(moved[name], draw(st.integers(-64, 64)))
+    return params(n=n, **moved)
 
 
 # a test-side 200-point scan of eta_opt's cutoff range
@@ -364,15 +385,28 @@ class TestEtaOpt:
         b = budget(eps_dist=eps_dist, eps_snd=eps_snd, eps_smo=smo * math.sqrt(eps_dist))
         assert_exact_step(p, eta_opt(p, b, "ceiling")[1])
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the cutoff p1_obs/gamma gets no margin below a jump")
     def test_ceiling_step_is_the_exact_one_at_p1_obs(self):
-        # the stored cutoff p1_obs/gamma = 0.7804512419247545 has a float slope
-        # that rounds to step 6, but its exact slope is 6 + 2.9e-15: step 7
+        # p1_obs/gamma = 0.7804512419247545 lies a few floats past the jump to
+        # step 7 (exact slope 6 + 2.9e-15), where the float slope rounds to 6:
+        # the certificate may not take step 6 there, and stores step 6's top
         p = params(n=10**10, gamma=0.595, omega_exp=0.7804767449017188,
                    delta_est=delta_est_for(10**10, 1e-2))
         b = budget(eps_dist=1e-5, eps_snd=1e-5, eps_cmp=1e-2, eps_smo=1e-3)
         assert_exact_step(p, certified_log_l(p, b, "ceiling").cutoff)
+
+    @given(ceiling_jumps())
+    # gamma a few floats off a jump: p1_obs/gamma lies just past it, where a
+    # bare float ceiling reads one step low and eta_opt would return it
+    @example(params(n=182230985963, gamma=0.8348738635543417, omega_exp=0.8534366856095162,
+                    delta_est=3.5546490707343955e-06))
+    def test_ceiling_step_at_a_jump(self, p):
+        # at the cutoff eta_opt returns the step is the exact one; at the raw
+        # cutoff p1_obs/gamma it is never below it, and one above it only
+        # between a placed top and its jump
+        b = budget(eps_dist=1e-5, eps_snd=1e-5, eps_cmp=1e-2, eps_smo=1e-3)
+        assert_exact_step(p, eta_opt(p, b, "ceiling")[1])
+        raw = p.p1_obs / p.gamma
+        assert 0 <= float_step(p, raw) - exact_step(raw, p.gamma) <= 1
 
     def test_kappa_domain(self):
         for zero in ("eps_snd", "eps_smo"):
